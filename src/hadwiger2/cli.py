@@ -29,6 +29,7 @@ from .certificates import (
     verify_certificate,
 )
 from .conjectures import (
+    ConnectedMatching,
     KModel,
     SearchBudgetExceeded,
     connected_dominating_matching,
@@ -195,6 +196,15 @@ def cmd_build(args, seed: int) -> int:
 # check
 
 
+def _find_cdm(g: Graph, budget: int | None = None) -> ConnectedMatching | None:
+    """A CDM of a connected host with alpha <= 2, or None: the exact search
+    when alpha = 2, else (a complete graph) a dominating edge if there is one."""
+    if independence_number_is_2(g):
+        return connected_dominating_matching(g, budget=budget)
+    e = dominating_edge(g)
+    return None if e is None else ConnectedMatching(Matching((e,)))
+
+
 def cmd_check(args, seed: int) -> int:
     g = _read_input_graph(args)
     name = args.conjecture
@@ -204,19 +214,11 @@ def cmd_check(args, seed: int) -> int:
             raise CliError("cdm check requires a connected graph")
         if not alpha_at_most_2(g):
             raise CliError("cdm check requires independence number at most 2")
-        if independence_number_is_2(g):
-            try:
-                cdm = connected_dominating_matching(g, budget=args.budget)
-            except SearchBudgetExceeded:
-                print(f"conjecture=cdm n={g.n} holds=unknown budget_exhausted=true")
-                return EXIT_BUDGET
-        else:
-            e = dominating_edge(g)
-            cdm = None
-            if e is not None:
-                from .conjectures import ConnectedMatching
-
-                cdm = ConnectedMatching(Matching((e,)))
+        try:
+            cdm = _find_cdm(g, budget=args.budget)
+        except SearchBudgetExceeded:
+            print(f"conjecture=cdm n={g.n} holds=unknown budget_exhausted=true")
+            return EXIT_BUDGET
         holds = cdm is not None and is_cdm(g, cdm.edges)
         print(f"conjecture=cdm n={g.n} holds={str(holds).lower()}")
         if holds:
@@ -270,10 +272,8 @@ def cmd_check(args, seed: int) -> int:
 def _check_cdm(g: Graph) -> bool:
     if g.n < 2:
         return True  # conjecture hypotheses not met; nothing to check
-    if independence_number_is_2(g):
-        cdm = connected_dominating_matching(g)
-        return cdm is not None and is_cdm(g, cdm.edges)
-    return dominating_edge(g) is not None
+    cdm = _find_cdm(g)
+    return cdm is not None and is_cdm(g, cdm.edges)
 
 
 def _check_4cm(g: Graph) -> bool:
@@ -311,37 +311,25 @@ def cmd_enumerate(args, seed: int) -> int:
         pool = multiprocessing.Pool(args.workers)
     try:
         for n in range(1, args.max_n + 1):
-            batch = []
-            for hgraph in levels[n]:
-                g = complement(hgraph)
-                if not is_connected(g):
-                    continue
-                if budget is not None and total + len(batch) >= budget:
-                    checked = len(batch)
-                    results = (
-                        pool.map(_worker_check, [(args.check, s) for s in batch])
-                        if pool
-                        else [check(read_graph6(s)) for s in batch]
-                    )
-                    violations = sum(1 for r in results if not r)
-                    print(
-                        f"n={n} checked={checked} violations={violations} partial=true"
-                    )
-                    print(
-                        f"total={total + checked} "
-                        f"violations_total={bad_total + violations} "
-                        "budget_exhausted=true"
-                    )
-                    return EXIT_BUDGET
-                batch.append(write_graph6(g))
+            batch = [g for g in map(complement, levels[n]) if is_connected(g)]
+            partial = budget is not None and total + len(batch) > budget
+            if partial:
+                batch = batch[: max(budget - total, 0)]
             if pool:
-                results = pool.map(_worker_check, [(args.check, s) for s in batch])
+                # Workers receive graph6 strings; the sequential path checks in place.
+                results = pool.map(_worker_check, [(args.check, write_graph6(g)) for g in batch])
             else:
-                results = [check(read_graph6(s)) for s in batch]
+                results = [check(g) for g in batch]
             violations = sum(1 for r in results if not r)
             total += len(batch)
             bad_total += violations
-            print(f"n={n} checked={len(batch)} violations={violations}")
+            print(
+                f"n={n} checked={len(batch)} violations={violations}"
+                + (" partial=true" if partial else "")
+            )
+            if partial:
+                print(f"total={total} violations_total={bad_total} budget_exhausted=true")
+                return EXIT_BUDGET
     finally:
         if pool:
             pool.close()

@@ -169,19 +169,12 @@ def connected_dominating_matching(
     full = g.full_mask
     nodes = 0
 
-    def violated(chosen: list, used: int) -> int:
-        out = 0
-        uncovered = full & ~used
-        for u, v in chosen:
-            out |= uncovered & ~(g.row(u) | g.row(v))
-        return out
-
-    def dfs(chosen: list, used: int) -> ConnectedMatching | None:
+    def dfs(chosen: list, used: int, bad: int) -> ConnectedMatching | None:
+        # bad: the uncovered vertices non-adjacent to some chosen edge.
         nonlocal nodes
         nodes += 1
         if budget is not None and nodes > budget:
             raise SearchBudgetExceeded("CDM search budget exhausted")
-        bad = violated(chosen, used)
         if not bad:
             return ConnectedMatching(Matching(tuple(chosen)))
         w = (bad & -bad).bit_length() - 1
@@ -191,7 +184,8 @@ def connected_dominating_matching(
             if any(not (reach >> a & 1 or reach >> b & 1) for a, b in chosen):
                 continue
             chosen.append((u, v))
-            got = dfs(chosen, used | (1 << u) | (1 << v))
+            now = used | (1 << u) | (1 << v)
+            got = dfs(chosen, now, (bad | full & ~reach) & ~now)
             chosen.pop()
             if got is not None:
                 return got
@@ -199,7 +193,8 @@ def connected_dominating_matching(
 
     for first in g.edges():
         u, v = first
-        got = dfs([first], (1 << u) | (1 << v))
+        used = (1 << u) | (1 << v)
+        got = dfs([first], used, full & ~(g.row(u) | g.row(v)) & ~used)
         if got is not None:
             return got
     return None
@@ -302,7 +297,7 @@ def verify_k_model(g: Graph, model: KModel) -> bool:
         if not b:
             return False
         used |= m
-        if not _mask_connected(g, m):
+        if not is_connected(g, m):
             return False
         masks.append(m)
     reaches = []
@@ -316,19 +311,6 @@ def verify_k_model(g: Graph, model: KModel) -> bool:
             if not reaches[i] & masks[j]:
                 return False
     return True
-
-
-def _mask_connected(g: Graph, mask: int) -> bool:
-    start = mask & -mask
-    seen = start
-    frontier = start
-    while frontier:
-        nxt = 0
-        for v in bits(frontier):
-            nxt |= g.row(v)
-        frontier = nxt & mask & ~seen
-        seen |= frontier
-    return seen == mask
 
 
 def k_model_size2_max(

@@ -147,37 +147,18 @@ def subgraph_mask(g: Graph, mask: int) -> Graph:
     return induced_subgraph(g, bits(mask))
 
 
-def is_connected(g: Graph) -> bool:
-    if g.n == 0:
-        return True
-    seen = 1
-    frontier = 1
+def is_connected(g: Graph, within: int | None = None) -> bool:
+    """True iff the subgraph induced on the bitmask ``within`` (default: all
+    of g) is connected; breadth-first reach from its least vertex."""
+    mask = g.full_mask if within is None else within
+    seen = frontier = mask & -mask
     while frontier:
         nxt = 0
         for v in bits(frontier):
             nxt |= g.row(v)
-        frontier = nxt & ~seen
+        frontier = nxt & mask & ~seen
         seen |= frontier
-    return seen == g.full_mask
-
-
-def connected_components(g: Graph) -> list[int]:
-    """Vertex bitmasks of the connected components, ordered by least vertex."""
-    comps = []
-    left = g.full_mask
-    while left:
-        start = left & -left
-        seen = start
-        frontier = start
-        while frontier:
-            nxt = 0
-            for v in bits(frontier):
-                nxt |= g.row(v)
-            frontier = nxt & ~seen
-            seen |= frontier
-        comps.append(seen)
-        left &= ~seen
-    return comps
+    return seen == mask
 
 
 def is_triangle_free(g: Graph) -> bool:
@@ -382,79 +363,72 @@ def adjacent_twins(g: Graph) -> list[tuple[int, int]]:
     return out
 
 
-class _Dinic:
-    """Unit-capacity max-flow used for vertex connectivity."""
+def _disjoint_paths(g: Graph, s: int, t: int, limit: int) -> int:
+    """Max number of internally vertex-disjoint s-t paths (st not an edge),
+    capped at ``limit``.
 
-    def __init__(self, n: int):
-        self.n = n
-        self.head: list[list[int]] = [[] for _ in range(n)]
-        self.to: list[int] = []
-        self.cap: list[int] = []
-
-    def add_edge(self, u: int, v: int, c: int) -> None:
-        self.head[u].append(len(self.to))
-        self.to.append(v)
-        self.cap.append(c)
-        self.head[v].append(len(self.to))
-        self.to.append(u)
-        self.cap.append(0)
-
-    def max_flow(self, s: int, t: int, limit: int) -> int:
-        flow = 0
-        while flow < limit:
-            level = [-1] * self.n
-            level[s] = 0
-            queue = deque([s])
-            while queue:
-                u = queue.popleft()
-                for e in self.head[u]:
-                    if self.cap[e] and level[self.to[e]] == -1:
-                        level[self.to[e]] = level[u] + 1
-                        queue.append(self.to[e])
-            if level[t] == -1:
-                break
-            it = [0] * self.n
-
-            def dfs(u: int, pushed: int) -> int:
-                if u == t:
-                    return pushed
-                while it[u] < len(self.head[u]):
-                    e = self.head[u][it[u]]
-                    v = self.to[e]
-                    if self.cap[e] and level[v] == level[u] + 1:
-                        got = dfs(v, min(pushed, self.cap[e]))
-                        if got:
-                            self.cap[e] -= got
-                            self.cap[e ^ 1] += got
-                            return got
-                    it[u] += 1
-                return 0
-
-            while flow < limit:
-                pushed = dfs(s, limit - flow)
-                if not pushed:
+    Augmenting paths on the split graph, where vertex v becomes an arc
+    v_in -> v_out of capacity 1 and every edge uv the arcs u_out -> v_in and
+    v_out -> u_in.  The flow is kept as ``prv[v]``, the vertex before v on
+    the path through v (-1 when v is on no path).  Each augmenting path is
+    found breadth first with one bitset step per out-node, and nothing
+    recurses.
+    """
+    n = g.n
+    prv = [-1] * n
+    flow = 0
+    while flow < limit:
+        pin = [-1] * n  # v_in was reached from pin[v]_out; v itself: from v_out
+        pout = [-1] * n  # v_out was reached from pout[v]_in; v itself: from v_in
+        pout[s] = s
+        seen_in = 1 << s
+        queue = [2 * s + 1]  # node 2v is v_in, 2v + 1 is v_out
+        for x in queue:
+            v = x >> 1
+            if x & 1:
+                new = g.row(v) & ~seen_in
+                if new >> t & 1:
+                    pin[t] = v
                     break
-                flow += pushed
-        return flow
-
-
-def _pair_connectivity(g: Graph, s: int, t: int, limit: int) -> int:
-    """Max number of internally vertex-disjoint s-t paths, capped at limit."""
-    net = _Dinic(2 * g.n)
-    big = g.n
-    for v in range(g.n):
-        net.add_edge(2 * v, 2 * v + 1, 1 if v not in (s, t) else big)
-    for u, v in g.edges():
-        net.add_edge(2 * u + 1, 2 * v, big)
-        net.add_edge(2 * v + 1, 2 * u, big)
-    return net.max_flow(2 * s + 1, 2 * t, limit)
+                seen_in |= new
+                for w in bits(new):
+                    pin[w] = v
+                    queue.append(2 * w)
+                if prv[v] != -1 and not seen_in >> v & 1:
+                    # Back along the saturated arc v_in -> v_out.
+                    seen_in |= 1 << v
+                    pin[v] = v
+                    queue.append(2 * v)
+            else:
+                # A free vertex goes on to its out-node; a used one can only
+                # cancel the arc from its predecessor.
+                u = v if prv[v] == -1 else prv[v]
+                if pout[u] == -1:
+                    pout[u] = v
+                    queue.append(2 * u + 1)
+        else:
+            return flow
+        v = t
+        while True:
+            u = pin[v]
+            prv[v] = -1 if u == v else u
+            if u == s:
+                break
+            v = pout[u]
+        flow += 1
+    return flow
 
 
 def vertex_connectivity(g: Graph, *, at_least: int | None = None) -> int:
     """Minimum vertex cut size; n-1 for complete graphs.
 
-    With ``at_least=k`` the computation may stop early and return k as soon
-    as connectivity >= k is established (each pair flow is capped at k).
+    Each pair is settled by Menger's theorem: the number of internally
+    vertex-disjoint paths, found as augmenting paths on the split graph by
+    bitset breadth-first search (Even-Tarjan), iteratively, so large sparse
+    hosts do not hit the recursion limit.  Only the pairs of the
+    Esfahanian-Hakimi reduction around one min-degree vertex are solved.
+    With ``at_least=k`` every pair count is capped at k, and the result is
+    min(connectivity, k).
     """
     n = g.n
     if n < 2:
@@ -474,12 +448,12 @@ def vertex_connectivity(g: Graph, *, at_least: int | None = None) -> int:
     v = min(range(n), key=g.degree)
     nonnbrs = g.full_mask & ~g.row(v) & ~(1 << v)
     for t in bits(nonnbrs):
-        best = min(best, _pair_connectivity(g, v, t, best))
+        best = min(best, _disjoint_paths(g, v, t, best))
         if best == 0:
             return 0
     nbrs = list(bits(g.row(v)))
     for i, x in enumerate(nbrs):
         for y in nbrs[i + 1:]:
             if not g.has_edge(x, y):
-                best = min(best, _pair_connectivity(g, x, y, best))
+                best = min(best, _disjoint_paths(g, x, y, best))
     return best

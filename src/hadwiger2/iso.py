@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import hashlib
 from typing import Iterator
 
 from .graphs import Graph, bits, complement
@@ -24,13 +23,6 @@ def wl_colors(g: Graph, rounds: int | None = None) -> tuple[int, ...]:
             break
         colors = new
     return tuple(colors)
-
-
-def wl_hash(g: Graph) -> str:
-    """Isomorphism-invariant hash (collisions possible, never false splits)."""
-    colors = wl_colors(g)
-    payload = repr((g.n, g.edge_count, tuple(sorted(colors))))
-    return hashlib.sha256(payload.encode()).hexdigest()
 
 
 def induced_embeddings(

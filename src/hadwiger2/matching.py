@@ -47,20 +47,8 @@ class Matching:
         return all(g.has_edge(u, v) for u, v in self.edges)
 
 
-def _greedy_matching(g: Graph) -> list[int]:
-    match = [-1] * g.n
-    for v in range(g.n):
-        if match[v] == -1:
-            for w in bits(g.row(v)):
-                if match[w] == -1:
-                    match[v] = w
-                    match[w] = v
-                    break
-    return match
-
-
 def _find_augmenting(
-    g: Graph, match: list[int], root: int, forbidden: int = 0
+    g: Graph, match: list[int], root: int, within: int
 ) -> tuple[int, list[int]]:
     n = g.n
     used = [False] * n
@@ -93,7 +81,7 @@ def _find_augmenting(
 
     while queue:
         v = queue.popleft()
-        for to in bits(g.row(v) & ~forbidden):
+        for to in bits(g.row(v) & within):
             if base[v] == base[to] or match[v] == to:
                 continue
             if to == root or (match[to] != -1 and parent[match[to]] != -1):
@@ -116,29 +104,39 @@ def _find_augmenting(
     return -1, parent
 
 
-def maximum_matching(g: Graph) -> Matching:
-    """One maximum matching of g (the size is canonical, the edges are not)."""
-    match = _greedy_matching(g)
-    for root in range(g.n):
+def _maximum_match(g: Graph, within: int) -> list[int]:
+    """Partner list (-1 if exposed) of a maximum matching of g[within]:
+    a greedy start, then one augmentation attempt per exposed root."""
+    match = [-1] * g.n
+    for v in bits(within):
+        if match[v] == -1:
+            for w in bits(g.row(v) & within):
+                if match[w] == -1:
+                    match[v] = w
+                    match[w] = v
+                    break
+    for root in bits(within):
         if match[root] != -1:
             continue
-        end, parent = _find_augmenting(g, match, root)
-        if end == -1:
-            continue
+        end, parent = _find_augmenting(g, match, root, within)
         while end != -1:
             prev = parent[end]
             nxt = match[prev]
             match[end] = prev
             match[prev] = end
             end = nxt
-    edges = tuple(
-        (v, match[v]) for v in range(g.n) if match[v] > v
-    )
-    return Matching(edges)
+    return match
 
 
-def matching_number(g: Graph) -> int:
-    return maximum_matching(g).size
+def maximum_matching(g: Graph, within: int | None = None) -> Matching:
+    """One maximum matching of g, or of the subgraph induced on the bitmask
+    ``within`` (the size is canonical, the edges are not)."""
+    match = _maximum_match(g, g.full_mask if within is None else within)
+    return Matching(tuple((v, match[v]) for v in range(g.n) if match[v] > v))
+
+
+def matching_number(g: Graph, within: int | None = None) -> int:
+    return maximum_matching(g, within).size
 
 
 def chromatic_number_alpha2(g: Graph) -> int:
@@ -152,36 +150,25 @@ def chromatic_number_alpha2(g: Graph) -> int:
     return g.n - matching_number(complement(g))
 
 
-def has_perfect_matching(g: Graph) -> bool:
-    return g.n % 2 == 0 and matching_number(g) == g.n // 2
-
-
-def all_vertices_inessential(g: Graph) -> bool:
-    """True iff mu(g - v) = mu(g) for every vertex v.
+def all_vertices_inessential(g: Graph, within: int | None = None) -> bool:
+    """True iff mu(h - v) = mu(h) for every vertex v of h, where h is g or
+    the subgraph induced on the bitmask ``within``.
 
     One maximum matching is computed once; an unmatched vertex is
     inessential outright, and a matched vertex v is inessential iff a
-    single augmentation from its partner succeeds with v forbidden.
+    single augmentation from its partner succeeds with v masked out.
     """
-    base = _greedy_matching(g)
-    for root in range(g.n):
-        if base[root] != -1:
-            continue
-        end, parent = _find_augmenting(g, base, root)
-        while end != -1:
-            prev = parent[end]
-            nxt = base[prev]
-            base[end] = prev
-            base[prev] = end
-            end = nxt
-    for v in range(g.n):
+    if within is None:
+        within = g.full_mask
+    base = _maximum_match(g, within)
+    for v in bits(within):
         w = base[v]
         if w == -1:
             continue
         match = list(base)
         match[v] = -1
         match[w] = -1
-        end, _ = _find_augmenting(g, match, w, forbidden=1 << v)
+        end, _ = _find_augmenting(g, match, w, within & ~(1 << v))
         if end == -1:
             return False
     return True

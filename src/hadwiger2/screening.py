@@ -21,14 +21,15 @@ from .graphs import (
     complement,
     diameter,
     independence_number_is_2,
-    induced_subgraph,
     is_connected,
     vertex_connectivity,
 )
 from .matching import (
+    all_vertices_inessential,
     chromatic_number_alpha2,
     is_factor_critical,
     is_vertex_critical_alpha2,
+    matching_number,
 )
 
 PROPERTIES = tuple(f"P{i}" for i in range(1, 23))
@@ -162,11 +163,14 @@ def table1_screen(g: Graph) -> ScreeningReport:
     put("P2", is_connected(gc), "complement connected iff not decomposable")
     put("P3", n == 2 * chi - 1, f"n={n}, 2chi-1={2 * chi - 1}")
 
-    rest = list(range(n))
+    # g - x - y inherits alpha <= 2, so both matching shortcuts run on gc
+    # inside the mask of the remaining vertices.
     p4_ok = True
     for x, y in _nonadjacent_pairs(g):
-        sub = induced_subgraph(g, [v for v in rest if v not in (x, y)])
-        if chromatic_number_alpha2(sub) != chi - 1 or not is_vertex_critical_alpha2(sub):
+        rest = g.full_mask & ~(1 << x) & ~(1 << y)
+        if n - 2 - matching_number(gc, rest) != chi - 1 or not all_vertices_inessential(
+            gc, rest
+        ):
             p4_ok = False
             break
     put("P4", p4_ok, "pair deletion leaves a (chi-1)-critical graph")

@@ -2,12 +2,14 @@
 
 import math
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from hadwiger2.graphs import (
     Graph,
     InflationSpec,
+    _disjoint_paths,
     adjacent_twins,
     blow_up,
     complement,
@@ -20,6 +22,7 @@ from hadwiger2.graphs import (
     vertex_connectivity,
 )
 from hadwiger2.constructions import (
+    clebsch,
     complete,
     cycle,
     kneser,
@@ -206,6 +209,29 @@ class TestConnectivity:
     def test_matches_brute_force(self, g):
         if g.n >= 2:
             assert vertex_connectivity(g) == brute_vertex_connectivity(g)
+
+    def test_long_cycle_does_not_recurse(self):
+        # One augmenting path per BFS, no recursion: 1200 vertices is fine.
+        assert vertex_connectivity(cycle(1200)) == 2
+
+    def test_augmenting_path_backs_up_through_a_used_vertex(self):
+        # The first BFS path is 0-1-3-6-8.  The second one must enter 6 from
+        # 5, back up through 3 (freeing it) to 1, and leave 1 towards 4.
+        g = Graph(9, [(0, 1), (0, 2), (1, 3), (1, 4), (2, 5), (3, 6), (5, 6), (4, 7), (6, 8), (7, 8)])
+        assert _disjoint_paths(g, 0, 8, 9) == 2
+
+    def test_capped_matches_networkx(self):
+        rng = SplitMix64(41)
+        hosts = [complement(petersen()), complement(clebsch())]
+        while len(hosts) < 62:
+            hosts.append(random_graph(2 + rng.randrange(19), 10 + rng.randrange(80), rng))
+        for g in hosts:
+            ref = nx.Graph()
+            ref.add_nodes_from(range(g.n))
+            ref.add_edges_from(g.edges())
+            kappa = nx.node_connectivity(ref)
+            for k in range(g.n + 1):
+                assert vertex_connectivity(g, at_least=k) == min(kappa, k), (g.edges(), k)
 
 
 class TestTwins:

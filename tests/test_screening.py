@@ -2,8 +2,10 @@
 
 import pytest
 
+from hadwiger2.conjectures import connected_dominating_matching
 from hadwiger2.constructions import complete, cycle, wheel5
-from hadwiger2.graphs import Graph, complement
+from hadwiger2.generation import connected_alpha2_graphs, triangle_free_graphs
+from hadwiger2.graphs import Graph, complement, independence_number_is_2, induced_subgraph
 from hadwiger2.screening import (
     BLOCKS,
     PROPERTIES,
@@ -11,6 +13,8 @@ from hadwiger2.screening import (
     is_hamiltonian,
     table1_screen,
 )
+
+from conftest import all_matchings, brute_chromatic_number, brute_matching_number
 
 
 class TestHelpers:
@@ -77,3 +81,79 @@ class TestScreen:
         assert set(rep.verdicts) == set(PROPERTIES)
         assert rep.unevaluated() == []
         assert rep.fully_evaluated("minimal-hc")
+
+
+@pytest.fixture(scope="module")
+def alpha2_upto_7():
+    """Every connected graph with independence number exactly 2 on <= 7 vertices."""
+    levels = triangle_free_graphs(7)
+    return [
+        g
+        for n in range(2, 8)
+        for g in connected_alpha2_graphs(n, levels)
+        if independence_number_is_2(g)
+    ]
+
+
+def _minus(g: Graph, *drop: int) -> Graph:
+    return induced_subgraph(g, [v for v in range(g.n) if v not in drop])
+
+
+def _brute_vertex_critical(g: Graph) -> bool:
+    chi = brute_chromatic_number(g)
+    return all(brute_chromatic_number(_minus(g, v)) < chi for v in range(g.n))
+
+
+def _brute_factor_critical(g: Graph) -> bool:
+    return all(2 * brute_matching_number(_minus(g, v)) == g.n - 1 for v in range(g.n))
+
+
+def _brute_is_cdm(g: Graph, m) -> bool:
+    """m is non-empty, its edges are pairwise joined by an edge, and every
+    uncovered vertex is adjacent to an endpoint of every edge of m."""
+    covered = 0
+    for u, v in m:
+        covered |= (1 << u) | (1 << v)
+    for i, (u, v) in enumerate(m):
+        reach = g.row(u) | g.row(v)
+        if g.full_mask & ~covered & ~reach:
+            return False
+        if any(not (reach >> x & 1 or reach >> y & 1) for x, y in m[i + 1:]):
+            return False
+    return bool(m)
+
+
+def _brute_has_cdm(g: Graph) -> bool:
+    return any(_brute_is_cdm(g, m) for m in all_matchings(g))
+
+
+class TestScreenKernelsAgainstDefinitions:
+    def test_matching_based_verdicts(self, alpha2_upto_7):
+        assert len(alpha2_upto_7) > 100
+        for g in alpha2_upto_7:
+            rep = table1_screen(g)
+            chi = brute_chromatic_number(g)
+            p4 = all(
+                brute_chromatic_number(_minus(g, x, y)) == chi - 1
+                and _brute_vertex_critical(_minus(g, x, y))
+                for x in range(g.n)
+                for y in range(x + 1, g.n)
+                if not g.has_edge(x, y)
+            )
+            want = {
+                "P1": _brute_vertex_critical(g),
+                "P4": p4,
+                "P5": _brute_factor_critical(complement(g)),
+                "P11": _brute_factor_critical(g),
+                "P6": not _brute_has_cdm(g),
+            }
+            got = {p: rep.verdicts[p].status == "pass" for p in want}
+            assert got == want, g.edges()
+
+    def test_cdm_search_matches_brute_force(self, alpha2_upto_7):
+        for g in alpha2_upto_7:
+            cdm = connected_dominating_matching(g)
+            assert (cdm is not None) == _brute_has_cdm(g), g.edges()
+            if cdm is not None:
+                assert cdm.matching.is_matching_of(g)
+                assert _brute_is_cdm(g, cdm.edges), (g.edges(), cdm.edges)
