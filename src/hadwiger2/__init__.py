@@ -69,6 +69,7 @@ from .steiner import SteinerSystem, gewirtz, higman_sims, mesner, steiner_3_6_22
 from .conjectures import (
     ConnectedMatching,
     KModel,
+    Outcome,
     connected_dominating_matching,
     connected_matching_max,
     connected_matching_number,

@@ -15,6 +15,7 @@ from itertools import combinations
 from math import comb
 
 from .cliques import is_clique, max_clique, maximal_cliques
+from .conjectures import Outcome, connected_perfect_matching_search
 from .constructions import kneser_labels, srg_parameters
 from .graphs import (
     Graph,
@@ -233,56 +234,61 @@ def lift_cover(spec: InflationSpec, cover) -> list[tuple[int, ...]]:
     return lifted
 
 
-def four_cover_check(g: Graph):
-    """Four cliques covering V with total size >= |V|+2, or None.
+def four_cover_check(g: Graph) -> Outcome:
+    """Four cliques covering V with total size >= |V|+2.
 
-    Exact search below 20 vertices (branching on the least uncovered
-    vertex over maximal cliques, best-first by clique size); greedy plus
-    2-swap local search above.  A returned witness certifies that every
-    proper inflation has a clique of at least a quarter of its order plus
-    a half, hence satisfies the half-order Hadwiger bound.
+    "refuted" when 4 * omega < |V|+2, or when the exact search up to 20
+    vertices (branching on the least uncovered vertex over maximal
+    cliques, best-first by clique size) fails; above 20 vertices a greedy
+    plus 2-swap local search either finds a cover or gives "unknown".  A
+    found witness certifies that every proper inflation has a clique of at
+    least a quarter of its order plus a half, hence satisfies the
+    half-order Hadwiger bound.
     """
     if not alpha_at_most_2(g):
         raise ValueError("four-clique covers are only used when alpha <= 2")
     n = g.n
     if n == 0:
-        return ((), (), (), ())
+        return Outcome("found", ((), (), (), ()))
     target = n + 2
-    cliques = sorted(maximal_cliques(g), key=lambda m: -m.bit_count())
-    omega = cliques[0].bit_count()
+    omega = len(max_clique(g))
     if 4 * omega < target:
-        return None
-    by_vertex = [[] for _ in range(n)]
-    for m in cliques:
-        for v in bits(m):
-            by_vertex[v].append(m)
+        return Outcome("refuted")
+    cliques = sorted(maximal_cliques(g), key=lambda m: -m.bit_count())
 
-    best: list[int] | None = None
-
-    def dfs(chosen: list[int], covered: int, total: int) -> bool:
-        nonlocal best
-        slots_left = 4 - len(chosen)
-        if covered == g.full_mask:
-            if total + slots_left * omega >= target:
-                fill = chosen + [cliques[0]] * slots_left
-                best = fill
-                return True
-            return False
-        if slots_left == 0:
-            return False
-        if total + slots_left * omega < target:
-            return False
-        v = ((~covered) & g.full_mask & -((~covered) & g.full_mask)).bit_length() - 1
-        for m in by_vertex[v]:
-            if dfs(chosen + [m], covered | m, total + m.bit_count()):
-                return True
-        return False
+    def found(chosen: list[int]) -> Outcome:
+        return Outcome("found", tuple(tuple(bits(m)) for m in chosen))
 
     if n <= 20:
-        if dfs([], 0, 0):
-            assert best is not None
-            return tuple(tuple(bits(m)) for m in best)
-        return None
+        by_vertex = [[] for _ in range(n)]
+        for m in cliques:
+            for v in bits(m):
+                by_vertex[v].append(m)
+
+        def dfs(chosen: list[int], covered: int, total: int) -> list[int] | None:
+            slots_left = 4 - len(chosen)
+            if covered == g.full_mask:
+                if total + slots_left * omega >= target:
+                    return chosen + [cliques[0]] * slots_left
+                return None
+            if slots_left == 0 or total + slots_left * omega < target:
+                return None
+            v = ((~covered) & g.full_mask & -((~covered) & g.full_mask)).bit_length() - 1
+            for m in by_vertex[v]:
+                got = dfs(chosen + [m], covered | m, total + m.bit_count())
+                if got is not None:
+                    return got
+            return None
+
+        best = dfs([], 0, 0)
+        return Outcome("refuted") if best is None else found(best)
+
+    def covers(chosen: list[int]) -> bool:
+        covered = 0
+        for m in chosen:
+            covered |= m
+        return covered == g.full_mask and sum(m.bit_count() for m in chosen) >= target
+
     # Heuristic: greedy max-new-coverage from the largest clique, then
     # single-slot swaps; verified before returning.
     chosen = [cliques[0]]
@@ -292,12 +298,8 @@ def four_cover_check(g: Graph):
         chosen.append(pick)
         covered |= pick
     for _ in range(8):
-        covered = 0
-        for m in chosen:
-            covered |= m
-        total = sum(m.bit_count() for m in chosen)
-        if covered == g.full_mask and total >= target:
-            return tuple(tuple(bits(m)) for m in chosen)
+        if covers(chosen):
+            return found(chosen)
         improved = False
         for i in range(4):
             others = chosen[:i] + chosen[i + 1:]
@@ -310,12 +312,7 @@ def four_cover_check(g: Graph):
                 improved = True
         if not improved:
             break
-    covered = 0
-    for m in chosen:
-        covered |= m
-    if covered == g.full_mask and sum(m.bit_count() for m in chosen) >= target:
-        return tuple(tuple(bits(m)) for m in chosen)
-    return None
+    return found(chosen) if covers(chosen) else Outcome("unknown")
 
 
 def format_certificate(cert: CliqueFamilyCertificate) -> str:
@@ -426,13 +423,13 @@ def _check_good_bad(g: Graph, part: GoodBadPartition) -> None:
                     raise RuntimeError("good/bad hypothesis (2) violated")
 
 
-def classify_good_bad_outcome(g: Graph, part: GoodBadPartition) -> str | None:
-    """First conclusion that holds for an even-order host:
+def classify_good_bad_outcome(g: Graph, part: GoodBadPartition) -> Outcome:
+    """First conclusion that holds for an even-order host, as the witness:
 
     'a' dominating edge; 'b' connectivity at most n/2; 'c' clique of at
     least n/2; 'd' connected perfect matching of good edges.  The search
-    for 'd' is exact up to 16 vertices, heuristic with verification above;
-    None means no conclusion was established.
+    for 'd' is exact up to 16 vertices ("refuted" when none of the four
+    holds), heuristic with verification above ("unknown" when it gives up).
     """
     n = g.n
     if n % 2:
@@ -442,11 +439,11 @@ def classify_good_bad_outcome(g: Graph, part: GoodBadPartition) -> str | None:
     full = g.full_mask
     for u, v in g.edges():
         if g.row(u) | g.row(v) == full:
-            return "a"
+            return Outcome("found", "a")
     if n >= 2 and vertex_connectivity(g, at_least=n // 2 + 1) <= n // 2:
-        return "b"
+        return Outcome("found", "b")
     if len(max_clique(g)) >= n // 2:
-        return "c"
+        return Outcome("found", "c")
     good_rows = [0] * n
     for u, v in part.good:
         good_rows[u] |= 1 << v
@@ -468,13 +465,7 @@ def classify_good_bad_outcome(g: Graph, part: GoodBadPartition) -> str | None:
         return False
 
     if n <= 16:
-        if cpm(0, []):
-            return "d"
-        return None
-    from .conjectures import connected_perfect_matching_search
-
+        return Outcome("found", "d") if cpm(0, []) else Outcome("refuted")
     sub = Graph(n, sorted(part.good))
-    model = connected_perfect_matching_search(
-        sub, seed=0, budget=200_000, host_for_adjacency=g
-    )
-    return "d" if model is not None else None
+    got = connected_perfect_matching_search(sub, seed=0, budget=200_000, host_for_adjacency=g)
+    return Outcome("found", "d") if got.status == "found" else Outcome("unknown")

@@ -5,10 +5,11 @@ checkers with witnesses), enumerate (exhaustive desk-scale sweeps),
 certify (clique-cover certificates), screen (counterexample profile).
 
 Exit codes: 0 holds/found, 1 fails/not found, 2 usage or input error,
-3 budget exhausted.  Reports are line-oriented ``key=value`` plus a
-human-readable summary; every run prints a reproducibility header with
-the version, seed and arguments.  The seed defaults to the
-HADWIGER2_SEED environment variable, then 0.
+3 undecided (budget exhausted or heuristic gave up), printed as
+``holds=unknown`` or ``found=unknown``.  Reports are line-oriented
+``key=value`` plus a human-readable summary; every run prints a
+reproducibility header with the version, seed and arguments.  The seed
+defaults to the HADWIGER2_SEED environment variable, then 0.
 """
 
 from __future__ import annotations
@@ -31,14 +32,13 @@ from .certificates import (
 from .conjectures import (
     ConnectedMatching,
     KModel,
-    SearchBudgetExceeded,
+    Outcome,
     connected_dominating_matching,
     connected_matching_max,
     dominating_edge,
     format_model,
     half_order_model_search,
     is_cdm,
-    verify_k_model,
 )
 from .constructions import (
     ConstructionError,
@@ -69,6 +69,10 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+
+# A search's status as printed after holds= or found=, and as an exit code.
+WORD = {"found": "true", "refuted": "false", "unknown": "unknown"}
+EXIT_CODE = {"found": EXIT_OK, "refuted": EXIT_FAIL, "unknown": EXIT_BUDGET}
 
 
 class CliError(Exception):
@@ -196,42 +200,37 @@ def cmd_build(args, seed: int) -> int:
 # check
 
 
-def _find_cdm(g: Graph, budget: int | None = None) -> ConnectedMatching | None:
-    """A CDM of a connected host with alpha <= 2, or None: the exact search
-    when alpha = 2, else (a complete graph) a dominating edge if there is one."""
+def _find_cdm(g: Graph, budget: int | None = None) -> Outcome:
+    """CDM search on a connected host with alpha <= 2: the exact search when
+    alpha = 2, else (a complete graph) a dominating edge if there is one."""
     if independence_number_is_2(g):
         return connected_dominating_matching(g, budget=budget)
     e = dominating_edge(g)
-    return None if e is None else ConnectedMatching(Matching((e,)))
+    return Outcome("refuted") if e is None else Outcome("found", ConnectedMatching(Matching((e,))))
 
 
 def cmd_check(args, seed: int) -> int:
     g = _read_input_graph(args)
     name = args.conjecture
-    witness_text = None
     if name == "cdm":
         if not is_connected(g):
             raise CliError("cdm check requires a connected graph")
         if not alpha_at_most_2(g):
             raise CliError("cdm check requires independence number at most 2")
-        try:
-            cdm = _find_cdm(g, budget=args.budget)
-        except SearchBudgetExceeded:
-            print(f"conjecture=cdm n={g.n} holds=unknown budget_exhausted=true")
-            return EXIT_BUDGET
-        holds = cdm is not None and is_cdm(g, cdm.edges)
-        print(f"conjecture=cdm n={g.n} holds={str(holds).lower()}")
-        if holds:
-            model = KModel(tuple(cdm.edges), len(cdm.edges))
-            witness_text = format_model(model)
+        got = _find_cdm(g, budget=args.budget)
+        status = got.status
+        exhausted = " budget_exhausted=true" if status == "unknown" else ""
+        print(f"conjecture=cdm n={g.n} holds={WORD[status]}{exhausted}")
+        if status == "found":
+            if not is_cdm(g, got.witness.edges):
+                raise RuntimeError("CDM search returned a matching that fails verification")
+            model = KModel(got.witness.edges, got.witness.size)
     elif name == "shc-half":
         if not alpha_at_most_2(g):
             raise CliError("shc-half check requires independence number at most 2")
-        model = half_order_model_search(g, seed, budget=args.budget)
-        holds = model is not None and verify_k_model(g, model)
-        print(f"conjecture=shc-half n={g.n} target={(g.n + 1) // 2} holds={str(holds).lower()}")
-        if holds:
-            witness_text = format_model(model)
+        got = half_order_model_search(g, seed, budget=args.budget)
+        status, model = got.status, got.witness
+        print(f"conjecture=shc-half n={g.n} target={(g.n + 1) // 2} holds={WORD[status]}")
     elif name == "4cm":
         if not alpha_at_most_2(g):
             raise CliError("4cm check requires independence number at most 2")
@@ -239,30 +238,28 @@ def cmd_check(args, seed: int) -> int:
         if t == 0:
             print(f"conjecture=4cm n={g.n} target=0 holds=true")
             return EXIT_OK
-        cm, exact = connected_matching_max(g, budget=args.budget)
-        holds = cm.size >= t
+        got = connected_matching_max(g, budget=args.budget)
+        cm = got.witness
+        if cm.size >= t:
+            status = "found"
+        else:
+            # An exact maximum below t refutes; a budgeted one decides nothing.
+            status = "refuted" if got.status == "found" else "unknown"
         print(
             f"conjecture=4cm n={g.n} target={t} cm={cm.size} "
-            f"exact={str(exact).lower()} holds={str(holds).lower()}"
+            f"exact={str(got.status == 'found').lower()} holds={WORD[status]}"
         )
-        if holds:
-            witness_text = format_model(KModel(tuple(cm.edges), cm.size))
-        elif not exact:
-            return EXIT_BUDGET
+        model = KModel(cm.edges, cm.size)
     elif name == "dominating-edge":
         e = dominating_edge(g)
-        holds = e is not None
-        print(f"conjecture=dominating-edge n={g.n} holds={str(holds).lower()}")
-        if holds:
-            witness_text = format_model(KModel((e,), 1))
+        status = "refuted" if e is None else "found"
+        print(f"conjecture=dominating-edge n={g.n} holds={WORD[status]}")
+        model = KModel((e,), 1) if e is not None else None
     else:
         _usage(f"unknown conjecture {name!r}")
-    if witness_text:
-        if args.witness_out:
-            _emit(witness_text, args.witness_out)
-        else:
-            print(witness_text, end="")
-    return EXIT_OK if holds else EXIT_FAIL
+    if status == "found":
+        _emit(format_model(model), args.witness_out)
+    return EXIT_CODE[status]
 
 
 # ---------------------------------------------------------------------------
@@ -272,16 +269,15 @@ def cmd_check(args, seed: int) -> int:
 def _check_cdm(g: Graph) -> bool:
     if g.n < 2:
         return True  # conjecture hypotheses not met; nothing to check
-    cdm = _find_cdm(g)
-    return cdm is not None and is_cdm(g, cdm.edges)
+    got = _find_cdm(g)
+    return got.status == "found" and is_cdm(g, got.witness.edges)
 
 
 def _check_4cm(g: Graph) -> bool:
     t = (g.n + 1) // 4
     if t == 0:
         return True
-    cm, exact = connected_matching_max(g)
-    return exact and cm.size >= t
+    return connected_matching_max(g).witness.size >= t
 
 
 _ENUM_CHECKS = {"cdm": _check_cdm, "4cm": _check_4cm}
@@ -360,10 +356,11 @@ def cmd_certify(args, seed: int) -> int:
         cert = kneser_certificate(args.n, args.k, args.t, r)
     elif kind == "cover4":
         g = _read_input_graph(args)
-        cover = four_cover_check(g)
-        if cover is None:
-            print("kind=cover4 found=false")
-            return EXIT_FAIL
+        got = four_cover_check(g)
+        if got.status != "found":
+            print(f"kind=cover4 found={WORD[got.status]}")
+            return EXIT_CODE[got.status]
+        cover = got.witness
         total = sum(len(c) for c in cover)
         print(f"kind=cover4 found=true total={total} floor={g.n + 2}")
         _emit(format_cover4(cover), args.out)

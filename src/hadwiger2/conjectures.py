@@ -10,6 +10,7 @@ explicit seed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Literal
 
 from .graphs import (
     Graph,
@@ -27,6 +28,19 @@ from .graphs import (
 from .iso import find_induced_c5, has_induced_subgraph, is_isomorphic
 from .matching import Matching, matching_number
 from .rng import SplitMix64
+
+
+@dataclass(frozen=True)
+class Outcome:
+    """What a search that may stop undecided reports.
+
+    ``status`` is "found" (``witness`` is the answer), "refuted" (proved
+    there is none) or "unknown" (stopped undecided; ``witness`` is the best
+    partial answer, if there is one).
+    """
+
+    status: Literal["found", "refuted", "unknown"]
+    witness: object = None
 
 
 # ---------------------------------------------------------------------------
@@ -93,27 +107,24 @@ def is_cdm(g: Graph, edges) -> bool:
     )
 
 
-def connected_matching_max(
-    g: Graph, budget: int | None = None
-) -> tuple[ConnectedMatching, bool]:
-    """Largest connected matching; exact when the search completes.
+def connected_matching_max(g: Graph, budget: int | None = None) -> Outcome:
+    """Largest connected matching.
 
     Branch and bound over edges in lexicographic order: a candidate edge
-    must be disjoint from and adjacent to every chosen edge.  Returns the
-    best matching found and an exactness flag (always True when the node
-    budget, if any, was not exhausted).
+    must be disjoint from and adjacent to every chosen edge.  "found" with
+    the maximum, or "unknown" with the best matching so far when the node
+    ``budget``, if any, runs out.
     """
     edges = g.edges()
     reach = [g.row(u) | g.row(v) | (1 << u) | (1 << v) for u, v in edges]
     best: list[tuple[int, int]] = []
     nodes = 0
-    exhausted = False
 
-    def dfs(candidates: list[int], chosen: list) -> None:
-        nonlocal best, nodes, exhausted
+    def dfs(candidates: list[int], chosen: list) -> bool:
+        # False when the budget ran out below this node.
+        nonlocal best, nodes
         if budget is not None and nodes > budget:
-            exhausted = True
-            return
+            return False
         nodes += 1
         if len(chosen) > len(best):
             best = list(chosen)
@@ -130,34 +141,29 @@ def connected_matching_max(
                 and (r >> edges[j][0] & 1 or r >> edges[j][1] & 1)
             ]
             chosen.append(edges[i])
-            dfs(nxt, chosen)
+            done = dfs(nxt, chosen)
             chosen.pop()
+            if not done:
+                return False
+        return True
 
-    dfs(list(range(len(edges))), [])
-    return ConnectedMatching(Matching(tuple(best))), not exhausted
+    done = dfs(list(range(len(edges))), [])
+    return Outcome("found" if done else "unknown", ConnectedMatching(Matching(tuple(best))))
 
 
 def connected_matching_number(g: Graph) -> int:
-    cm, exact = connected_matching_max(g)
-    assert exact
-    return cm.size
+    return connected_matching_max(g).witness.size
 
 
-class SearchBudgetExceeded(RuntimeError):
-    """An exact search ran out of its node budget before deciding."""
-
-
-def connected_dominating_matching(
-    g: Graph, budget: int | None = None
-) -> ConnectedMatching | None:
-    """A non-empty connected dominating matching, or None if none exists.
+def connected_dominating_matching(g: Graph, budget: int | None = None) -> Outcome:
+    """A non-empty connected dominating matching ("found"), or "refuted".
 
     The search is violation-directed: once a first edge is fixed, any
     uncovered vertex non-adjacent to a chosen edge must become an endpoint
     of a later edge, so branching is restricted to the edges at the least
-    such vertex.  This is exhaustive; with a node ``budget`` it raises
-    SearchBudgetExceeded instead of running to completion.  Requires a
-    connected host with independence number exactly 2.
+    such vertex.  This is exhaustive; with a node ``budget`` it stops with
+    "unknown" instead of running to completion.  Requires a connected host
+    with independence number exactly 2.
     """
     if not is_connected(g):
         raise ValueError("connected dominating matchings need a connected host")
@@ -165,18 +171,19 @@ def connected_dominating_matching(
         raise ValueError("host must have independence number exactly 2")
     e = dominating_edge(g)
     if e is not None:
-        return ConnectedMatching(Matching((e,)))
+        return Outcome("found", ConnectedMatching(Matching((e,))))
     full = g.full_mask
     nodes = 0
 
-    def dfs(chosen: list, used: int, bad: int) -> ConnectedMatching | None:
+    def dfs(chosen: list, used: int, bad: int) -> Outcome | None:
         # bad: the uncovered vertices non-adjacent to some chosen edge.
+        # None: no CDM extends chosen.
         nonlocal nodes
         nodes += 1
         if budget is not None and nodes > budget:
-            raise SearchBudgetExceeded("CDM search budget exhausted")
+            return Outcome("unknown")
         if not bad:
-            return ConnectedMatching(Matching(tuple(chosen)))
+            return Outcome("found", ConnectedMatching(Matching(tuple(chosen))))
         w = (bad & -bad).bit_length() - 1
         for x in bits(g.row(w) & ~used):
             u, v = min(w, x), max(w, x)
@@ -197,7 +204,7 @@ def connected_dominating_matching(
         got = dfs([first], used, full & ~(g.row(u) | g.row(v)) & ~used)
         if got is not None:
             return got
-    return None
+    return Outcome("refuted")
 
 
 def girth5_cdm_construct(spec: InflationSpec) -> ConnectedMatching:
@@ -313,26 +320,17 @@ def verify_k_model(g: Graph, model: KModel) -> bool:
     return True
 
 
-def k_model_size2_max(
-    g: Graph, budget: int | None = None
-) -> tuple[KModel, bool]:
+def k_model_size2_max(g: Graph) -> KModel:
     """Largest complete-graph model with branch sets of size 1 or 2.
 
     Branch and bound over vertices in increasing order: the least unused
     vertex is skipped, kept as a singleton, or paired with an unused
     neighbour, subject to adjacency with all existing branch sets.
-    Exactness flag is False only when the node budget ran out.
     """
     best: list[tuple[int, ...]] = []
-    nodes = 0
-    exhausted = False
 
     def dfs(avail: int, chosen: list, reaches: list) -> None:
-        nonlocal best, nodes, exhausted
-        if budget is not None and nodes > budget:
-            exhausted = True
-            return
-        nodes += 1
+        nonlocal best
         if len(chosen) > len(best):
             best = list(chosen)
         if not avail or len(chosen) + avail.bit_count() <= len(best):
@@ -356,14 +354,11 @@ def k_model_size2_max(
         dfs(rest, chosen, reaches)
 
     dfs(g.full_mask, [], [])
-    model = KModel(tuple(best), len(best))
-    return model, not exhausted
+    return KModel(tuple(best), len(best))
 
 
 def had2(g: Graph) -> int:
-    model, exact = k_model_size2_max(g)
-    assert exact
-    return model.order
+    return k_model_size2_max(g).order
 
 
 def eberhard_model(p: int) -> KModel:
@@ -406,15 +401,15 @@ def connected_perfect_matching_search(
     seed: int,
     budget: int = 500_000,
     host_for_adjacency: Graph | None = None,
-) -> KModel | None:
-    """A perfect matching whose edges are pairwise adjacent, or None.
+) -> Outcome:
+    """A perfect matching whose edges are pairwise adjacent, as a KModel.
 
     Randomised greedy pairing plus 2-swap local search with restarts:
     a violating pair of matching edges is re-paired when that does not
     increase the number of non-adjacent pairs.  ``budget`` caps the total
     number of local-search moves across restarts.  Matching edges are
     edges of g; pairwise adjacency is tested in ``host_for_adjacency``
-    (g itself by default).
+    (g itself by default).  "found" or "unknown", never "refuted".
     """
     n = g.n
     if n % 2:
@@ -423,7 +418,7 @@ def connected_perfect_matching_search(
     if not alpha_at_most_2(host):
         raise ValueError("search is intended for hosts with alpha <= 2")
     if n == 0:
-        return KModel((), 0)
+        return Outcome("found", KModel((), 0))
     rng = SplitMix64(seed)
     moves = 0
 
@@ -463,7 +458,7 @@ def connected_perfect_matching_search(
     while moves < budget:
         match = random_perfect_matching()
         if match is None:
-            return None  # no perfect matching reachable greedily
+            return Outcome("unknown")  # no perfect matching reachable greedily
         pairs = pairs_of(match)
         bad = violations(pairs)
         stall = 0
@@ -500,39 +495,41 @@ def connected_perfect_matching_search(
             model = KModel(tuple(pairs), len(pairs))
             if host_for_adjacency is None:
                 if verify_k_model(g, model):
-                    return model
+                    return Outcome("found", model)
             else:
                 if all(g.has_edge(u, v) for u, v in pairs) and verify_k_model(
                     host, model
                 ):
-                    return model
-    return None
+                    return Outcome("found", model)
+    return Outcome("unknown")
 
 
-def half_order_model_search(g: Graph, seed: int, budget: int = 500_000) -> KModel | None:
-    """A K_{ceil(n/2)} model with branch sets of size at most 2, or None.
+def half_order_model_search(g: Graph, seed: int, budget: int = 500_000) -> Outcome:
+    """A K_{ceil(n/2)} model with branch sets of size at most 2.
 
     Even order reduces to a connected perfect matching; odd order pairs
-    all but one vertex and keeps the leftover as a singleton branch set.
+    all but one vertex and keeps the leftover as a singleton branch set,
+    splitting ``budget`` evenly over the leftover choices.  "found" or
+    "unknown", never "refuted".
     """
     if g.n % 2 == 0:
         return connected_perfect_matching_search(g, seed, budget)
     rng = SplitMix64(seed)
     order = list(range(g.n))
     rng.shuffle(order)
-    per_vertex = max(budget // max(g.n, 1), 10_000)
+    per_vertex = budget // g.n
     for s in order:
         rest = [v for v in range(g.n) if v != s]
         sub = induced_subgraph(g, rest)
-        model = connected_perfect_matching_search(sub, rng.next_u64(), per_vertex)
-        if model is None:
+        got = connected_perfect_matching_search(sub, rng.next_u64(), per_vertex)
+        if got.status != "found":
             continue
-        sets = [tuple(rest[v] for v in b) for b in model.branch_sets]
+        sets = [tuple(rest[v] for v in b) for b in got.witness.branch_sets]
         sets.append((s,))
         full_model = KModel(tuple(sets), len(sets))
         if verify_k_model(g, full_model):
-            return full_model
-    return None
+            return Outcome("found", full_model)
+    return Outcome("unknown")
 
 
 # ---------------------------------------------------------------------------

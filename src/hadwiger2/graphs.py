@@ -323,19 +323,26 @@ def girth(g: Graph) -> int | float:
 
 
 def odd_girth(g: Graph) -> int | float:
-    """Length of a shortest odd cycle; INFINITE for bipartite graphs."""
+    """Length of a shortest odd cycle; INFINITE for bipartite graphs.
+
+    BFS layers from each root, as masks: the first layer d holding an edge
+    closes an odd walk of length 2d+1, and a shortest odd cycle shows up
+    this way from any of its vertices.
+    """
     best: int | float = INFINITE
     for root in range(g.n):
-        dist = _bfs_dist(g, root)
-        for u in range(g.n):
-            if dist[u] is INFINITE:
-                continue
-            for v in bits(g.row(u) >> (u + 1)):
-                v += u + 1
-                if dist[v] is not INFINITE and (dist[u] + dist[v]) % 2 == 0:
-                    length = dist[u] + dist[v] + 1
-                    if length < best:
-                        best = length
+        seen = frontier = 1 << root
+        d = 0
+        while frontier and 2 * d + 1 < best:
+            nxt = 0
+            for v in bits(frontier):
+                nxt |= g.row(v)
+            if nxt & frontier:
+                best = 2 * d + 1
+                break
+            frontier = nxt & ~seen
+            seen |= frontier
+            d += 1
         if best == 3:
             break
     return best

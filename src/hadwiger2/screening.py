@@ -10,11 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cliques import max_clique
-from .conjectures import (
-    SearchBudgetExceeded,
-    connected_dominating_matching,
-    dominating_edge,
-)
+from .conjectures import connected_dominating_matching, dominating_edge
 from .graphs import (
     Graph,
     bits,
@@ -181,11 +177,11 @@ def table1_screen(g: Graph) -> ScreeningReport:
         "complement minus any vertex has a perfect matching",
     )
 
-    try:
-        cdm = connected_dominating_matching(g, budget=None if n <= 16 else 500_000)
-        put("P6", cdm is None, "no non-empty CDM")
-    except SearchBudgetExceeded:
+    cdm = connected_dominating_matching(g, budget=None if n <= 16 else 500_000)
+    if cdm.status == "unknown":
         verdicts["P6"] = Verdict("not-evaluated", "CDM search budget exhausted")
+    else:
+        put("P6", cdm.status == "refuted", "no non-empty CDM")
     put("P7", dominating_edge(g) is None, "every edge deletion creates a 3-independent set")
 
     if n <= 40:

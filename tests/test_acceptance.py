@@ -110,8 +110,8 @@ def test_c2_cdm_reproduction_to_9(tf_levels_9, capsys):
     for g in _alpha2_connected(tf_levels_9, 2, 9):
         checked += 1
         if independence_number_is_2(g):
-            cdm = connected_dominating_matching(g)
-            edges = None if cdm is None else cdm.edges
+            got = connected_dominating_matching(g)
+            edges = got.witness.edges if got.status == "found" else None
         else:
             edges = None
             e = dominating_edge(g)
@@ -177,10 +177,11 @@ def test_c4_higman_sims_chromatic_and_clique(steiner_system):
 def test_c5_higman_sims_half_order_model(steiner_system):
     t0 = time.time()
     gc = complement(higman_sims(steiner_system))
-    model = connected_perfect_matching_search(gc, seed=2024, budget=2_000_000)
+    got = connected_perfect_matching_search(gc, seed=2024, budget=2_000_000)
+    model = got.witness
     elapsed = time.time() - t0
     ok = (
-        model is not None
+        got.status == "found"
         and model.order == 50
         and all(len(b) == 2 for b in model.branch_sets)
         and verify_k_model(gc, model)

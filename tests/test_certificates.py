@@ -1,6 +1,7 @@
 """Clique-cover certificates: verification, named builders, lifting, covers."""
 
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -22,6 +23,7 @@ from hadwiger2.certificates import (
     vertex_multiplicities,
 )
 from hadwiger2.cliques import is_clique
+from hadwiger2.conjectures import Outcome
 from hadwiger2.constructions import (
     clebsch,
     complete,
@@ -29,6 +31,7 @@ from hadwiger2.constructions import (
     generalized_kneser_geq,
     kneser_labels,
 )
+from hadwiger2.generation import connected_alpha2_graphs
 from hadwiger2.graphs import Graph, InflationSpec, complement, inflate
 from hadwiger2.rng import SplitMix64
 from hadwiger2.steiner import mesner
@@ -279,13 +282,14 @@ class TestLifting:
 
 class TestFourCover:
     def test_k6(self):
-        cover = four_cover_check(complete(6))
-        assert cover is not None
-        assert sum(len(c) for c in cover) >= 8
+        got = four_cover_check(complete(6))
+        assert got.status == "found"
+        assert sum(len(c) for c in got.witness) >= 8
 
     def test_c5(self):
-        cover = four_cover_check(cycle(5))
-        assert cover is not None
+        got = four_cover_check(cycle(5))
+        assert got.status == "found"
+        cover = got.witness
         assert sum(len(c) for c in cover) >= 7
         assert set().union(*[set(c) for c in cover]) == set(range(5))
 
@@ -293,16 +297,43 @@ class TestFourCover:
         from hadwiger2.steiner import higman_sims
 
         gc = complement(higman_sims(steiner_system))
-        assert four_cover_check(gc) is None
+        assert four_cover_check(gc) == Outcome("refuted")
 
     def test_alpha_above_two_rejected(self):
         with pytest.raises(ValueError):
             four_cover_check(cycle(7))
 
     def test_c9_complement(self):
-        cover = four_cover_check(complement(cycle(9)))
-        assert cover is not None
-        assert sum(len(c) for c in cover) >= 11
+        got = four_cover_check(complement(cycle(9)))
+        assert got.status == "found"
+        assert sum(len(c) for c in got.witness) >= 11
+
+    def test_refuted_exactly_when_brute_force_finds_no_cover(self, tf_levels_8):
+        # Every connected alpha <= 2 graph on at most 7 vertices; a cover
+        # can always use maximal cliques, so 4-multisets of them suffice.
+        for n in range(1, 8):
+            for g in connected_alpha2_graphs(n, tf_levels_8):
+                maximal = _brute_maximal_cliques(g)
+                exists = any(
+                    set().union(*quad) == set(range(n)) and sum(map(len, quad)) >= n + 2
+                    for quad in combinations_with_replacement(maximal, 4)
+                )
+                got = four_cover_check(g)
+                assert got.status == ("found" if exists else "refuted"), g.edges()
+                if exists:
+                    cover = got.witness
+                    assert len(cover) == 4 and all(is_clique(g, c) for c in cover)
+                    assert set().union(*map(set, cover)) == set(range(n))
+                    assert sum(map(len, cover)) >= n + 2
+
+
+def _brute_maximal_cliques(g: Graph) -> list[frozenset[int]]:
+    cliques = [
+        frozenset(v for v in range(g.n) if mask >> v & 1)
+        for mask in range(1, 1 << g.n)
+        if is_clique(g, [v for v in range(g.n) if mask >> v & 1])
+    ]
+    return [c for c in cliques if not any(c < d for d in cliques)]
 
 
 class TestGoodBad:
@@ -311,14 +342,14 @@ class TestGoodBad:
         cert = kneser_certificate(5, 2, 1, 0)
         part = good_bad_partition(host, cert)
         assert len(part.good) + len(part.bad) == host.edge_count
-        assert classify_good_bad_outcome(host, part) == "d"
+        assert classify_good_bad_outcome(host, part) == Outcome("found", "d")
 
     def test_k4_trivial_certificate(self):
         g = complete(4)
         cert = CliqueFamilyCertificate(((0, 1, 2, 3),), Fraction(1))
         part = good_bad_partition(g, cert)
         assert len(part.good) == 6 and not part.bad
-        assert classify_good_bad_outcome(g, part) == "a"
+        assert classify_good_bad_outcome(g, part) == Outcome("found", "a")
 
     def test_bound_three_rejected(self):
         g = complete(4)
@@ -361,7 +392,7 @@ class TestTextFormat:
     def test_cover4_roundtrip(self):
         from hadwiger2.certificates import format_cover4, parse_cover4
 
-        cover = four_cover_check(cycle(5))
+        cover = four_cover_check(cycle(5)).witness
         text = format_cover4(cover)
         assert text.splitlines()[0] == "cover4"
         assert parse_cover4(text) == tuple(tuple(c) for c in cover)

@@ -99,6 +99,20 @@ class TestCheck:
         code, out, _ = run(capsys, "check", "--conjecture", "shc-half")
         assert code == 0 and "holds=true" in out
 
+    def test_shc_half_gave_up_is_unknown(self, capsys, monkeypatch):
+        # Two disjoint triangles have a K3 model but no perfect matching.
+        g = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+        feed(monkeypatch, write_graph6(g))
+        code, out, _ = run(capsys, "check", "--conjecture", "shc-half")
+        assert code == 3
+        assert out == "conjecture=shc-half n=6 target=3 holds=unknown\n"
+
+    def test_4cm_budget_exhausted_is_unknown(self, capsys, monkeypatch):
+        feed(monkeypatch, write_graph6(Graph(8, [(u, v) for u in range(8) for v in range(u + 1, 8)])))
+        code, out, _ = run(capsys, "check", "--conjecture", "4cm", "--budget", "0")
+        assert code == 3
+        assert out == "conjecture=4cm n=8 target=2 cm=0 exact=false holds=unknown\n"
+
     def test_dominating_edge_not_found(self, capsys, monkeypatch):
         feed(monkeypatch, write_graph6(cycle(5)))
         code, out, _ = run(capsys, "check", "--conjecture", "dominating-edge")
@@ -179,6 +193,15 @@ class TestCertify:
         code, out, _ = run(capsys, "certify", "--kind", "cover4")
         assert code == 1
         assert "found=false" in out
+
+    def test_cover4_heuristic_miss_is_unknown(self, capsys, monkeypatch, steiner_system):
+        # 4 * omega = 84 >= n + 2 = 79, so no refutation; the heuristic misses.
+        from hadwiger2.steiner import mesner
+
+        feed(monkeypatch, write_graph6(complement(mesner(steiner_system))))
+        code, out, _ = run(capsys, "certify", "--kind", "cover4")
+        assert code == 3
+        assert out.splitlines() == ["kind=cover4 found=unknown"]
 
 
 class TestScreen:

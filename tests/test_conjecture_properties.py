@@ -62,8 +62,8 @@ def test_connectivity_at_most_half_forces_cdm(tf_levels_9):
     for g in _connected_alpha2(tf_levels_9, 2, 9):
         if g.n < 2 or vertex_connectivity(g, at_least=g.n // 2 + 1) > g.n // 2:
             continue
-        cdm = connected_dominating_matching(g)
-        assert cdm is not None and is_cdm(g, cdm.edges)
+        got = connected_dominating_matching(g)
+        assert got.status == "found" and is_cdm(g, got.witness.edges)
         hit += 1
     assert hit > 100
 

@@ -5,7 +5,7 @@ import pytest
 
 from hadwiger2.conjectures import (
     KModel,
-    SearchBudgetExceeded,
+    Outcome,
     builtin_patterns,
     connected_dominating_matching,
     connected_matching_max,
@@ -65,16 +65,17 @@ class TestConnectedMatching:
             assert connected_matching_number(g) == brute_connected_matching_number(g)
 
     def test_budget_flag(self):
-        cm, exact = connected_matching_max(complete(8), budget=3)
-        assert not exact
-        assert is_connected_matching(complete(8), cm.edges)
+        got = connected_matching_max(complete(8), budget=3)
+        assert got.status == "unknown"
+        assert is_connected_matching(complete(8), got.witness.edges)
 
 
 class TestCDM:
     def test_c5(self):
-        cdm = connected_dominating_matching(cycle(5))
-        assert cdm.edges == ((0, 1), (2, 3))
-        assert is_cdm(cycle(5), cdm.edges)
+        got = connected_dominating_matching(cycle(5))
+        assert got.status == "found"
+        assert got.witness.edges == ((0, 1), (2, 3))
+        assert is_cdm(cycle(5), got.witness.edges)
 
     def test_disconnected_rejected(self):
         with pytest.raises(ValueError):
@@ -90,15 +91,14 @@ class TestCDM:
         for _ in range(10):
             mult = tuple(1 + rng.randrange(2) for _ in range(10))
             g = inflate(InflationSpec(base, mult))
-            cdm = connected_dominating_matching(g)
-            assert cdm is not None and is_cdm(g, cdm.edges)
+            got = connected_dominating_matching(g)
+            assert got.status == "found" and is_cdm(g, got.witness.edges)
 
-    def test_budget_raises(self, steiner_system):
+    def test_budget_exhaustion_is_unknown(self, steiner_system):
         from hadwiger2.steiner import mesner
 
         g = complement(mesner(steiner_system))
-        with pytest.raises(SearchBudgetExceeded):
-            connected_dominating_matching(g, budget=2_000)
+        assert connected_dominating_matching(g, budget=2_000) == Outcome("unknown")
 
 
 class TestGirth5Construct:
@@ -160,8 +160,7 @@ class TestKModels:
         rng = SplitMix64(12)
         for _ in range(15):
             g = random_graph(2 + rng.randrange(5), 40 + rng.randrange(40), rng)
-            model, exact = k_model_size2_max(g)
-            assert exact
+            model = k_model_size2_max(g)
             assert verify_k_model(g, model) or model.order == 0
             assert model.order == _brute_had2(g)
 
@@ -213,21 +212,27 @@ class TestEberhardModel:
 
 class TestConnectedPerfectMatching:
     def test_k4(self):
-        model = connected_perfect_matching_search(complete(4), seed=0)
-        assert model is not None and model.order == 2
-        assert verify_k_model(complete(4), model)
+        got = connected_perfect_matching_search(complete(4), seed=0)
+        assert got.status == "found" and got.witness.order == 2
+        assert verify_k_model(complete(4), got.witness)
 
     def test_two_triangles_none(self):
-        assert connected_perfect_matching_search(TWO_TRIANGLES, seed=0, budget=3000) is None
+        # No perfect matching exists, but the search only gives up.
+        got = connected_perfect_matching_search(TWO_TRIANGLES, seed=0, budget=3000)
+        assert got == Outcome("unknown")
 
     def test_odd_rejected(self):
         with pytest.raises(ValueError):
             connected_perfect_matching_search(cycle(5), seed=0)
 
     def test_half_order_model_odd(self):
-        model = half_order_model_search(cycle(5), seed=0)
-        assert model is not None and model.order == 3
-        assert verify_k_model(cycle(5), model)
+        got = half_order_model_search(cycle(5), seed=0)
+        assert got.status == "found" and got.witness.order == 3
+        assert verify_k_model(cycle(5), got.witness)
+
+    def test_half_order_model_respects_budget(self):
+        # Four moves split over five leftover choices leave none for each.
+        assert half_order_model_search(cycle(5), seed=0, budget=4) == Outcome("unknown")
 
 
 class TestSeagulls:

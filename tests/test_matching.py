@@ -101,11 +101,11 @@ class TestVertexCritical:
 
 
 class TestPairDeletion:
-    def test_chromatic_drop_on_critical_graphs(self):
+    def test_chromatic_drop_on_critical_graphs(self, tf_levels_9):
         # For a k-critical alpha-2 graph on 2k-1 vertices, deleting any
         # non-adjacent pair drops the chromatic number by exactly one.
         for n in range(3, 10):
-            for g in connected_alpha2_graphs(n):
+            for g in connected_alpha2_graphs(n, tf_levels_9):
                 chi = chromatic_number_alpha2(g)
                 if n != 2 * chi - 1 or not is_vertex_critical_alpha2(g):
                     continue

@@ -152,8 +152,9 @@ class TestScreenKernelsAgainstDefinitions:
 
     def test_cdm_search_matches_brute_force(self, alpha2_upto_7):
         for g in alpha2_upto_7:
-            cdm = connected_dominating_matching(g)
-            assert (cdm is not None) == _brute_has_cdm(g), g.edges()
-            if cdm is not None:
+            got = connected_dominating_matching(g)
+            assert got.status == ("found" if _brute_has_cdm(g) else "refuted"), g.edges()
+            if got.status == "found":
+                cdm = got.witness
                 assert cdm.matching.is_matching_of(g)
                 assert _brute_is_cdm(g, cdm.edges), (g.edges(), cdm.edges)
