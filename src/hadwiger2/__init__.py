@@ -85,6 +85,6 @@ from .conjectures import (
     verify_k_model,
 )
 from .screening import ScreeningReport, table1_screen
-from .generation import connected_alpha2_graphs, enumerate_alpha2, triangle_free_graphs
+from .generation import connected_alpha2_graphs, triangle_free_graphs
 
 __version__ = "0.1.0"

@@ -60,7 +60,7 @@ from .constructions import (
 )
 from .graph6 import read_graph6, write_graph6
 from .graphs import Graph, alpha_at_most_2, complement, independence_number_is_2, is_connected
-from .generation import triangle_free_graphs
+from .generation import connected_alpha2_graphs, triangle_free_graphs
 from .matching import Matching
 from .screening import BLOCKS, PROPERTIES, table1_screen
 from .steiner import gewirtz, higman_sims, mesner, steiner_3_6_22
@@ -79,8 +79,8 @@ class CliError(Exception):
     pass
 
 
-def _header(args: argparse.Namespace, seed: int) -> None:
-    flags = " ".join(_sys.argv[1:])
+def _header(argv: list[str], seed: int) -> None:
+    flags = " ".join(argv)
     print(f"# hadwiger2 version={__version__} seed={seed} args={flags!r}", file=_sys.stderr)
 
 
@@ -307,7 +307,7 @@ def cmd_enumerate(args, seed: int) -> int:
         pool = multiprocessing.Pool(args.workers)
     try:
         for n in range(1, args.max_n + 1):
-            batch = [g for g in map(complement, levels[n]) if is_connected(g)]
+            batch = connected_alpha2_graphs(n, levels)
             partial = budget is not None and total + len(batch) > budget
             if partial:
                 batch = batch[: max(budget - total, 0)]
@@ -465,7 +465,7 @@ def main(argv: list[str] | None = None) -> int:
     seed = args.seed
     if seed is None:
         seed = int(os.environ.get("HADWIGER2_SEED", "0"))
-    _header(args, seed)
+    _header(_sys.argv[1:] if argv is None else argv, seed)
     handlers = {
         "build": cmd_build,
         "check": cmd_check,

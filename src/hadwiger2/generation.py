@@ -4,16 +4,16 @@ Triangle-free graphs are generated level by level on the complement
 side: every triangle-free graph on k+1 vertices arises from one on k
 vertices by adding a vertex whose neighbourhood is an independent set,
 so each level is the deduplicated closure of those extensions.
-Deduplication buckets by a Weisfeiler-Lehman invariant and settles
-collisions with an exact isomorphism test.
+Deduplication keys every child by its canonical form and keeps the first
+child seen in each class, so levels are reproducible, labels included.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterator
+from typing import Iterator
 
 from .graphs import Graph, complement, is_connected
-from .iso import canonical_invariant, is_isomorphic
+from .iso import canonical_form
 
 MAX_DESK_N = 10
 
@@ -43,14 +43,14 @@ def _extend(parent: Graph) -> Iterator[Graph]:
         yield Graph.from_rows(tuple(rows))
 
 
-def _dedup_insert(bucket_map: dict, g: Graph) -> bool:
-    key = canonical_invariant(g)
-    bucket = bucket_map.setdefault(key, [])
-    for other in bucket:
-        if is_isomorphic(g, other):
-            return False
-    bucket.append(g)
-    return True
+def _next_level(parents: list[Graph]) -> list[Graph]:
+    """One representative of each class of one-vertex extensions, in order of
+    first appearance."""
+    seen: dict[tuple[int, ...], Graph] = {}
+    for parent in parents:
+        for child in _extend(parent):
+            seen.setdefault(canonical_form(child), child)
+    return list(seen.values())
 
 
 def triangle_free_graphs(max_n: int) -> dict[int, list[Graph]]:
@@ -59,46 +59,12 @@ def triangle_free_graphs(max_n: int) -> dict[int, list[Graph]]:
         raise ValueError("need max_n >= 1")
     levels: dict[int, list[Graph]] = {1: [Graph(1)]}
     for k in range(1, max_n):
-        buckets: dict = {}
-        out: list[Graph] = []
-        for parent in levels[k]:
-            for child in _extend(parent):
-                if _dedup_insert(buckets, child):
-                    out.append(child)
-        levels[k + 1] = out
+        levels[k + 1] = _next_level(levels[k])
     return levels
-
-
-def enumerate_alpha2(
-    max_n: int,
-    sink: Callable[[Graph], None],
-    *,
-    levels: dict[int, list[Graph]] | None = None,
-) -> dict[int, int]:
-    """Invoke ``sink`` on every connected graph with alpha <= 2, per order.
-
-    Generation runs on triangle-free complements; a graph is emitted when
-    its complement is connected.  Returns the per-order counts of emitted
-    graphs.  Desk scale only: max_n is capped at 10.
-    """
-    if max_n > MAX_DESK_N:
-        raise ValueError(f"enumeration is desk-scale only (max_n <= {MAX_DESK_N})")
-    if levels is None:
-        levels = triangle_free_graphs(max_n)
-    counts: dict[int, int] = {}
-    for n in range(1, max_n + 1):
-        count = 0
-        for h in levels[n]:
-            g = complement(h)
-            if is_connected(g):
-                sink(g)
-                count += 1
-        counts[n] = count
-    return counts
 
 
 def connected_alpha2_graphs(n: int, levels=None) -> list[Graph]:
     """The connected graphs with alpha <= 2 on exactly n vertices."""
     if levels is None:
         levels = triangle_free_graphs(n)
-    return [complement(h) for h in levels[n] if is_connected(complement(h))]
+    return [g for g in map(complement, levels[n]) if is_connected(g)]

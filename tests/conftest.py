@@ -280,14 +280,6 @@ def tf_levels_8():
 
 @pytest.fixture(scope="session")
 def tf_levels_9(tf_levels_8):
-    from hadwiger2.generation import _extend, _dedup_insert
+    from hadwiger2.generation import _next_level
 
-    levels = dict(tf_levels_8)
-    buckets: dict = {}
-    out = []
-    for parent in levels[8]:
-        for child in _extend(parent):
-            if _dedup_insert(buckets, child):
-                out.append(child)
-    levels[9] = out
-    return levels
+    return {**tf_levels_8, 9: _next_level(tf_levels_8[8])}

@@ -44,6 +44,7 @@ from hadwiger2.constructions import (
     srg_parameters,
     SrgParams,
 )
+from hadwiger2.generation import connected_alpha2_graphs
 from hadwiger2.graphs import (
     Graph,
     InflationSpec,
@@ -51,7 +52,6 @@ from hadwiger2.graphs import (
     complement,
     independence_number_is_2,
     inflate,
-    is_connected,
     odd_girth,
 )
 from hadwiger2.matching import chromatic_number_alpha2
@@ -73,20 +73,13 @@ def report(name: str, ok: bool, detail: str = "") -> None:
     assert ok, f"{name} failed{suffix}"
 
 
-def _alpha2_connected(levels, n_lo, n_hi):
-    for n in range(n_lo, n_hi + 1):
-        for x in levels[n]:
-            g = complement(x)
-            if is_connected(g):
-                yield g
-
-
 def test_c1_chromatic_shortcut_exhaustive(tf_levels_8):
     """chi via the matching shortcut equals brute-force chi, n <= 8."""
     t0 = time.time()
     mismatches = 0
     checked = 0
-    for g in _alpha2_connected(tf_levels_8, 1, 8):
+    graphs = [g for n in range(1, 9) for g in connected_alpha2_graphs(n, tf_levels_8)]
+    for g in graphs:
         checked += 1
         if chromatic_number_alpha2(g) != brute_chromatic_number(g):
             mismatches += 1
@@ -107,7 +100,8 @@ def test_c2_cdm_reproduction_to_9(tf_levels_9, capsys):
     assert code == 0 and "violations_total=0" in cli_out
     violations = 0
     checked = 0
-    for g in _alpha2_connected(tf_levels_9, 2, 9):
+    graphs = [g for n in range(2, 10) for g in connected_alpha2_graphs(n, tf_levels_9)]
+    for g in graphs:
         checked += 1
         if independence_number_is_2(g):
             got = connected_dominating_matching(g)
@@ -259,7 +253,8 @@ def test_c8_odd_girth_formula():
 def test_c9_seagull_equivalence(tf_levels_9):
     mismatches = 0
     checked = 0
-    for g in _alpha2_connected(tf_levels_9, 2, 9):
+    graphs = [g for n in range(2, 10) for g in connected_alpha2_graphs(n, tf_levels_9)]
+    for g in graphs:
         if not independence_number_is_2(g) or is_w5(g):
             continue
         for k in range(1, 4):
@@ -364,7 +359,8 @@ def test_c12_lifting_identities():
 def test_c13a_no_desk_scale_survivors(tf_levels_9):
     survivors = 0
     checked = 0
-    for g in _alpha2_connected(tf_levels_9, 2, 9):
+    graphs = [g for n in range(2, 10) for g in connected_alpha2_graphs(n, tf_levels_9)]
+    for g in graphs:
         if not independence_number_is_2(g):
             continue
         rep = table1_screen(g)

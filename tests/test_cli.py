@@ -25,6 +25,12 @@ class TestBuild:
         assert is_isomorphic(g, petersen())
         assert "seed=" in err
 
+    def test_header_prints_the_parsed_arguments(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.argv", ["x", "--unrelated"])
+        code, out, err = run(capsys, "build", "--family", "cycle", "--n", "5")
+        assert code == 0 and out == write_graph6(cycle(5)) + "\n"
+        assert "args='build --family cycle --n 5'" in err
+
     def test_cycle_graph6_string(self, capsys):
         code, out, _ = run(capsys, "build", "--family", "cycle", "--n", "5")
         assert code == 0

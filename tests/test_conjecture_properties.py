@@ -7,9 +7,9 @@ from hadwiger2.conjectures import (
     had2,
     is_cdm,
 )
+from hadwiger2.generation import connected_alpha2_graphs
 from hadwiger2.graphs import (
     Graph,
-    bits,
     complement,
     diameter,
     independence_number_is_2,
@@ -20,14 +20,6 @@ from hadwiger2.graphs import (
 from hadwiger2.iso import is_c5_free
 
 from conftest import brute_clique_number, brute_independence_number
-
-
-def _connected_alpha2(levels, lo, hi):
-    for n in range(lo, hi + 1):
-        for x in levels[n]:
-            g = complement(x)
-            if is_connected(g) and independence_number_is_2(g):
-                yield g
 
 
 def test_triangle_free_four_way_equivalence(tf_levels_9):
@@ -59,7 +51,10 @@ def test_triangle_free_four_way_equivalence(tf_levels_9):
 def test_connectivity_at_most_half_forces_cdm(tf_levels_9):
     """Connected, independence 2, connectivity <= n/2: a CDM always exists."""
     hit = 0
-    for g in _connected_alpha2(tf_levels_9, 2, 9):
+    graphs = [g for n in range(2, 10) for g in connected_alpha2_graphs(n, tf_levels_9)]
+    for g in graphs:
+        if not independence_number_is_2(g):
+            continue
         if g.n < 2 or vertex_connectivity(g, at_least=g.n // 2 + 1) > g.n // 2:
             continue
         got = connected_dominating_matching(g)
@@ -71,13 +66,16 @@ def test_connectivity_at_most_half_forces_cdm(tf_levels_9):
 def test_c5_free_equivalence(tf_levels_9):
     """A connected independence-2 graph is C5-free iff every connected
     induced subgraph with independence 2 has a dominating edge."""
-    for g in _connected_alpha2(tf_levels_9, 2, 9):
+    graphs = [g for n in range(2, 10) for g in connected_alpha2_graphs(n, tf_levels_9)]
+    for g in graphs:
+        if not independence_number_is_2(g):
+            continue
         if not is_c5_free(g):
             # the induced C5 itself is a witness subgraph without a
             # dominating edge, so the right side fails trivially
             continue
         for mask in range(1, 1 << g.n):
-            if not _mask_is_connected(g, mask):
+            if not is_connected(g, mask):
                 continue
             h = subgraph_mask(g, mask)
             if not independence_number_is_2(h):
@@ -85,26 +83,10 @@ def test_c5_free_equivalence(tf_levels_9):
             assert dominating_edge(h) is not None, (g.edges(), mask)
 
 
-def _mask_is_connected(g, mask):
-    start = mask & -mask
-    seen = start
-    frontier = start
-    while frontier:
-        nxt = 0
-        for v in bits(frontier):
-            nxt |= g.row(v)
-        frontier = nxt & mask & ~seen
-        seen |= frontier
-    return seen == mask
-
-
 def test_connected_matching_chain_small(tf_levels_8):
     """cm <= had2, and the 4t-1 threshold for connected matchings (t <= 2)."""
     for n in range(2, 9):
-        for x in tf_levels_8[n]:
-            g = complement(x)
-            if not is_connected(g):
-                continue
+        for g in connected_alpha2_graphs(n, tf_levels_8):
             cm = connected_matching_number(g)
             t = (n + 1) // 4
             if t >= 1 and independence_number_is_2(g):
@@ -117,9 +99,8 @@ def test_low_cm_forces_low_clique_and_model(tf_levels_8):
     """On 4t-1 vertices with cm <= t-1, both the clique number and the
     small-branch-set model order collapse to cm (t <= 2)."""
     for t, n in ((1, 3), (2, 7)):
-        for x in tf_levels_8[n]:
-            g = complement(x)
-            if not (is_connected(g) and independence_number_is_2(g)):
+        for g in connected_alpha2_graphs(n, tf_levels_8):
+            if not independence_number_is_2(g):
                 continue
             cm = connected_matching_number(g)
             if cm <= t - 1:

@@ -2,13 +2,12 @@
 
 import json
 import pathlib
+from itertools import combinations
 
 import networkx as nx
-import pytest
 
 from hadwiger2.generation import (
     connected_alpha2_graphs,
-    enumerate_alpha2,
     independent_set_masks,
     triangle_free_graphs,
 )
@@ -19,9 +18,9 @@ from hadwiger2.iso import is_isomorphic
 FIXTURE = pathlib.Path(__file__).parent / "fixtures" / "triangle_free_counts.json"
 
 
-def test_counts_match_published_sequence(tf_levels_8):
+def test_counts_match_published_sequence(tf_levels_9):
     published = {int(k): v for k, v in json.loads(FIXTURE.read_text()).items()}
-    for n, graphs in tf_levels_8.items():
+    for n, graphs in tf_levels_9.items():
         assert len(graphs) == published[n], f"count mismatch at n={n}"
 
 
@@ -44,12 +43,17 @@ def test_counts_match_brute_force_to_6():
         assert len(levels[n]) == len(reps), f"n={n}"
 
 
-def test_all_outputs_are_triangle_free_and_distinct(tf_levels_8):
-    for n, graphs in tf_levels_8.items():
+def test_all_outputs_are_triangle_free_and_distinct(tf_levels_9):
+    # Every pair that degree sequences cannot separate is settled by the
+    # exact embedding search, independently of the canonical form.
+    for n, graphs in tf_levels_9.items():
         assert all(is_triangle_free(g) for g in graphs)
-        for i in range(min(len(graphs), 30)):
-            for j in range(i + 1, min(len(graphs), 30)):
-                assert not is_isomorphic(graphs[i], graphs[j])
+        by_degrees: dict[tuple[int, ...], list[Graph]] = {}
+        for g in graphs:
+            by_degrees.setdefault(g.degree_sequence(), []).append(g)
+        for same in by_degrees.values():
+            for g, h in combinations(same, 2):
+                assert not is_isomorphic(g, h), (n, g.edges(), h.edges())
 
 
 def test_connected_alpha2_n3():
@@ -63,19 +67,15 @@ def test_c5_appears_at_n5():
     assert any(is_isomorphic(g, cycle(5)) for g in connected_alpha2_graphs(5))
 
 
-def test_enumerate_sink_and_counts(tf_levels_8):
-    seen = []
-    counts = enumerate_alpha2(6, seen.append, levels=tf_levels_8)
-    assert counts[3] == 2
-    assert len(seen) == sum(counts.values())
-    for g in seen:
-        assert is_connected(g)
-        assert is_triangle_free(complement(g))
-
-
-def test_desk_scale_cap():
-    with pytest.raises(ValueError):
-        enumerate_alpha2(11, lambda g: None)
+def test_connected_alpha2_counts(tf_levels_8):
+    graphs = {n: connected_alpha2_graphs(n, tf_levels_8) for n in range(1, 7)}
+    assert len(graphs[3]) == 2
+    assert graphs[6] == connected_alpha2_graphs(6)
+    for n, level in graphs.items():
+        for g in level:
+            assert g.n == n
+            assert is_connected(g)
+            assert is_triangle_free(complement(g))
 
 
 def test_independent_set_masks():

@@ -28,7 +28,7 @@ from hadwiger2.constructions import (
     kneser,
     petersen,
 )
-from hadwiger2.iso import is_isomorphic, has_induced_subgraph
+from hadwiger2.iso import canonical_form, is_isomorphic, has_induced_subgraph
 from hadwiger2.rng import SplitMix64
 
 from conftest import (
@@ -267,3 +267,93 @@ class TestInflationHFreeness:
                 expanded = inflate(InflationSpec(g, mult))
                 assert not has_induced_subgraph(expanded, h)
                 checked += 1
+
+
+def _relabel(g: Graph, perm) -> Graph:
+    return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def _to_nx(g: Graph) -> nx.Graph:
+    out = nx.Graph()
+    out.add_nodes_from(range(g.n))
+    out.add_edges_from(g.edges())
+    return out
+
+
+def _switch_edges(g: Graph, rng: SplitMix64) -> Graph:
+    """Replace edges ab, cd by ad, cb where that keeps the graph simple: the
+    degree sequence stays, the isomorphism class usually does not."""
+    edges = g.edges()
+    for _ in range(20):
+        (a, b), (c, d) = rng.choice(edges), rng.choice(edges)
+        if len({a, b, c, d}) == 4 and not g.has_edge(a, d) and not g.has_edge(c, b):
+            rest = [e for e in edges if e not in ((a, b), (c, d))]
+            return Graph(g.n, rest + [(a, d), (c, b)])
+    return g
+
+
+def _cycle_union(lengths) -> Graph:
+    edges, start = [], 0
+    for k in lengths:
+        edges += [(start + i, start + (i + 1) % k) for i in range(k)]
+        start += k
+    return Graph(start, edges)
+
+
+# 2-regular, so refinement leaves one cell, which is not an orbit when the
+# cycle lengths differ.
+cycle_unions = st.lists(st.integers(min_value=3, max_value=6), max_size=2).map(_cycle_union)
+
+
+class TestCanonicalForm:
+    @given(st.one_of(graphs_strategy(), cycle_unions), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_relabelling_keeps_the_key(self, g, data):
+        perm = data.draw(st.permutations(range(g.n)))
+        key = canonical_form(g)
+        assert canonical_form(_relabel(g, perm)) == key
+        assert is_isomorphic(Graph.from_rows(key), g)
+
+    def test_named_graphs(self):
+        rng = SplitMix64(3)
+        named = [
+            Graph(0),
+            Graph(5),
+            complete(6),
+            Graph(7, [(u, v) for u in range(3) for v in range(3, 7)]),
+            petersen(),
+            blow_up(InflationSpec(cycle(5), (2, 1, 3, 1, 2))),
+            inflate(InflationSpec(cycle(5), (2, 1, 3, 1, 2))),
+        ]
+        for g in named:
+            key = canonical_form(g)
+            assert is_isomorphic(Graph.from_rows(key), g)
+            for _ in range(5):
+                perm = list(range(g.n))
+                rng.shuffle(perm)
+                assert canonical_form(_relabel(g, perm)) == key
+
+    def test_regular_pairs_with_equal_refinement_differ(self):
+        # Colour refinement cannot split a regular graph, so only the
+        # individualisation tree tells these apart.
+        prism = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5)])
+        k33 = Graph(6, [(u, v) for u in range(3) for v in range(3, 6)])
+        two_triangles = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+        assert canonical_form(cycle(6)) != canonical_form(two_triangles)
+        assert canonical_form(prism) != canonical_form(k33)
+
+    def test_equal_keys_exactly_when_networkx_finds_isomorphism(self):
+        rng = SplitMix64(41)
+        same = differ = 0
+        for _ in range(400):
+            n = 6 + rng.randrange(4)
+            g = random_graph(n, 20 + rng.randrange(60), rng)
+            h = _switch_edges(g, rng) if rng.randrange(2) else g
+            perm = list(range(n))
+            rng.shuffle(perm)
+            h = _relabel(h, perm)
+            iso = nx.is_isomorphic(_to_nx(g), _to_nx(h))
+            assert (canonical_form(g) == canonical_form(h)) == iso, g.edges()
+            same += iso
+            differ += not iso
+        assert same > 50 and differ > 50

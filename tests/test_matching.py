@@ -49,9 +49,9 @@ class TestChromaticShortcut:
         with pytest.raises(ValueError):
             chromatic_number_alpha2(Graph(3))  # alpha = 3
 
-    def test_exhaustive_up_to_7(self):
+    def test_exhaustive_up_to_7(self, tf_levels_8):
         for n in range(1, 8):
-            for g in connected_alpha2_graphs(n):
+            for g in connected_alpha2_graphs(n, tf_levels_8):
                 assert chromatic_number_alpha2(g) == brute_chromatic_number(g)
 
     def test_complete_graph(self):
@@ -86,9 +86,9 @@ class TestVertexCritical:
         assert is_vertex_critical_alpha2(wheel5())
         assert not is_vertex_critical_alpha2(cycle(4))
 
-    def test_against_brute_chromatic(self):
+    def test_against_brute_chromatic(self, tf_levels_8):
         for n in range(2, 8):
-            for g in connected_alpha2_graphs(n):
+            for g in connected_alpha2_graphs(n, tf_levels_8):
                 chi = brute_chromatic_number(g)
                 direct = all(
                     brute_chromatic_number(

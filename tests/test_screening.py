@@ -4,7 +4,7 @@ import pytest
 
 from hadwiger2.conjectures import connected_dominating_matching
 from hadwiger2.constructions import complete, cycle, wheel5
-from hadwiger2.generation import connected_alpha2_graphs, triangle_free_graphs
+from hadwiger2.generation import connected_alpha2_graphs
 from hadwiger2.graphs import Graph, complement, independence_number_is_2, induced_subgraph
 from hadwiger2.screening import (
     BLOCKS,
@@ -84,13 +84,12 @@ class TestScreen:
 
 
 @pytest.fixture(scope="module")
-def alpha2_upto_7():
+def alpha2_upto_7(tf_levels_8):
     """Every connected graph with independence number exactly 2 on <= 7 vertices."""
-    levels = triangle_free_graphs(7)
     return [
         g
         for n in range(2, 8)
-        for g in connected_alpha2_graphs(n, levels)
+        for g in connected_alpha2_graphs(n, tf_levels_8)
         if independence_number_is_2(g)
     ]
 
