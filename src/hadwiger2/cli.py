@@ -9,7 +9,8 @@ Exit codes: 0 holds/found, 1 fails/not found, 2 usage or input error,
 ``holds=unknown`` or ``found=unknown``.  Reports are line-oriented
 ``key=value`` plus a human-readable summary; every run prints a
 reproducibility header with the version, seed and arguments.  The seed
-defaults to the HADWIGER2_SEED environment variable, then 0.
+drives ``build --family triangle-free-process`` and defaults to the
+HADWIGER2_SEED environment variable, then 0.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from .conjectures import (
     format_model,
     half_order_model_search,
     is_cdm,
+    verify_k_model,
 )
 from .constructions import (
     ConstructionError,
@@ -228,9 +230,11 @@ def cmd_check(args, seed: int) -> int:
     elif name == "shc-half":
         if not alpha_at_most_2(g):
             raise CliError("shc-half check requires independence number at most 2")
-        got = half_order_model_search(g, seed, budget=args.budget)
+        got = half_order_model_search(g, budget=args.budget)
         status, model = got.status, got.witness
         print(f"conjecture=shc-half n={g.n} target={(g.n + 1) // 2} holds={WORD[status]}")
+        if status == "found" and not verify_k_model(g, model):
+            raise RuntimeError("half-order model search returned a model that fails verification")
     elif name == "4cm":
         if not alpha_at_most_2(g):
             raise CliError("4cm check requires independence number at most 2")

@@ -2,9 +2,8 @@
 connected dominating matchings, small-branch-set complete-graph models,
 seagull packings, dominating edges, and unavoidable induced subgraphs.
 
-All first-witness outputs break ties lexicographically on sorted vertex
-indices, so results are deterministic; randomised searches take an
-explicit seed.
+All first-witness outputs break ties by vertex index, so results are
+deterministic.
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ from .graphs import (
 )
 from .iso import find_induced_c5, has_induced_subgraph, is_isomorphic
 from .matching import Matching, matching_number
-from .rng import SplitMix64
 
 
 @dataclass(frozen=True)
@@ -155,14 +153,82 @@ def connected_matching_number(g: Graph) -> int:
     return connected_matching_max(g).witness.size
 
 
+def _grow_matching(
+    g: Graph,
+    rows,
+    reaches: list[int],
+    used: int,
+    must: int,
+    budget: int | None,
+) -> tuple[Outcome, int]:
+    """Extend a matching whose edges are pairwise adjacent in g.
+
+    The chosen edges cover ``used`` and have the closed reach masks
+    N[a] | N[b] in ``reaches``; new edges join w to a partner in
+    ``rows[w]``.  A vertex must be matched when it lies in ``must`` or
+    outside some chosen reach; once none is left the new edges are the
+    "found" witness.  Each node branches on the vertex w that must be
+    matched with the fewest allowed partners (fail-first, Haralick &
+    Elliott 1980): unused vertices of rows[w] inside every reach that
+    misses w.  A count of 0 backtracks.  Partners are tried by the size of
+    the next must-match set, then by index.  "refuted" is exhaustive;
+    "unknown" when ``budget`` nodes, if given, are spent.  Returns the
+    outcome and the number of nodes expanded.
+    """
+    full = g.full_mask
+    chosen: list[tuple[int, int]] = []
+    nodes = 0
+
+    def dfs(reaches: list[int], common: int, used: int) -> str:
+        nonlocal nodes
+        if budget is not None and nodes >= budget:
+            return "unknown"
+        nodes += 1
+        need = (must | full & ~common) & ~used
+        if not need:
+            return "found"
+        w, fewest, count = -1, 0, 0
+        for x in bits(need):
+            allowed = rows[x] & ~used
+            for r in reaches:
+                if not r >> x & 1:
+                    allowed &= r
+            c = allowed.bit_count()
+            if not c:
+                return "refuted"
+            if w < 0 or c < count:
+                w, fewest, count = x, allowed, c
+        rw = g.row(w) | 1 << w
+        options = []
+        for x in bits(fewest):
+            reach = rw | g.row(x) | 1 << x
+            now = used | 1 << w | 1 << x
+            left = (must | full & ~(common & reach)) & ~now
+            options.append((left.bit_count(), x, reach, now))
+        options.sort()
+        for _, x, reach, now in options:
+            chosen.append((min(w, x), max(w, x)))
+            got = dfs(reaches + [reach], common & reach, now)
+            if got != "refuted":
+                return got
+            chosen.pop()
+        return "refuted"
+
+    common = full
+    for r in reaches:
+        common &= r
+    status = dfs(reaches, common, used)
+    return Outcome(status, tuple(chosen) if status == "found" else None), nodes
+
+
 def connected_dominating_matching(g: Graph, budget: int | None = None) -> Outcome:
     """A non-empty connected dominating matching ("found"), or "refuted".
 
-    The search is violation-directed: once a first edge is fixed, any
-    uncovered vertex non-adjacent to a chosen edge must become an endpoint
-    of a later edge, so branching is restricted to the edges at the least
-    such vertex.  This is exhaustive; with a node ``budget`` it stops with
-    "unknown" instead of running to completion.  Requires a connected host
+    A dominating edge answers at once.  Otherwise each edge uv in turn is
+    fixed as the least edge of the matching and ``_grow_matching`` extends
+    it with edges above u, so every CDM is reached from exactly one first
+    edge.  This is exhaustive; with a node ``budget``, shared by all first
+    edges, it stops with "unknown" instead.  Requires a connected host
     with independence number exactly 2.
     """
     if not is_connected(g):
@@ -174,36 +240,19 @@ def connected_dominating_matching(g: Graph, budget: int | None = None) -> Outcom
         return Outcome("found", ConnectedMatching(Matching((e,))))
     full = g.full_mask
     nodes = 0
-
-    def dfs(chosen: list, used: int, bad: int) -> Outcome | None:
-        # bad: the uncovered vertices non-adjacent to some chosen edge.
-        # None: no CDM extends chosen.
-        nonlocal nodes
-        nodes += 1
-        if budget is not None and nodes > budget:
-            return Outcome("unknown")
-        if not bad:
-            return Outcome("found", ConnectedMatching(Matching(tuple(chosen))))
-        w = (bad & -bad).bit_length() - 1
-        for x in bits(g.row(w) & ~used):
-            u, v = min(w, x), max(w, x)
-            reach = g.row(u) | g.row(v) | (1 << u) | (1 << v)
-            if any(not (reach >> a & 1 or reach >> b & 1) for a, b in chosen):
-                continue
-            chosen.append((u, v))
-            now = used | (1 << u) | (1 << v)
-            got = dfs(chosen, now, (bad | full & ~reach) & ~now)
-            chosen.pop()
-            if got is not None:
+    for u in range(g.n):
+        above = full & -(2 << u)
+        rows = [r & above if w > u else 0 for w, r in enumerate(g.rows())]
+        for v in bits(g.row(u) & above):
+            reach = g.row(u) | g.row(v) | 1 << u | 1 << v
+            left = None if budget is None else budget - nodes
+            got, spent = _grow_matching(g, rows, [reach], 1 << u | 1 << v, 0, left)
+            nodes += spent
+            if got.status == "found":
+                edges = ((u, v),) + got.witness
+                return Outcome("found", ConnectedMatching(Matching(edges)))
+            if got.status == "unknown":
                 return got
-        return None
-
-    for first in g.edges():
-        u, v = first
-        used = (1 << u) | (1 << v)
-        got = dfs([first], used, full & ~(g.row(u) | g.row(v)) & ~used)
-        if got is not None:
-            return got
     return Outcome("refuted")
 
 
@@ -398,137 +447,52 @@ def eberhard_model(p: int) -> KModel:
 
 def connected_perfect_matching_search(
     g: Graph,
-    seed: int,
     budget: int = 500_000,
     host_for_adjacency: Graph | None = None,
 ) -> Outcome:
     """A perfect matching whose edges are pairwise adjacent, as a KModel.
 
-    Randomised greedy pairing plus 2-swap local search with restarts:
-    a violating pair of matching edges is re-paired when that does not
-    increase the number of non-adjacent pairs.  ``budget`` caps the total
-    number of local-search moves across restarts.  Matching edges are
-    edges of g; pairwise adjacency is tested in ``host_for_adjacency``
-    (g itself by default).  "found" or "unknown", never "refuted".
+    ``_grow_matching`` with every vertex to be matched: matching edges are
+    edges of g, pairwise adjacency is tested in ``host_for_adjacency`` (g
+    itself by default).  Exact: "found", "refuted", or "unknown" when
+    ``budget`` nodes are spent.
     """
-    n = g.n
-    if n % 2:
+    if g.n % 2:
         raise ValueError("perfect matchings need an even number of vertices")
     host = host_for_adjacency or g
     if not alpha_at_most_2(host):
         raise ValueError("search is intended for hosts with alpha <= 2")
-    if n == 0:
-        return Outcome("found", KModel((), 0))
-    rng = SplitMix64(seed)
-    moves = 0
-
-    def random_perfect_matching() -> list[int] | None:
-        for _ in range(50):
-            order = list(range(n))
-            rng.shuffle(order)
-            match = [-1] * n
-            ok = True
-            for v in order:
-                if match[v] != -1:
-                    continue
-                cands = [w for w in bits(g.row(v)) if match[w] == -1]
-                if not cands:
-                    ok = False
-                    break
-                w = cands[rng.randrange(len(cands))]
-                match[v] = w
-                match[w] = v
-            if ok:
-                return match
-        return None
-
-    def pairs_of(match: list[int]) -> list[tuple[int, int]]:
-        return [(v, match[v]) for v in range(n) if v < match[v]]
-
-    def violations(pairs) -> list[tuple[int, int]]:
-        reach = [host.row(u) | host.row(v) for u, v in pairs]
-        out = []
-        for i in range(len(pairs)):
-            for j in range(i + 1, len(pairs)):
-                x, y = pairs[j]
-                if not (reach[i] >> x & 1 or reach[i] >> y & 1):
-                    out.append((i, j))
-        return out
-
-    while moves < budget:
-        match = random_perfect_matching()
-        if match is None:
-            return Outcome("unknown")  # no perfect matching reachable greedily
-        pairs = pairs_of(match)
-        bad = violations(pairs)
-        stall = 0
-        while bad and moves < budget and stall < 200:
-            moves += 1
-            i, j = bad[rng.randrange(len(bad))]
-            a, b = pairs[i]
-            c, d = pairs[j]
-            options = []
-            if g.has_edge(a, c) and g.has_edge(b, d):
-                options.append(((a, c), (b, d)))
-            if g.has_edge(a, d) and g.has_edge(b, c):
-                options.append(((a, d), (b, c)))
-            improved = False
-            for p1, p2 in options:
-                trial = list(pairs)
-                trial[i] = (min(p1), max(p1))
-                trial[j] = (min(p2), max(p2))
-                tb = violations(trial)
-                if len(tb) <= len(bad):
-                    if len(tb) < len(bad):
-                        stall = 0
-                    else:
-                        stall += 1
-                    pairs = trial
-                    bad = tb
-                    improved = True
-                    break
-            if not improved:
-                stall += 1
-                if stall >= 200:
-                    break
-        if not bad:
-            model = KModel(tuple(pairs), len(pairs))
-            if host_for_adjacency is None:
-                if verify_k_model(g, model):
-                    return Outcome("found", model)
-            else:
-                if all(g.has_edge(u, v) for u, v in pairs) and verify_k_model(
-                    host, model
-                ):
-                    return Outcome("found", model)
-    return Outcome("unknown")
+    got, _ = _grow_matching(host, g.rows(), [], 0, g.full_mask, budget)
+    if got.status != "found":
+        return got
+    return Outcome("found", KModel(got.witness, len(got.witness)))
 
 
-def half_order_model_search(g: Graph, seed: int, budget: int = 500_000) -> Outcome:
+def half_order_model_search(g: Graph, budget: int = 500_000) -> Outcome:
     """A K_{ceil(n/2)} model with branch sets of size at most 2.
 
-    Even order reduces to a connected perfect matching; odd order pairs
-    all but one vertex and keeps the leftover as a singleton branch set,
-    splitting ``budget`` evenly over the leftover choices.  "found" or
-    "unknown", never "refuted".
+    Even order is a connected perfect matching.  Odd order tries each
+    vertex s in turn as the singleton branch set: N[s] acts as one more
+    chosen reach, and all choices of s share the node ``budget``.  "found"
+    or "unknown", never "refuted": a model may use more singletons (two
+    disjoint triangles have no connected perfect matching but hold a K3).
     """
     if g.n % 2 == 0:
-        return connected_perfect_matching_search(g, seed, budget)
-    rng = SplitMix64(seed)
-    order = list(range(g.n))
-    rng.shuffle(order)
-    per_vertex = budget // g.n
-    for s in order:
-        rest = [v for v in range(g.n) if v != s]
-        sub = induced_subgraph(g, rest)
-        got = connected_perfect_matching_search(sub, rng.next_u64(), per_vertex)
-        if got.status != "found":
-            continue
-        sets = [tuple(rest[v] for v in b) for b in got.witness.branch_sets]
-        sets.append((s,))
-        full_model = KModel(tuple(sets), len(sets))
-        if verify_k_model(g, full_model):
-            return Outcome("found", full_model)
+        got = connected_perfect_matching_search(g, budget)
+        return got if got.status == "found" else Outcome("unknown")
+    if not alpha_at_most_2(g):
+        raise ValueError("search is intended for hosts with alpha <= 2")
+    nodes = 0
+    for s in range(g.n):
+        got, spent = _grow_matching(
+            g, g.rows(), [g.row(s) | 1 << s], 1 << s, g.full_mask, budget - nodes
+        )
+        nodes += spent
+        if got.status == "found":
+            sets = got.witness + ((s,),)
+            return Outcome("found", KModel(sets, len(sets)))
+        if got.status == "unknown":
+            break
     return Outcome("unknown")
 
 

@@ -3,6 +3,7 @@ small-branch-set models, seagulls, unavoidable scans."""
 
 import pytest
 
+from hadwiger2 import conjectures
 from hadwiger2.conjectures import (
     KModel,
     Outcome,
@@ -32,12 +33,13 @@ from hadwiger2.constructions import (
     eberhard,
     hoffman_singleton,
     petersen,
+    triangle_free_process,
     wheel5,
 )
 from hadwiger2.graphs import Graph, InflationSpec, complement, inflate
 from hadwiger2.rng import SplitMix64
 
-from conftest import brute_connected_matching_number, random_graph
+from conftest import all_matchings, brute_connected_matching_number, random_graph
 
 TWO_TRIANGLES = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
 
@@ -97,8 +99,21 @@ class TestCDM:
     def test_budget_exhaustion_is_unknown(self, steiner_system):
         from hadwiger2.steiner import mesner
 
+        # The search finds a CDM of this host after 20 nodes.
         g = complement(mesner(steiner_system))
-        assert connected_dominating_matching(g, budget=2_000) == Outcome("unknown")
+        assert connected_dominating_matching(g, budget=10) == Outcome("unknown")
+
+    def test_mesner_complement_found(self, steiner_system):
+        from hadwiger2.steiner import mesner
+
+        g = complement(mesner(steiner_system))
+        got = connected_dominating_matching(g, budget=500_000)
+        assert got.status == "found" and is_cdm(g, got.witness.edges)
+
+    def test_triangle_free_process_complement_found(self):
+        g = complement(triangle_free_process(101, 7))
+        got = connected_dominating_matching(g, budget=20_000)
+        assert got.status == "found" and is_cdm(g, got.witness.edges)
 
 
 class TestGirth5Construct:
@@ -212,27 +227,82 @@ class TestEberhardModel:
 
 class TestConnectedPerfectMatching:
     def test_k4(self):
-        got = connected_perfect_matching_search(complete(4), seed=0)
+        got = connected_perfect_matching_search(complete(4))
         assert got.status == "found" and got.witness.order == 2
         assert verify_k_model(complete(4), got.witness)
 
     def test_two_triangles_none(self):
-        # No perfect matching exists, but the search only gives up.
-        got = connected_perfect_matching_search(TWO_TRIANGLES, seed=0, budget=3000)
-        assert got == Outcome("unknown")
+        # No perfect matching exists, and the exact search proves it.
+        got = connected_perfect_matching_search(TWO_TRIANGLES, budget=3000)
+        assert got == Outcome("refuted")
 
     def test_odd_rejected(self):
         with pytest.raises(ValueError):
-            connected_perfect_matching_search(cycle(5), seed=0)
+            connected_perfect_matching_search(cycle(5))
+
+    def test_exhaustive_against_brute_force(self, tf_levels_8):
+        # Every alpha <= 2 graph of even order up to 8, alone and with a
+        # seeded subset of its edges as the allowed matching edges.
+        rng = SplitMix64(19)
+        seen = {"found": 0, "refuted": 0}
+        for n in range(2, 9, 2):
+            for t in tf_levels_8[n]:
+                g = complement(t)
+                sub = Graph(n, [e for e in g.edges() if rng.randrange(3)])
+                for allowed, host in ((g, None), (sub, g)):
+                    got = connected_perfect_matching_search(allowed, host_for_adjacency=host)
+                    want = _brute_connected_perfect(allowed, host or allowed)
+                    assert got.status == ("found" if want else "refuted")
+                    seen[got.status] += 1
+                    if want:
+                        model = got.witness
+                        assert model.order == n // 2
+                        assert all(allowed.has_edge(*b) for b in model.branch_sets)
+                        assert verify_k_model(host or allowed, model)
+        assert seen["found"] > 0 and seen["refuted"] > 0
 
     def test_half_order_model_odd(self):
-        got = half_order_model_search(cycle(5), seed=0)
+        got = half_order_model_search(cycle(5))
         assert got.status == "found" and got.witness.order == 3
         assert verify_k_model(cycle(5), got.witness)
 
     def test_half_order_model_respects_budget(self):
-        # Four moves split over five leftover choices leave none for each.
-        assert half_order_model_search(cycle(5), seed=0, budget=4) == Outcome("unknown")
+        # C5 needs 3 nodes: the root and one per pair.
+        assert half_order_model_search(cycle(5), budget=2) == Outcome("unknown")
+        assert half_order_model_search(cycle(5), budget=3).status == "found"
+
+    def test_half_order_model_shares_one_budget(self, monkeypatch):
+        # Singletons 0 to 3 of this alpha = 2 graph leave no connected
+        # perfect matching, so four refuted choices spend nodes before 4.
+        g = Graph(
+            7,
+            [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (2, 4)]
+            + [(2, 6), (3, 4), (3, 5), (4, 5), (4, 6), (5, 6)],
+        )
+        spent = []
+        kernel = conjectures._grow_matching
+
+        def counted(*args):
+            got, nodes = kernel(*args)
+            spent.append(nodes)
+            return got, nodes
+
+        monkeypatch.setattr(conjectures, "_grow_matching", counted)
+        assert half_order_model_search(g).status == "found"
+        total = sum(spent)
+        assert len(spent) == 5
+        for budget in range(total + 1):
+            spent.clear()
+            got = half_order_model_search(g, budget=budget)
+            assert sum(spent) <= budget
+            assert got.status == ("found" if budget == total else "unknown")
+
+
+def _brute_connected_perfect(g: Graph, host: Graph) -> bool:
+    """Whether some perfect matching of g is pairwise adjacent in host."""
+    return any(
+        2 * len(m) == g.n and is_connected_matching(host, m) for m in all_matchings(g)
+    )
 
 
 class TestSeagulls:
