@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb
 
-from .cliques import is_clique, max_clique, maximal_cliques
+from .cliques import is_clique, max_clique
 from .conjectures import Outcome, connected_perfect_matching_search
 from .constructions import kneser_labels, srg_parameters
 from .graphs import (
@@ -235,84 +235,81 @@ def lift_cover(spec: InflationSpec, cover) -> list[tuple[int, ...]]:
 
 
 def four_cover_check(g: Graph) -> Outcome:
-    """Four cliques covering V with total size >= |V|+2.
+    """Four cliques covering V with total size >= |V|+2, decided exactly.
 
-    "refuted" when 4 * omega < |V|+2, or when the exact search up to 20
-    vertices (branching on the least uncovered vertex over maximal
-    cliques, best-first by clique size) fails; above 20 vertices a greedy
-    plus 2-swap local search either finds a cover or gives "unknown".  A
-    found witness certifies that every proper inflation has a clique of at
-    least a quarter of its order plus a half, hence satisfies the
-    half-order Hadwiger bound.
+    Cliques of G are the independent sets of the complement, so four
+    cliques cover V exactly when the complement is 4-colourable.  The two
+    extra memberships put one vertex in three cliques or two in two each:
+    the complement must stay 4-colourable with closed twins of x and y
+    added (two of x when x == y); twins of equal or adjacent vertices are
+    adjacent.  "refuted" when 4 * omega < |V|+2, when the complement is not
+    4-colourable, or when no pair x <= y works; otherwise the first
+    colouring found, each twin mapped back to its original.  A witness
+    certifies that every proper inflation has a clique of at least a
+    quarter of its order plus a half, hence the half-order Hadwiger bound.
     """
     if not alpha_at_most_2(g):
         raise ValueError("four-clique covers are only used when alpha <= 2")
     n = g.n
-    if n == 0:
-        return Outcome("found", ((), (), (), ()))
-    target = n + 2
-    omega = len(max_clique(g))
-    if 4 * omega < target:
+    if 4 * len(max_clique(g)) < n + 2:
         return Outcome("refuted")
-    cliques = sorted(maximal_cliques(g), key=lambda m: -m.bit_count())
+    rows = [g.full_mask & ~g.row(v) & ~(1 << v) for v in range(n)]
+    if _colour_classes(rows, 4) is None:
+        return Outcome("refuted")
+    for x in range(n):
+        for y in range(x, n):
+            # Vertices n and n + 1 are closed twins of x and y.
+            cx, cy = rows[x] | 1 << x, rows[y] | 1 << y
+            twins = [r | (cx >> v & 1) << n | (cy >> v & 1) << n + 1 for v, r in enumerate(rows)]
+            twins += [cx | (cx >> y & 1) << n + 1, cy | (cy >> x & 1) << n]
+            classes = _colour_classes(twins, 4)
+            if classes is not None:
+                return Outcome("found", tuple(
+                    tuple(bits(m & g.full_mask | (m >> n & 1) << x | (m >> n + 1 & 1) << y))
+                    for m in classes
+                ))
+    return Outcome("refuted")
 
-    def found(chosen: list[int]) -> Outcome:
-        return Outcome("found", tuple(tuple(bits(m)) for m in chosen))
 
-    if n <= 20:
-        by_vertex = [[] for _ in range(n)]
-        for m in cliques:
-            for v in bits(m):
-                by_vertex[v].append(m)
+def _colour_classes(rows: list[int], k: int) -> list[int] | None:
+    """k colour classes (bitmasks) of the graph with adjacency `rows`, or None.
 
-        def dfs(chosen: list[int], covered: int, total: int) -> list[int] | None:
-            slots_left = 4 - len(chosen)
-            if covered == g.full_mask:
-                if total + slots_left * omega >= target:
-                    return chosen + [cliques[0]] * slots_left
-                return None
-            if slots_left == 0 or total + slots_left * omega < target:
-                return None
-            v = ((~covered) & g.full_mask & -((~covered) & g.full_mask)).bit_length() - 1
-            for m in by_vertex[v]:
-                got = dfs(chosen + [m], covered | m, total + m.bit_count())
-                if got is not None:
-                    return got
+    Exact DSATUR (Brelaz 1979): colour next the uncoloured vertex with the
+    most forbidden colours, ties to the most uncoloured neighbours, and try
+    only one colour that no vertex has yet (first-use symmetry breaking).
+    A colour is forbidden at the neighbours that lacked it and restored on
+    backtrack.  An explicit stack keeps deep searches off the recursion limit.
+    """
+    forbidden = [0] * len(rows)
+    classes = [0] * k
+    uncoloured = (1 << len(rows)) - 1
+    stack = []  # [vertex, untried colours, colour, neighbours it newly forbade]
+    while uncoloured:
+        v = max(bits(uncoloured), key=lambda w: (
+            forbidden[w].bit_count(), (rows[w] & uncoloured).bit_count()))
+        used = sum(1 for m in classes if m)
+        stack.append([v, ((1 << min(used + 1, k)) - 1) & ~forbidden[v], -1, ()])
+        uncoloured ^= 1 << v
+        while stack:
+            frame = stack[-1]
+            v, options, c, changed = frame
+            if c >= 0:
+                classes[c] ^= 1 << v
+                for w in changed:
+                    forbidden[w] ^= 1 << c
+            if options:
+                c = (options & -options).bit_length() - 1
+                changed = [w for w in bits(rows[v] & uncoloured) if not forbidden[w] >> c & 1]
+                for w in changed:
+                    forbidden[w] |= 1 << c
+                classes[c] |= 1 << v
+                frame[1:] = options & (options - 1), c, changed
+                break
+            stack.pop()
+            uncoloured |= 1 << v
+        else:
             return None
-
-        best = dfs([], 0, 0)
-        return Outcome("refuted") if best is None else found(best)
-
-    def covers(chosen: list[int]) -> bool:
-        covered = 0
-        for m in chosen:
-            covered |= m
-        return covered == g.full_mask and sum(m.bit_count() for m in chosen) >= target
-
-    # Heuristic: greedy max-new-coverage from the largest clique, then
-    # single-slot swaps; verified before returning.
-    chosen = [cliques[0]]
-    covered = cliques[0]
-    while len(chosen) < 4:
-        pick = max(cliques, key=lambda m: ((m & ~covered).bit_count(), m.bit_count()))
-        chosen.append(pick)
-        covered |= pick
-    for _ in range(8):
-        if covers(chosen):
-            return found(chosen)
-        improved = False
-        for i in range(4):
-            others = chosen[:i] + chosen[i + 1:]
-            om = 0
-            for m in others:
-                om |= m
-            pick = max(cliques, key=lambda m: ((m & ~om).bit_count(), m.bit_count()))
-            if pick != chosen[i]:
-                chosen[i] = pick
-                improved = True
-        if not improved:
-            break
-    return found(chosen) if covers(chosen) else Outcome("unknown")
+    return classes
 
 
 def format_certificate(cert: CliqueFamilyCertificate) -> str:

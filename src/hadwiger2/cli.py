@@ -5,12 +5,12 @@ checkers with witnesses), enumerate (exhaustive desk-scale sweeps),
 certify (clique-cover certificates), screen (counterexample profile).
 
 Exit codes: 0 holds/found, 1 fails/not found, 2 usage or input error,
-3 undecided (budget exhausted or heuristic gave up), printed as
-``holds=unknown`` or ``found=unknown``.  Reports are line-oriented
-``key=value`` plus a human-readable summary; every run prints a
-reproducibility header with the version, seed and arguments.  The seed
-drives ``build --family triangle-free-process`` and defaults to the
-HADWIGER2_SEED environment variable, then 0.
+3 undecided (a search budget ran out: ``holds=unknown`` or
+``budget_exhausted=true``).  Reports are line-oriented ``key=value``
+plus a human-readable summary; every run prints a reproducibility header
+with the version, seed and arguments.  The seed drives ``build --family
+triangle-free-process`` and defaults to the HADWIGER2_SEED environment
+variable, then 0.
 """
 
 from __future__ import annotations

@@ -255,6 +255,64 @@ def milp_clique_number(g: Graph) -> int:
     return round(-res.fun)
 
 
+def _milp_feasible(nvars: int, rows: list, lb: list, ub: list) -> bool:
+    """Whether a 0/1 point satisfies lb <= rows @ x <= ub (HiGHS)."""
+    from scipy.optimize import LinearConstraint, milp
+
+    res = milp(
+        c=[0.0] * nvars,
+        integrality=[1] * nvars,
+        bounds=(0, 1),
+        constraints=[LinearConstraint(rows, lb=lb, ub=ub)] if rows else [],
+    )
+    assert res.status in (0, 2), res.message
+    return res.status == 0
+
+
+def _slot_rows(g: Graph, pairs) -> list:
+    """x[v, c] is variable 4 * v + c; one row per pair and slot: x[u, c] + x[v, c]."""
+    rows = []
+    for u, v in pairs:
+        for c in range(4):
+            row = [0.0] * (4 * g.n)
+            row[4 * u + c] = row[4 * v + c] = 1.0
+            rows.append(row)
+    return rows
+
+
+def milp_four_colourable(g: Graph) -> bool:
+    """Proper 4-colouring by integer programming: x[v, c] in {0, 1}, each
+    vertex takes exactly one colour, adjacent vertices share none."""
+    rows = _slot_rows(g, g.edges())
+    lb, ub = [0.0] * len(rows), [1.0] * len(rows)
+    for v in range(g.n):
+        row = [0.0] * (4 * g.n)
+        row[4 * v : 4 * v + 4] = [1.0] * 4
+        rows.append(row)
+        lb.append(1.0)
+        ub.append(1.0)
+    return _milp_feasible(4 * g.n, rows, lb, ub)
+
+
+def milp_cover4(g: Graph) -> bool:
+    """Four cliques covering V with total size >= |V|+2, by integer
+    programming: x[v, c] = 1 puts v in slot c, non-adjacent vertices share
+    no slot, every vertex is in at least one slot."""
+    pairs = [(u, v) for u in range(g.n) for v in range(u + 1, g.n) if not g.has_edge(u, v)]
+    rows = _slot_rows(g, pairs)
+    lb, ub = [0.0] * len(rows), [1.0] * len(rows)
+    for v in range(g.n):
+        row = [0.0] * (4 * g.n)
+        row[4 * v : 4 * v + 4] = [1.0] * 4
+        rows.append(row)
+        lb.append(1.0)
+        ub.append(4.0)
+    rows.append([1.0] * (4 * g.n))
+    lb.append(g.n + 2.0)
+    ub.append(4.0 * g.n)
+    return _milp_feasible(4 * g.n, rows, lb, ub)
+
+
 def random_graph(n: int, p_numerator: int, rng: SplitMix64) -> Graph:
     edges = []
     for u in range(n):

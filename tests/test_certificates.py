@@ -3,6 +3,7 @@
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
+import networkx as nx
 import pytest
 
 from hadwiger2.certificates import (
@@ -32,11 +33,16 @@ from hadwiger2.constructions import (
     kneser_labels,
 )
 from hadwiger2.generation import connected_alpha2_graphs
-from hadwiger2.graphs import Graph, InflationSpec, complement, inflate
+from hadwiger2.graphs import Graph, InflationSpec, complement, induced_subgraph, inflate
 from hadwiger2.rng import SplitMix64
 from hadwiger2.steiner import mesner
 
-from conftest import brute_clique_number, brute_max_t_intersecting, random_graph
+from conftest import (
+    brute_clique_number,
+    brute_max_t_intersecting,
+    milp_cover4,
+    random_graph,
+)
 
 
 class TestVerify:
@@ -325,6 +331,57 @@ class TestFourCover:
                     assert len(cover) == 4 and all(is_clique(g, c) for c in cover)
                     assert set().union(*map(set, cover)) == set(range(n))
                     assert sum(map(len, cover)) >= n + 2
+
+    def test_mycielski_complement_refuted(self):
+        # n = 23 and 4 * omega = 44 >= 25, so only the colouring refutes:
+        # the Mycielski graph M5 is 5-chromatic.
+        g = complement(Graph(23, list(nx.mycielski_graph(5).edges())))
+        assert 4 * brute_clique_number(g) >= g.n + 2
+        assert four_cover_check(g) == Outcome("refuted")
+        assert not milp_cover4(g)
+
+    def test_vertex_deleted_mycielski_complements_found(self):
+        # M5 is 5-vertex-critical, so each M5 - v is 4-colourable; the
+        # searches for these covers have to backtrack.
+        m5 = Graph(23, list(nx.mycielski_graph(5).edges()))
+        for d in range(23):
+            g = complement(induced_subgraph(m5, [v for v in range(23) if v != d]))
+            got = four_cover_check(g)
+            assert got.status == "found", d
+            _assert_cover4(g, got.witness)
+
+    def test_agrees_with_milp_on_random_hosts(self):
+        rng = SplitMix64(2024)
+        for _ in range(40):
+            g = complement(_random_triangle_free(9 + rng.randrange(12), rng))
+            got = four_cover_check(g)
+            assert got.status == ("found" if milp_cover4(g) else "refuted"), g.edges()
+            if got.status == "found":
+                _assert_cover4(g, got.witness)
+
+
+def _random_triangle_free(n: int, rng: SplitMix64) -> Graph:
+    """Edges offered in random order, kept unless they close a triangle,
+    up to a random target count."""
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    rng.shuffle(pairs)
+    target = rng.randrange(len(pairs) + 1)
+    rows = [0] * n
+    edges = []
+    for u, v in pairs:
+        if len(edges) == target:
+            break
+        if not rows[u] & rows[v]:
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+            edges.append((u, v))
+    return Graph(n, edges)
+
+
+def _assert_cover4(g: Graph, cover) -> None:
+    assert len(cover) == 4 and all(is_clique(g, c) for c in cover)
+    assert set().union(*map(set, cover)) == set(range(g.n))
+    assert sum(map(len, cover)) >= g.n + 2
 
 
 def _brute_maximal_cliques(g: Graph) -> list[frozenset[int]]:

@@ -10,6 +10,8 @@ from hadwiger2.graphs import Graph, complement
 from hadwiger2.iso import is_isomorphic
 from hadwiger2.conjectures import parse_model, is_cdm
 
+from conftest import milp_four_colourable
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -200,14 +202,16 @@ class TestCertify:
         assert code == 1
         assert "found=false" in out
 
-    def test_cover4_heuristic_miss_is_unknown(self, capsys, monkeypatch, steiner_system):
-        # 4 * omega = 84 >= n + 2 = 79, so no refutation; the heuristic misses.
+    def test_cover4_mesner_refuted(self, capsys, monkeypatch, steiner_system):
+        # 4 * omega = 84 >= n + 2 = 79, so the refutation is the colouring:
+        # the Mesner graph is not 4-colourable.
         from hadwiger2.steiner import mesner
 
         feed(monkeypatch, write_graph6(complement(mesner(steiner_system))))
         code, out, _ = run(capsys, "certify", "--kind", "cover4")
-        assert code == 3
-        assert out.splitlines() == ["kind=cover4 found=unknown"]
+        assert code == 1
+        assert out.splitlines() == ["kind=cover4 found=false"]
+        assert not milp_four_colourable(mesner(steiner_system))
 
 
 class TestScreen:
