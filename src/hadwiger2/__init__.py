@@ -24,6 +24,7 @@ from .graph6 import read_graph6, write_graph6
 from .matching import (
     Matching,
     chromatic_number_alpha2,
+    gallai_edmonds,
     is_factor_critical,
     is_vertex_critical_alpha2,
     matching_number,

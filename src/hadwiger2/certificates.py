@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb
 
-from .cliques import is_clique, max_clique
+from .cliques import colour_classes, is_clique, max_clique
 from .conjectures import Outcome, connected_perfect_matching_search
 from .constructions import kneser_labels, srg_parameters
 from .graphs import (
@@ -254,7 +254,7 @@ def four_cover_check(g: Graph) -> Outcome:
     if 4 * len(max_clique(g)) < n + 2:
         return Outcome("refuted")
     rows = [g.full_mask & ~g.row(v) & ~(1 << v) for v in range(n)]
-    if _colour_classes(rows, 4) is None:
+    if colour_classes(rows, 4) is None:
         return Outcome("refuted")
     for x in range(n):
         for y in range(x, n):
@@ -262,54 +262,13 @@ def four_cover_check(g: Graph) -> Outcome:
             cx, cy = rows[x] | 1 << x, rows[y] | 1 << y
             twins = [r | (cx >> v & 1) << n | (cy >> v & 1) << n + 1 for v, r in enumerate(rows)]
             twins += [cx | (cx >> y & 1) << n + 1, cy | (cy >> x & 1) << n]
-            classes = _colour_classes(twins, 4)
+            classes = colour_classes(twins, 4)
             if classes is not None:
                 return Outcome("found", tuple(
                     tuple(bits(m & g.full_mask | (m >> n & 1) << x | (m >> n + 1 & 1) << y))
                     for m in classes
                 ))
     return Outcome("refuted")
-
-
-def _colour_classes(rows: list[int], k: int) -> list[int] | None:
-    """k colour classes (bitmasks) of the graph with adjacency `rows`, or None.
-
-    Exact DSATUR (Brelaz 1979): colour next the uncoloured vertex with the
-    most forbidden colours, ties to the most uncoloured neighbours, and try
-    only one colour that no vertex has yet (first-use symmetry breaking).
-    A colour is forbidden at the neighbours that lacked it and restored on
-    backtrack.  An explicit stack keeps deep searches off the recursion limit.
-    """
-    forbidden = [0] * len(rows)
-    classes = [0] * k
-    uncoloured = (1 << len(rows)) - 1
-    stack = []  # [vertex, untried colours, colour, neighbours it newly forbade]
-    while uncoloured:
-        v = max(bits(uncoloured), key=lambda w: (
-            forbidden[w].bit_count(), (rows[w] & uncoloured).bit_count()))
-        used = sum(1 for m in classes if m)
-        stack.append([v, ((1 << min(used + 1, k)) - 1) & ~forbidden[v], -1, ()])
-        uncoloured ^= 1 << v
-        while stack:
-            frame = stack[-1]
-            v, options, c, changed = frame
-            if c >= 0:
-                classes[c] ^= 1 << v
-                for w in changed:
-                    forbidden[w] ^= 1 << c
-            if options:
-                c = (options & -options).bit_length() - 1
-                changed = [w for w in bits(rows[v] & uncoloured) if not forbidden[w] >> c & 1]
-                for w in changed:
-                    forbidden[w] |= 1 << c
-                classes[c] |= 1 << v
-                frame[1:] = options & (options - 1), c, changed
-                break
-            stack.pop()
-            uncoloured |= 1 << v
-        else:
-            return None
-    return classes
 
 
 def format_certificate(cert: CliqueFamilyCertificate) -> str:

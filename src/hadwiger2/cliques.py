@@ -8,6 +8,10 @@ eigenvalue) is tried first; when the multi-start greedy incumbent meets
 it, optimality is certified without any search, which settles the large
 vertex-transitive instances (Kneser-type graphs, block-graph
 complements) where the colouring bound is far from tight.
+
+``colour_classes`` is the one exact k-colouring kernel (DSATUR); the
+four-clique covers colour the complement with it, and the screen's
+edge-criticality property colours each edge-deleted host.
 """
 
 from __future__ import annotations
@@ -137,6 +141,47 @@ def max_clique(g: Graph) -> tuple[int, ...]:
 
 def clique_number(g: Graph) -> int:
     return len(max_clique(g))
+
+
+def colour_classes(rows: list[int], k: int) -> list[int] | None:
+    """k colour classes (bitmasks) of the graph with adjacency `rows`, or None.
+
+    Exact DSATUR (Brelaz 1979): colour next the uncoloured vertex with the
+    most forbidden colours, ties to the most uncoloured neighbours, and try
+    only one colour that no vertex has yet (first-use symmetry breaking).
+    A colour is forbidden at the neighbours that lacked it and restored on
+    backtrack.  An explicit stack keeps deep searches off the recursion limit.
+    """
+    forbidden = [0] * len(rows)
+    classes = [0] * k
+    uncoloured = (1 << len(rows)) - 1
+    stack = []  # [vertex, untried colours, colour, neighbours it newly forbade]
+    while uncoloured:
+        v = max(bits(uncoloured), key=lambda w: (
+            forbidden[w].bit_count(), (rows[w] & uncoloured).bit_count()))
+        used = sum(1 for m in classes if m)
+        stack.append([v, ((1 << min(used + 1, k)) - 1) & ~forbidden[v], -1, ()])
+        uncoloured ^= 1 << v
+        while stack:
+            frame = stack[-1]
+            v, options, c, changed = frame
+            if c >= 0:
+                classes[c] ^= 1 << v
+                for w in changed:
+                    forbidden[w] ^= 1 << c
+            if options:
+                c = (options & -options).bit_length() - 1
+                changed = [w for w in bits(rows[v] & uncoloured) if not forbidden[w] >> c & 1]
+                for w in changed:
+                    forbidden[w] |= 1 << c
+                classes[c] |= 1 << v
+                frame[1:] = options & (options - 1), c, changed
+                break
+            stack.pop()
+            uncoloured |= 1 << v
+        else:
+            return None
+    return classes
 
 
 def maximal_cliques(g: Graph) -> Iterator[int]:

@@ -1,9 +1,17 @@
-"""Maximum matching in general graphs and the alpha<=2 chromatic shortcut.
+"""Maximum matching in general graphs, the Gallai-Edmonds set D, and the
+alpha<=2 chromatic shortcut.
 
 The matching routine is Edmonds' blossom algorithm in its classic
-odd-cycle-shrinking form: breadth-first alternating forests with blossom
-bases tracked per vertex, one augmentation per exposed root.  Downstream
-code relies only on the size or validity of the returned matching, never
+odd-cycle-shrinking form: breadth-first alternating trees with blossom
+bases tracked per vertex, one augmentation per exposed root.  Once the
+matching is maximum, the search from each exposed root fails, and the
+outer (even) vertices of its tree are the vertices that an even
+alternating path reaches from that root.  Their union over the exposed
+roots is D, the set of vertices missed by some maximum matching
+(Gallai-Edmonds structure theorem; Lovasz & Plummer, *Matching Theory*,
+ch. 3): mu(h - v) = mu(h) exactly for v in D.  Factor-criticality and
+vertex-criticality of alpha<=2 graphs are both "D is every vertex".
+Downstream code relies only on the size of the matching and on D, never
 on which maximum matching is produced.
 """
 
@@ -49,12 +57,13 @@ class Matching:
 
 def _find_augmenting(
     g: Graph, match: list[int], root: int, within: int
-) -> tuple[int, list[int]]:
+) -> tuple[int, list[int], int]:
+    """(end, parent, outer): the exposed end of an augmenting path from
+    root (-1 if none), the tree's parent links, and its outer vertices."""
     n = g.n
-    used = [False] * n
+    outer = 1 << root
     parent = [-1] * n
     base = list(range(n))
-    used[root] = True
     queue = deque([root])
 
     def lca(a: int, b: int) -> int:
@@ -92,16 +101,16 @@ def _find_augmenting(
                 for i in range(n):
                     if in_blossom[base[i]]:
                         base[i] = cur_base
-                        if not used[i]:
-                            used[i] = True
+                        if not outer >> i & 1:
+                            outer |= 1 << i
                             queue.append(i)
             elif parent[to] == -1:
                 parent[to] = v
                 if match[to] == -1:
-                    return to, parent
-                used[match[to]] = True
+                    return to, parent, outer
+                outer |= 1 << match[to]
                 queue.append(match[to])
-    return -1, parent
+    return -1, parent, outer
 
 
 def _maximum_match(g: Graph, within: int) -> list[int]:
@@ -118,7 +127,7 @@ def _maximum_match(g: Graph, within: int) -> list[int]:
     for root in bits(within):
         if match[root] != -1:
             continue
-        end, parent = _find_augmenting(g, match, root, within)
+        end, parent, _ = _find_augmenting(g, match, root, within)
         while end != -1:
             prev = parent[end]
             nxt = match[prev]
@@ -150,45 +159,38 @@ def chromatic_number_alpha2(g: Graph) -> int:
     return g.n - matching_number(complement(g))
 
 
-def all_vertices_inessential(g: Graph, within: int | None = None) -> bool:
-    """True iff mu(h - v) = mu(h) for every vertex v of h, where h is g or
-    the subgraph induced on the bitmask ``within``.
+def gallai_edmonds(g: Graph, within: int | None = None) -> tuple[int, int]:
+    """(mu, D) of h, where h is g or the subgraph induced on the bitmask
+    ``within``: the matching number and the bitmask of the vertices that
+    some maximum matching misses, i.e. those v with mu(h - v) = mu(h).
 
-    One maximum matching is computed once; an unmatched vertex is
-    inessential outright, and a matched vertex v is inessential iff a
-    single augmentation from its partner succeeds with v masked out.
+    One maximum matching, then one (failing) search per exposed vertex;
+    D is the union of the searches' outer vertices.
     """
     if within is None:
         within = g.full_mask
-    base = _maximum_match(g, within)
-    for v in bits(within):
-        w = base[v]
-        if w == -1:
-            continue
-        match = list(base)
-        match[v] = -1
-        match[w] = -1
-        end, _ = _find_augmenting(g, match, w, within & ~(1 << v))
-        if end == -1:
-            return False
-    return True
+    match = _maximum_match(g, within)
+    d = 0
+    for root in bits(within):
+        if match[root] == -1:
+            d |= _find_augmenting(g, match, root, within)[2]
+    return (g.n - match.count(-1)) // 2, d
 
 
 def is_factor_critical(g: Graph) -> bool:
     """True iff deleting any single vertex leaves a perfect matching."""
-    if g.n % 2 == 0 or g.n == 0:
+    if g.n % 2 == 0:
         return False
-    if matching_number(g) != (g.n - 1) // 2:
-        return False
-    return all_vertices_inessential(g)
+    mu, d = gallai_edmonds(g)
+    return 2 * mu == g.n - 1 and d == g.full_mask
 
 
 def is_vertex_critical_alpha2(g: Graph) -> bool:
     """True iff chi(g - v) < chi(g) for every vertex, via the matching shortcut.
 
     chi(g - v) < chi(g) unwinds to mu(complement(g) - v) = mu(complement(g)),
-    so criticality is exactly every complement vertex being inessential.
+    so criticality is exactly D(complement(g)) being every vertex.
     """
     if not alpha_at_most_2(g):
         raise ValueError("chromatic shortcut requires independence number <= 2")
-    return all_vertices_inessential(complement(g))
+    return gallai_edmonds(complement(g))[1] == g.full_mask

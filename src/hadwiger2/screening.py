@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cliques import max_clique
+from .cliques import colour_classes, max_clique
 from .conjectures import connected_dominating_matching, dominating_edge
 from .graphs import (
     Graph,
@@ -20,13 +20,7 @@ from .graphs import (
     is_connected,
     vertex_connectivity,
 )
-from .matching import (
-    all_vertices_inessential,
-    chromatic_number_alpha2,
-    is_factor_critical,
-    is_vertex_critical_alpha2,
-    matching_number,
-)
+from .matching import gallai_edmonds, is_factor_critical
 
 PROPERTIES = tuple(f"P{i}" for i in range(1, 23))
 
@@ -66,33 +60,6 @@ class ScreeningReport:
         return all(
             self.verdicts[p].status != "not-evaluated" for p in BLOCKS[block]
         )
-
-
-def colourable_with(g: Graph, k: int) -> bool:
-    """Backtracking k-colourability with first-use symmetry breaking."""
-    if k >= g.n:
-        return True
-    order = sorted(range(g.n), key=lambda v: -g.degree(v))
-    colors = [-1] * g.n
-
-    def rec(idx: int, used: int) -> bool:
-        if idx == g.n:
-            return True
-        v = order[idx]
-        forbidden = 0
-        for w in bits(g.row(v)):
-            if colors[w] >= 0:
-                forbidden |= 1 << colors[w]
-        for c in range(min(used + 1, k)):
-            if forbidden >> c & 1:
-                continue
-            colors[v] = c
-            if rec(idx + 1, max(used, c + 1)):
-                return True
-            colors[v] = -1
-        return False
-
-    return rec(0, 0)
 
 
 def is_hamiltonian(g: Graph) -> bool:
@@ -146,16 +113,19 @@ def table1_screen(g: Graph) -> ScreeningReport:
     if not independence_number_is_2(g):
         raise ValueError("screening requires independence number exactly 2")
     n = g.n
-    chi = chromatic_number_alpha2(g)
+    # alpha(g) = 2 makes chi = n - mu(gc); P1 (chi(g - v) < chi(g) for
+    # every v) is D(gc) = V, and P5 is gc factor-critical.
+    gc = complement(g)
+    mu, d = gallai_edmonds(gc)
+    chi = n - mu
     omega = len(max_clique(g))
     delta = min(g.degree(v) for v in range(n))
-    gc = complement(g)
     verdicts: dict[str, Verdict] = {}
 
     def put(name: str, ok: bool, detail: str = ""):
         verdicts[name] = Verdict("pass" if ok else "fail", detail)
 
-    put("P1", is_vertex_critical_alpha2(g), f"chi={chi}")
+    put("P1", d == g.full_mask, f"chi={chi}")
     put("P2", is_connected(gc), "complement connected iff not decomposable")
     put("P3", n == 2 * chi - 1, f"n={n}, 2chi-1={2 * chi - 1}")
 
@@ -164,16 +134,15 @@ def table1_screen(g: Graph) -> ScreeningReport:
     p4_ok = True
     for x, y in _nonadjacent_pairs(g):
         rest = g.full_mask & ~(1 << x) & ~(1 << y)
-        if n - 2 - matching_number(gc, rest) != chi - 1 or not all_vertices_inessential(
-            gc, rest
-        ):
+        mu_rest, d_rest = gallai_edmonds(gc, rest)
+        if n - 2 - mu_rest != chi - 1 or d_rest != rest:
             p4_ok = False
             break
     put("P4", p4_ok, "pair deletion leaves a (chi-1)-critical graph")
 
     put(
         "P5",
-        is_factor_critical(gc),
+        2 * mu == n - 1 and d == g.full_mask,
         "complement minus any vertex has a perfect matching",
     )
 
@@ -262,7 +231,7 @@ def table1_screen(g: Graph) -> ScreeningReport:
             rows = list(g.rows())
             rows[u] &= ~(1 << v)
             rows[v] &= ~(1 << u)
-            if not colourable_with(Graph.from_rows(tuple(rows)), chi - 1):
+            if colour_classes(rows, chi - 1) is None:
                 p22 = False
                 break
         put("P22", p22, "edge-criticality (advisory for minimal profiles)")

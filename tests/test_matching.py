@@ -3,11 +3,12 @@
 import pytest
 from hypothesis import given, settings
 
-from hadwiger2.graphs import Graph, complement, induced_subgraph
+from hadwiger2.graphs import Graph, bits, complement, induced_subgraph
 from hadwiger2.constructions import complete, cycle, petersen, wheel5
 from hadwiger2.matching import (
     Matching,
     chromatic_number_alpha2,
+    gallai_edmonds,
     is_factor_critical,
     is_vertex_critical_alpha2,
     matching_number,
@@ -40,6 +41,27 @@ class TestMaximumMatching:
     def test_matching_validation(self):
         with pytest.raises(ValueError):
             Matching(((0, 1), (1, 2)))
+
+
+class TestGallaiEdmonds:
+    def test_against_brute_force_deletions(self):
+        # mu and D(h) = {v : mu(h - v) = mu(h)} on h = g and on masked
+        # subgraphs; sparse hosts leave several exposed roots per matching.
+        rng = SplitMix64(8)
+        for trial in range(160):
+            n = 1 + rng.randrange(12)
+            g = random_graph(n, 10 + rng.randrange(50), rng)
+            within = g.full_mask
+            if trial % 2:
+                within &= rng.next_u64()
+            keep = list(bits(within))
+            mu = brute_matching_number(induced_subgraph(g, keep))
+            d = 0
+            for v in keep:
+                if brute_matching_number(induced_subgraph(g, [u for u in keep if u != v])) == mu:
+                    d |= 1 << v
+            got = gallai_edmonds(g, within if trial % 2 else None)
+            assert got == (mu, d), (g.edges(), within)
 
 
 class TestChromaticShortcut:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from hadwiger2.cliques import colour_classes
 from hadwiger2.conjectures import connected_dominating_matching
 from hadwiger2.constructions import complete, cycle, wheel5
 from hadwiger2.generation import connected_alpha2_graphs
@@ -9,7 +10,6 @@ from hadwiger2.graphs import Graph, complement, independence_number_is_2, induce
 from hadwiger2.screening import (
     BLOCKS,
     PROPERTIES,
-    colourable_with,
     is_hamiltonian,
     table1_screen,
 )
@@ -19,10 +19,10 @@ from conftest import all_matchings, brute_chromatic_number, brute_matching_numbe
 
 class TestHelpers:
     def test_colourable(self):
-        assert colourable_with(cycle(5), 3)
-        assert not colourable_with(cycle(5), 2)
-        assert colourable_with(complete(4), 4)
-        assert not colourable_with(complete(4), 3)
+        assert colour_classes(list(cycle(5).rows()), 3) is not None
+        assert colour_classes(list(cycle(5).rows()), 2) is None
+        assert colour_classes(list(complete(4).rows()), 4) is not None
+        assert colour_classes(list(complete(4).rows()), 3) is None
 
     def test_hamiltonian(self):
         from hadwiger2.constructions import petersen
@@ -145,6 +145,10 @@ class TestScreenKernelsAgainstDefinitions:
                 "P5": _brute_factor_critical(complement(g)),
                 "P11": _brute_factor_critical(g),
                 "P6": not _brute_has_cdm(g),
+                "P22": all(
+                    brute_chromatic_number(Graph(g.n, set(g.edges()) - {e})) < chi
+                    for e in g.edges()
+                ),
             }
             got = {p: rep.verdicts[p].status == "pass" for p in want}
             assert got == want, g.edges()
