@@ -68,7 +68,6 @@ from .constructions import (
 )
 from .steiner import SteinerSystem, gewirtz, higman_sims, mesner, steiner_3_6_22
 from .conjectures import (
-    ConnectedMatching,
     KModel,
     Outcome,
     connected_dominating_matching,

@@ -15,7 +15,7 @@ from itertools import combinations
 from math import comb
 
 from .cliques import colour_classes, is_clique, max_clique
-from .conjectures import Outcome, connected_perfect_matching_search
+from .conjectures import Outcome, connected_perfect_matching_search, dominating_edge
 from .constructions import kneser_labels, srg_parameters
 from .graphs import (
     Graph,
@@ -392,10 +392,8 @@ def classify_good_bad_outcome(g: Graph, part: GoodBadPartition) -> Outcome:
         raise ValueError("outcome classification needs an even-order host")
     if not alpha_at_most_2(g):
         raise ValueError("outcome classification requires alpha <= 2")
-    full = g.full_mask
-    for u, v in g.edges():
-        if g.row(u) | g.row(v) == full:
-            return Outcome("found", "a")
+    if dominating_edge(g) is not None:
+        return Outcome("found", "a")
     if n >= 2 and vertex_connectivity(g, at_least=n // 2 + 1) <= n // 2:
         return Outcome("found", "b")
     if len(max_clique(g)) >= n // 2:

@@ -2,6 +2,13 @@
 connected dominating matchings, small-branch-set complete-graph models,
 seagull packings, dominating edges, and unavoidable induced subgraphs.
 
+Two search kernels do the work.  ``_grow_matching`` is a fail-first search
+for matchings with pairwise adjacent edges that must cover given vertices:
+connected dominating matchings, connected perfect matchings and
+half-order models.  ``_small_branch_sets`` is a branch and bound for the
+largest complete-graph model whose branch sets are edges, or edges and
+single vertices: the connected matching number and had2.
+
 All first-witness outputs break ties by vertex index, so results are
 deterministic.
 """
@@ -57,21 +64,6 @@ def dominating_edge(g: Graph) -> tuple[int, int] | None:
     return None
 
 
-@dataclass(frozen=True)
-class ConnectedMatching:
-    """A matching whose edges are pairwise joined by at least one cross edge."""
-
-    matching: Matching
-
-    @property
-    def edges(self) -> tuple[tuple[int, int], ...]:
-        return self.matching.edges
-
-    @property
-    def size(self) -> int:
-        return self.matching.size
-
-
 def is_connected_matching(g: Graph, edges) -> bool:
     m = Matching(tuple(edges))
     if not m.is_matching_of(g):
@@ -98,59 +90,8 @@ def is_dominating_matching(g: Graph, edges) -> bool:
 
 
 def is_cdm(g: Graph, edges) -> bool:
-    return (
-        len(tuple(edges)) > 0
-        and is_connected_matching(g, edges)
-        and is_dominating_matching(g, edges)
-    )
-
-
-def connected_matching_max(g: Graph, budget: int | None = None) -> Outcome:
-    """Largest connected matching.
-
-    Branch and bound over edges in lexicographic order: a candidate edge
-    must be disjoint from and adjacent to every chosen edge.  "found" with
-    the maximum, or "unknown" with the best matching so far when the node
-    ``budget``, if any, runs out.
-    """
-    edges = g.edges()
-    reach = [g.row(u) | g.row(v) | (1 << u) | (1 << v) for u, v in edges]
-    best: list[tuple[int, int]] = []
-    nodes = 0
-
-    def dfs(candidates: list[int], chosen: list) -> bool:
-        # False when the budget ran out below this node.
-        nonlocal best, nodes
-        if budget is not None and nodes > budget:
-            return False
-        nodes += 1
-        if len(chosen) > len(best):
-            best = list(chosen)
-        for pos, i in enumerate(candidates):
-            if len(chosen) + len(candidates) - pos <= len(best):
-                break
-            u, v = edges[i]
-            r = reach[i]
-            mask = (1 << u) | (1 << v)
-            nxt = [
-                j
-                for j in candidates[pos + 1:]
-                if not mask & ((1 << edges[j][0]) | (1 << edges[j][1]))
-                and (r >> edges[j][0] & 1 or r >> edges[j][1] & 1)
-            ]
-            chosen.append(edges[i])
-            done = dfs(nxt, chosen)
-            chosen.pop()
-            if not done:
-                return False
-        return True
-
-    done = dfs(list(range(len(edges))), [])
-    return Outcome("found" if done else "unknown", ConnectedMatching(Matching(tuple(best))))
-
-
-def connected_matching_number(g: Graph) -> int:
-    return connected_matching_max(g).witness.size
+    edges = tuple(edges)
+    return bool(edges) and is_connected_matching(g, edges) and is_dominating_matching(g, edges)
 
 
 def _grow_matching(
@@ -237,7 +178,7 @@ def connected_dominating_matching(g: Graph, budget: int | None = None) -> Outcom
         raise ValueError("host must have independence number exactly 2")
     e = dominating_edge(g)
     if e is not None:
-        return Outcome("found", ConnectedMatching(Matching((e,))))
+        return Outcome("found", Matching((e,)))
     full = g.full_mask
     nodes = 0
     for u in range(g.n):
@@ -250,13 +191,13 @@ def connected_dominating_matching(g: Graph, budget: int | None = None) -> Outcom
             nodes += spent
             if got.status == "found":
                 edges = ((u, v),) + got.witness
-                return Outcome("found", ConnectedMatching(Matching(edges)))
+                return Outcome("found", Matching(edges))
             if got.status == "unknown":
                 return got
     return Outcome("refuted")
 
 
-def girth5_cdm_construct(spec: InflationSpec) -> ConnectedMatching:
+def girth5_cdm_construct(spec: InflationSpec) -> Matching:
     """Constructive CDM for a connected inflation whose base has a
     complement of girth at least 5.
 
@@ -281,7 +222,7 @@ def girth5_cdm_construct(spec: InflationSpec) -> ConnectedMatching:
         e = dominating_edge(g)
         if e is None:
             raise RuntimeError("C5-free support must yield a dominating edge")
-        result = ConnectedMatching(Matching((e,)))
+        result = Matching((e,))
     else:
         cyc = [support[i] for i in c5]
         mult = spec.mult
@@ -309,7 +250,7 @@ def girth5_cdm_construct(spec: InflationSpec) -> ConnectedMatching:
         cd = list(bits(spec.block(d)))
         m1 = list(zip(ca, ce))
         m2 = list(zip(cc, cd))
-        result = ConnectedMatching(Matching(tuple(m1 + m2)))
+        result = Matching(tuple(m1 + m2))
     if not is_cdm(g, result.edges):
         raise RuntimeError("constructed matching failed CDM verification")
     return result
@@ -369,45 +310,77 @@ def verify_k_model(g: Graph, model: KModel) -> bool:
     return True
 
 
-def k_model_size2_max(g: Graph) -> KModel:
-    """Largest complete-graph model with branch sets of size 1 or 2.
+def _small_branch_sets(
+    g: Graph, singletons: bool, budget: int | None = None
+) -> tuple[list[tuple[int, ...]], bool]:
+    """Most disjoint branch sets, pairwise joined by an edge, where each set
+    is an edge of g or, with ``singletons``, may also be one vertex.
 
-    Branch and bound over vertices in increasing order: the least unused
-    vertex is skipped, kept as a singleton, or paired with an unused
-    neighbour, subject to adjacency with all existing branch sets.
+    Branch and bound over vertices in increasing order: the least undecided
+    vertex v is kept as a singleton, paired with an undecided neighbour (in
+    index order) or left out, and a set is taken only if it meets the
+    neighbourhood of every chosen set.  A node is pruned when the chosen
+    sets plus what the undecided vertices can still add (all of them, or
+    half without singletons) cannot beat the best.  Returns the best sets
+    and True, or the best so far and False once ``budget`` nodes, if given,
+    are expanded.
     """
     best: list[tuple[int, ...]] = []
+    nodes = 0
 
-    def dfs(avail: int, chosen: list, reaches: list) -> None:
-        nonlocal best
+    def dfs(avail: int, chosen: list, reaches: list) -> bool:
+        nonlocal best, nodes
+        if budget is not None and nodes >= budget:
+            return False
+        nodes += 1
         if len(chosen) > len(best):
             best = list(chosen)
-        if not avail or len(chosen) + avail.bit_count() <= len(best):
-            return
+        left = avail.bit_count() if singletons else avail.bit_count() // 2
+        if len(chosen) + left <= len(best):
+            return True
         v = avail & -avail
         vi = v.bit_length() - 1
         rest = avail & ~v
-        # Option 1: v as a singleton branch set
-        if all(r & v for r in reaches):
-            chosen.append((vi,))
-            dfs(rest, chosen, reaches + [g.row(vi)])
-            chosen.pop()
-        # Option 2: v paired with an unused neighbour
-        for wi in bits(g.row(vi) & rest):
-            mask = v | (1 << wi)
+        options = [(v, g.row(vi))] if singletons else []
+        options += [(v | 1 << w, g.row(vi) | g.row(w)) for w in bits(g.row(vi) & rest)]
+        for mask, reach in options:
             if all(r & mask for r in reaches):
-                chosen.append((vi, wi))
-                dfs(rest & ~(1 << wi), chosen, reaches + [g.row(vi) | g.row(wi)])
+                chosen.append(tuple(bits(mask)))
+                done = dfs(avail & ~mask, chosen, reaches + [reach])
                 chosen.pop()
-        # Option 3: v unused in the model
-        dfs(rest, chosen, reaches)
+                if not done:
+                    return False
+        return dfs(rest, chosen, reaches)
 
-    dfs(g.full_mask, [], [])
-    return KModel(tuple(best), len(best))
+    done = dfs(g.full_mask, [], [])
+    return best, done
+
+
+def k_model_size2_max(g: Graph) -> KModel:
+    """Largest complete-graph model with branch sets of size 1 or 2: the
+    exhaustive ``_small_branch_sets`` search with singletons."""
+    sets, _ = _small_branch_sets(g, singletons=True)
+    return KModel(tuple(sets), len(sets))
 
 
 def had2(g: Graph) -> int:
     return k_model_size2_max(g).order
+
+
+def connected_matching_max(g: Graph, budget: int | None = None) -> Outcome:
+    """Largest connected matching: ``_small_branch_sets`` with edges only.
+
+    A matching is connected when its edges are pairwise joined by an edge,
+    i.e. a complete-graph model whose branch sets are all edges.  "found"
+    with the maximum, or "unknown" with the best matching so far once
+    ``budget`` nodes, if given, are expanded.
+    """
+    sets, done = _small_branch_sets(g, singletons=False, budget=budget)
+    return Outcome("found" if done else "unknown", Matching(tuple(sets)))
+
+
+def connected_matching_number(g: Graph) -> int:
+    return connected_matching_max(g).witness.size
 
 
 def eberhard_model(p: int) -> KModel:

@@ -5,7 +5,7 @@ import io
 from hadwiger2.cli import main
 from hadwiger2.certificates import parse_certificate
 from hadwiger2.graph6 import read_graph6, write_graph6
-from hadwiger2.constructions import cycle, petersen
+from hadwiger2.constructions import clebsch, cycle, petersen
 from hadwiger2.graphs import Graph, complement
 from hadwiger2.iso import is_isomorphic
 from hadwiger2.conjectures import parse_model, is_cdm
@@ -120,6 +120,12 @@ class TestCheck:
         code, out, _ = run(capsys, "check", "--conjecture", "4cm", "--budget", "0")
         assert code == 3
         assert out == "conjecture=4cm n=8 target=2 cm=0 exact=false holds=unknown\n"
+
+    def test_4cm_clebsch_complement_is_exact(self, capsys, monkeypatch):
+        feed(monkeypatch, write_graph6(complement(clebsch())))
+        code, out, _ = run(capsys, "check", "--conjecture", "4cm")
+        assert code == 0
+        assert out.startswith("conjecture=4cm n=16 target=4 cm=8 exact=true holds=true\n")
 
     def test_dominating_edge_not_found(self, capsys, monkeypatch):
         feed(monkeypatch, write_graph6(cycle(5)))

@@ -28,6 +28,7 @@ from hadwiger2.conjectures import (
     verify_k_model,
 )
 from hadwiger2.constructions import (
+    clebsch,
     complete,
     cycle,
     eberhard,
@@ -36,6 +37,7 @@ from hadwiger2.constructions import (
     triangle_free_process,
     wheel5,
 )
+from hadwiger2.generation import connected_alpha2_graphs
 from hadwiger2.graphs import Graph, InflationSpec, complement, inflate
 from hadwiger2.rng import SplitMix64
 
@@ -60,16 +62,25 @@ class TestConnectedMatching:
         assert connected_matching_number(cycle(5)) == 2
         assert brute_connected_matching_number(cycle(5)) == 2
 
-    def test_matches_brute_force_randomised(self):
+    def test_matches_brute_force_randomised(self, tf_levels_8):
         rng = SplitMix64(31)
-        for _ in range(40):
-            g = random_graph(2 + rng.randrange(6), 30 + rng.randrange(50), rng)
-            assert connected_matching_number(g) == brute_connected_matching_number(g)
+        graphs = [random_graph(2 + rng.randrange(6), 30 + rng.randrange(50), rng) for _ in range(40)]
+        graphs += [g for n in range(2, 9) for g in connected_alpha2_graphs(n, tf_levels_8)]
+        for g in graphs:
+            got = connected_matching_max(g)
+            assert got.status == "found" and is_connected_matching(g, got.witness.edges)
+            assert got.witness.size == brute_connected_matching_number(g), g.edges()
 
     def test_budget_flag(self):
         got = connected_matching_max(complete(8), budget=3)
         assert got.status == "unknown"
         assert is_connected_matching(complete(8), got.witness.edges)
+
+    def test_clebsch_complement_is_exact(self):
+        # A perfect connected matching: the bound closes the search at once.
+        got = connected_matching_max(complement(clebsch()), budget=500_000)
+        assert got.status == "found" and got.witness.size == 8
+        assert is_connected_matching(complement(clebsch()), got.witness.edges)
 
 
 class TestCDM:
@@ -78,6 +89,11 @@ class TestCDM:
         assert got.status == "found"
         assert got.witness.edges == ((0, 1), (2, 3))
         assert is_cdm(cycle(5), got.witness.edges)
+
+    def test_is_cdm_accepts_an_iterator(self):
+        assert not is_cdm(cycle(5), [(0, 1)])
+        assert not is_cdm(cycle(5), iter([(0, 1)]))
+        assert is_cdm(cycle(5), iter([(0, 1), (2, 3)]))
 
     def test_disconnected_rejected(self):
         with pytest.raises(ValueError):
@@ -171,43 +187,32 @@ class TestKModels:
         # {0,1},{2,3},{4} is a K3 model of C5 with sets of size <= 2
         assert had2(cycle(5)) == 3
 
-    def test_had2_brute_small(self):
+    def test_had2_brute_small(self, tf_levels_8):
         rng = SplitMix64(12)
-        for _ in range(15):
-            g = random_graph(2 + rng.randrange(5), 40 + rng.randrange(40), rng)
+        graphs = [random_graph(2 + rng.randrange(5), 40 + rng.randrange(40), rng) for _ in range(15)]
+        graphs += [g for n in range(2, 9) for g in connected_alpha2_graphs(n, tf_levels_8)]
+        for g in graphs:
             model = k_model_size2_max(g)
             assert verify_k_model(g, model) or model.order == 0
-            assert model.order == _brute_had2(g)
+            assert model.order == _brute_had2(g), g.edges()
 
 
 def _brute_had2(g: Graph) -> int:
-    """Independent exhaustive search over families of 1/2-sets."""
-    singles = [(v,) for v in range(g.n)]
-    pairs = [(u, v) for u, v in g.edges()]
-    units = singles + pairs
+    """Independent exhaustive search over families of 1/2-sets: every
+    matching as the pairs, with every set of unmatched vertices, largest
+    first, as the singletons."""
     best = 0
-
-    def ok(sets):
-        used = set()
-        for s in sets:
-            for v in s:
-                if v in used:
-                    return False
-                used.add(v)
-        for i, a in enumerate(sets):
-            for b in sets[i + 1:]:
-                if not any(g.has_edge(x, y) for x in a for y in b):
-                    return False
-        return True
-
-    import itertools
-
-    for size in range(g.n, 0, -1):
-        if size <= best:
-            break
-        for combo in itertools.combinations(units, size):
-            if ok(combo):
-                best = max(best, size)
+    for pairs in all_matchings(g):
+        covered = {v for e in pairs for v in e}
+        free = [v for v in range(g.n) if v not in covered]
+        for mask in sorted(range(1 << len(free)), key=int.bit_count, reverse=True):
+            sets = list(pairs) + [(v,) for i, v in enumerate(free) if mask >> i & 1]
+            if len(sets) <= best:
+                break
+            masks = [sum(1 << v for v in b) for b in sets]
+            reaches = [g.row(b[0]) | g.row(b[-1]) for b in sets]  # b has 1 or 2 vertices
+            if all(reaches[i] & masks[j] for i in range(len(sets)) for j in range(i)):
+                best = len(sets)
                 break
     return best
 

@@ -159,5 +159,5 @@ class TestScreenKernelsAgainstDefinitions:
             assert got.status == ("found" if _brute_has_cdm(g) else "refuted"), g.edges()
             if got.status == "found":
                 cdm = got.witness
-                assert cdm.matching.is_matching_of(g)
+                assert cdm.is_matching_of(g)
                 assert _brute_is_cdm(g, cdm.edges), (g.edges(), cdm.edges)
