@@ -4,18 +4,27 @@ Triangle-free graphs are generated level by level on the complement
 side: every triangle-free graph on k+1 vertices arises from one on k
 vertices by adding a vertex whose neighbourhood is an independent set,
 so each level is the deduplicated closure of those extensions.
-Deduplication keys every child by its canonical form and keeps the first
-child seen in each class, so levels are reproducible, labels included.
+
+Before any canonical form is computed, a child is accepted only when its
+new vertex has the least key (degree, sum of the neighbours' degrees)
+among its vertices, ties included (a canonical-deletion filter after
+McKay, "Isomorph-free exhaustive generation", 1998).  This loses no
+class: take any triangle-free G and a vertex v of least key.  G - v is
+isomorphic to a parent on the level below, and N(v) maps to an
+independent set S of that parent; the extension by S is isomorphic to G,
+and its new vertex has v's key, so it is accepted.  Deduplication keys
+every accepted child by its canonical form and keeps the first accepted
+child in each class, so levels are reproducible, labels included.
 """
 
 from __future__ import annotations
 
 from typing import Iterator
 
-from .graphs import Graph, complement, is_connected
+from .graphs import Graph, bits, complement, is_connected
 from .iso import canonical_form
 
-MAX_DESK_N = 10
+MAX_DESK_N = 11
 
 
 def independent_set_masks(g: Graph) -> list[int]:
@@ -36,16 +45,29 @@ def independent_set_masks(g: Graph) -> list[int]:
 
 
 def _extend(parent: Graph) -> Iterator[Graph]:
+    """The children of parent whose new vertex k has the least key
+    (degree, sum of the neighbours' degrees); ties pass."""
     k = parent.n
+    pdeg = [r.bit_count() for r in parent.rows()]
+    least = min(pdeg)
+    at_least = sum(1 << v for v, dv in enumerate(pdeg) if dv == least)
     for mask in independent_set_masks(parent):
+        d = mask.bit_count()
+        # The least old degree is `least` unless mask covers every vertex of it.
+        if d > (least if at_least & ~mask else least + 1):
+            continue
         rows = [r | ((mask >> i & 1) << k) for i, r in enumerate(parent.rows())]
         rows.append(mask)
-        yield Graph.from_rows(tuple(rows))
+        deg = [r.bit_count() for r in rows]
+        s = sum(deg[u] for u in bits(mask))
+        if any(deg[v] == d and sum(deg[u] for u in bits(rows[v])) < s for v in range(k)):
+            continue
+        yield Graph.from_rows(rows)
 
 
 def _next_level(parents: list[Graph]) -> list[Graph]:
-    """One representative of each class of one-vertex extensions, in order of
-    first appearance."""
+    """One representative of each class of accepted one-vertex extensions,
+    in order of first appearance."""
     seen: dict[tuple[int, ...], Graph] = {}
     for parent in parents:
         for child in _extend(parent):

@@ -2,18 +2,20 @@
 
 import json
 import pathlib
+import random
 from itertools import combinations
 
 import networkx as nx
 
 from hadwiger2.generation import (
+    _next_level,
     connected_alpha2_graphs,
     independent_set_masks,
     triangle_free_graphs,
 )
-from hadwiger2.graphs import Graph, complement, is_connected, is_triangle_free
+from hadwiger2.graphs import Graph, bits, complement, is_connected, is_triangle_free
 from hadwiger2.constructions import complete, cycle
-from hadwiger2.iso import is_isomorphic
+from hadwiger2.iso import canonical_form, is_isomorphic
 
 FIXTURE = pathlib.Path(__file__).parent / "fixtures" / "triangle_free_counts.json"
 
@@ -81,3 +83,52 @@ def test_connected_alpha2_counts(tf_levels_8):
 def test_independent_set_masks():
     assert sorted(independent_set_masks(complete(3))) == [0b000, 0b001, 0b010, 0b100]
     assert len(independent_set_masks(Graph(3))) == 8
+
+
+def _classes(graphs) -> set[tuple[int, ...]]:
+    return {canonical_form(g) for g in graphs}
+
+
+def _unfiltered_classes(max_n: int) -> dict[int, set[tuple[int, ...]]]:
+    # Every independent-set extension of every class, deduplicated by
+    # canonical form only: the closure without the deletion filter.
+    level = {canonical_form(Graph(1)): Graph(1)}
+    out = {1: set(level)}
+    for k in range(1, max_n):
+        children: dict[tuple[int, ...], Graph] = {}
+        for parent in level.values():
+            for mask in independent_set_masks(parent):
+                rows = [r | ((mask >> i & 1) << k) for i, r in enumerate(parent.rows())]
+                child = Graph.from_rows(rows + [mask])
+                children.setdefault(canonical_form(child), child)
+        level = children
+        out[k + 1] = set(level)
+    return out
+
+
+def _key(g: Graph, v: int) -> tuple[int, int]:
+    return g.degree(v), sum(g.degree(u) for u in bits(g.row(v)))
+
+
+def test_filtered_levels_equal_unfiltered_closure(tf_levels_8):
+    unfiltered = _unfiltered_classes(8)
+    for n, graphs in tf_levels_8.items():
+        assert _classes(graphs) == unfiltered[n], f"n={n}"
+
+
+def test_kept_vertex_has_least_key(tf_levels_8):
+    # Each representative is an accepted child, so its last vertex (the
+    # one added) has the least key; ties are allowed.
+    for n, graphs in tf_levels_8.items():
+        for g in graphs:
+            assert _key(g, n - 1) == min(_key(g, v) for v in range(n)), g.edges()
+
+
+def test_next_level_ignores_parent_labels(tf_levels_8):
+    rng = random.Random(20260412)
+    relabelled = []
+    for g in tf_levels_8[7]:
+        perm = list(range(7))
+        rng.shuffle(perm)
+        relabelled.append(Graph(7, [(perm[u], perm[v]) for u, v in g.edges()]))
+    assert _classes(_next_level(relabelled)) == _classes(tf_levels_8[8])
