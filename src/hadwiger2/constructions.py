@@ -13,6 +13,7 @@ from itertools import combinations
 
 from .graphs import (
     Graph,
+    bits,
     complement,
     diameter,
     girth,
@@ -310,24 +311,38 @@ def eberhard(p: int) -> Graph:
 def triangle_free_process(n: int, seed: int) -> Graph:
     """Random edge-maximal triangle-free graph grown edge by edge.
 
-    At each step the set of addable edges (non-edges whose endpoints have
-    no common neighbour) is recomputed and one is drawn with the seeded
-    splitmix64 generator; the process stops when no edge can be added.
+    At each step one addable edge (a non-edge whose endpoints have no
+    common neighbour) is drawn with the seeded splitmix64 generator, as
+    the k-th in (u, v) order; the process stops when no edge can be
+    added.  ``addable[u]`` holds the addable partners v > u, and adding uv
+    clears uv, u's pairs with N(v) and v's pairs with N(u): those are the
+    only pairs that gain a common neighbour.
     """
     if n < 1:
         raise ValueError("need at least one vertex")
     rng = SplitMix64(seed)
     rows = [0] * n
-    while True:
-        candidates = [
-            (u, v)
-            for u in range(n)
-            for v in range(u + 1, n)
-            if not rows[u] >> v & 1 and not rows[u] & rows[v]
-        ]
-        if not candidates:
-            break
-        u, v = candidates[rng.randrange(len(candidates))]
+    full = (1 << n) - 1
+    addable = [full & ~((2 << u) - 1) for u in range(n)]
+    total = n * (n - 1) // 2
+    while total:
+        k = rng.randrange(total)
+        u = 0
+        while k >= addable[u].bit_count():
+            k -= addable[u].bit_count()
+            u += 1
+        mask = addable[u]
+        for _ in range(k):
+            mask &= mask - 1
+        v = (mask & -mask).bit_length() - 1
+        addable[u] ^= 1 << v
+        total -= 1
+        for a, b in ((u, v), (v, u)):
+            for w in bits(rows[b]):
+                lo, hi = min(a, w), max(a, w)
+                if addable[lo] >> hi & 1:
+                    addable[lo] ^= 1 << hi
+                    total -= 1
         rows[u] |= 1 << v
         rows[v] |= 1 << u
     g = Graph.from_rows(tuple(rows))

@@ -377,13 +377,22 @@ def _disjoint_paths(g: Graph, s: int, t: int, limit: int) -> int:
     Augmenting paths on the split graph, where vertex v becomes an arc
     v_in -> v_out of capacity 1 and every edge uv the arcs u_out -> v_in and
     v_out -> u_in.  The flow is kept as ``prv[v]``, the vertex before v on
-    the path through v (-1 when v is on no path).  Each augmenting path is
-    found breadth first with one bitset step per out-node, and nothing
-    recurses.
+    the path through v (-1 when v is on no path).  It starts seeded with
+    the paths s-w-t through common neighbours w: every s-t separator holds
+    all of them, so the answer is their number plus that of G minus them.
+    A seeded w is only entered backwards towards s, which is already
+    visited, so the search never reroutes it.  Each further augmenting
+    path is found breadth first with one bitset step per out-node, and
+    nothing recurses.
     """
     n = g.n
     prv = [-1] * n
     flow = 0
+    for w in bits(g.row(s) & g.row(t)):
+        if flow == limit:
+            return flow
+        prv[w] = s
+        flow += 1
     while flow < limit:
         pin = [-1] * n  # v_in was reached from pin[v]_out; v itself: from v_out
         pout = [-1] * n  # v_out was reached from pout[v]_in; v itself: from v_in
@@ -432,8 +441,11 @@ def vertex_connectivity(g: Graph, *, at_least: int | None = None) -> int:
     Each pair is settled by Menger's theorem: the number of internally
     vertex-disjoint paths, found as augmenting paths on the split graph by
     bitset breadth-first search (Even-Tarjan), iteratively, so large sparse
-    hosts do not hit the recursion limit.  Only the pairs of the
-    Esfahanian-Hakimi reduction around one min-degree vertex are solved.
+    hosts do not hit the recursion limit.  The flow is seeded with one
+    two-edge path per common neighbour of the pair, so a pair with at
+    least the cap in common neighbours needs no search at all.  Only the
+    pairs of the Esfahanian-Hakimi reduction around one min-degree vertex
+    are solved.
     With ``at_least=k`` every pair count is capped at k, and the result is
     min(connectivity, k).
     """

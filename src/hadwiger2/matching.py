@@ -113,10 +113,23 @@ def _find_augmenting(
     return -1, parent, outer
 
 
-def _maximum_match(g: Graph, within: int) -> list[int]:
-    """Partner list (-1 if exposed) of a maximum matching of g[within]:
-    a greedy start, then one augmentation attempt per exposed root."""
-    match = [-1] * g.n
+def _maximum_match(g: Graph, within: int, start: list[int] | None = None) -> list[int]:
+    """Partner list (-1 if exposed) of a maximum matching of g[within].
+
+    It starts from the edges of ``start`` (a partner list of a matching of
+    g) that lie inside within, or from nothing, and extends that greedily.
+    Then each exposed root gets one augmentation attempt, while at least
+    two vertices are exposed: an augmenting path joins two of them, and a
+    root with none never gains one later (Edmonds).
+    """
+    if start is None:
+        match = [-1] * g.n
+    else:
+        match = [
+            w if w != -1 and within >> v & 1 and within >> w & 1 else -1
+            for v, w in enumerate(start)
+        ]
+    exposed = 0
     for v in bits(within):
         if match[v] == -1:
             for w in bits(g.row(v) & within):
@@ -124,10 +137,16 @@ def _maximum_match(g: Graph, within: int) -> list[int]:
                     match[v] = w
                     match[w] = v
                     break
+            else:
+                exposed += 1
     for root in bits(within):
+        if exposed < 2:
+            break
         if match[root] != -1:
             continue
         end, parent, _ = _find_augmenting(g, match, root, within)
+        if end != -1:
+            exposed -= 2
         while end != -1:
             prev = parent[end]
             nxt = match[prev]
@@ -167,14 +186,21 @@ def gallai_edmonds(g: Graph, within: int | None = None) -> tuple[int, int]:
     One maximum matching, then one (failing) search per exposed vertex;
     D is the union of the searches' outer vertices.
     """
-    if within is None:
-        within = g.full_mask
-    match = _maximum_match(g, within)
+    mu, d, _ = _gallai_edmonds(g, g.full_mask if within is None else within)
+    return mu, d
+
+
+def _gallai_edmonds(
+    g: Graph, within: int, start: list[int] | None = None
+) -> tuple[int, int, list[int]]:
+    """(mu, D, match) of g[within], with ``match`` the maximum matching
+    found from the warm start ``start`` (see ``_maximum_match``)."""
+    match = _maximum_match(g, within, start)
     d = 0
     for root in bits(within):
         if match[root] == -1:
             d |= _find_augmenting(g, match, root, within)[2]
-    return (g.n - match.count(-1)) // 2, d
+    return (g.n - match.count(-1)) // 2, d, match
 
 
 def is_factor_critical(g: Graph) -> bool:

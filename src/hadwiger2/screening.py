@@ -20,7 +20,7 @@ from .graphs import (
     is_connected,
     vertex_connectivity,
 )
-from .matching import gallai_edmonds, is_factor_critical
+from .matching import _gallai_edmonds, is_factor_critical
 
 PROPERTIES = tuple(f"P{i}" for i in range(1, 23))
 
@@ -116,7 +116,7 @@ def table1_screen(g: Graph) -> ScreeningReport:
     # alpha(g) = 2 makes chi = n - mu(gc); P1 (chi(g - v) < chi(g) for
     # every v) is D(gc) = V, and P5 is gc factor-critical.
     gc = complement(g)
-    mu, d = gallai_edmonds(gc)
+    mu, d, host = _gallai_edmonds(gc, g.full_mask)
     chi = n - mu
     omega = len(max_clique(g))
     delta = min(g.degree(v) for v in range(n))
@@ -130,11 +130,13 @@ def table1_screen(g: Graph) -> ScreeningReport:
     put("P3", n == 2 * chi - 1, f"n={n}, 2chi-1={2 * chi - 1}")
 
     # g - x - y inherits alpha <= 2, so both matching shortcuts run on gc
-    # inside the mask of the remaining vertices.
+    # inside the mask of the remaining vertices.  Each starts from the host
+    # matching minus x, y and their partners, at most two augmentations
+    # short of maximum; mu and D do not depend on the matching found.
     p4_ok = True
     for x, y in _nonadjacent_pairs(g):
         rest = g.full_mask & ~(1 << x) & ~(1 << y)
-        mu_rest, d_rest = gallai_edmonds(gc, rest)
+        mu_rest, d_rest, _ = _gallai_edmonds(gc, rest, host)
         if n - 2 - mu_rest != chi - 1 or d_rest != rest:
             p4_ok = False
             break
@@ -153,16 +155,15 @@ def table1_screen(g: Graph) -> ScreeningReport:
         put("P6", cdm.status == "refuted", "no non-empty CDM")
     put("P7", dominating_edge(g) is None, "every edge deletion creates a 3-independent set")
 
+    # Above 40 vertices kappa is capped at the larger of the two thresholds
+    # P8 and P18 compare it with, which decides both.
     if n <= 40:
         kappa = vertex_connectivity(g)
         kappa_detail = f"kappa={kappa}"
-        kappa_chi_ok = kappa >= chi
-        kappa_7_ok = kappa >= 7
     else:
-        kappa_chi_ok = vertex_connectivity(g, at_least=chi) >= chi
-        kappa_7_ok = vertex_connectivity(g, at_least=7) >= 7
+        kappa = vertex_connectivity(g, at_least=max(chi, 7))
         kappa_detail = "thresholded"
-    put("P8", kappa_chi_ok, kappa_detail + f", chi={chi}")
+    put("P8", kappa >= chi, kappa_detail + f", chi={chi}")
     put("P9", delta >= chi, f"delta={delta}, chi={chi}")
 
     if n <= _HAMILTONIAN_CAP or 2 * delta >= n:
@@ -210,7 +211,7 @@ def table1_screen(g: Graph) -> ScreeningReport:
     put("P16", p16, "every non-adjacent pair lies in an induced C5")
 
     put("P17", chi >= 7, f"chi={chi}")
-    put("P18", kappa_7_ok if n > 40 else kappa >= 7, "")
+    put("P18", kappa >= 7, "")
     put("P19", omega <= chi - 3, f"omega={omega}, chi={chi}")
     put("P20", delta >= chi + 1, f"delta={delta}, chi={chi}")
 

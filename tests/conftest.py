@@ -322,6 +322,26 @@ def random_graph(n: int, p_numerator: int, rng: SplitMix64) -> Graph:
     return Graph(n, edges)
 
 
+def brute_triangle_free_process(n: int, seed: int) -> Graph:
+    """The triangle-free process by definition: every step lists all
+    addable pairs (non-edges without a common neighbour) in (u, v) order
+    and draws one with the seeded generator, until none is left."""
+    rng = SplitMix64(seed)
+    rows = [0] * n
+    while True:
+        candidates = [
+            (u, v)
+            for u in range(n)
+            for v in range(u + 1, n)
+            if not rows[u] >> v & 1 and not rows[u] & rows[v]
+        ]
+        if not candidates:
+            return Graph.from_rows(tuple(rows))
+        u, v = candidates[rng.randrange(len(candidates))]
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+
+
 @pytest.fixture(scope="session")
 def steiner_system():
     from hadwiger2.steiner import steiner_3_6_22

@@ -37,7 +37,12 @@ from hadwiger2.graphs import (
 from hadwiger2.iso import is_isomorphic
 from hadwiger2.conjectures import dominating_edge
 
-from conftest import brute_clique_number, brute_independence_number, brute_odd_girth
+from conftest import (
+    brute_clique_number,
+    brute_independence_number,
+    brute_odd_girth,
+    brute_triangle_free_process,
+)
 
 
 class TestBasicFamilies:
@@ -211,3 +216,8 @@ class TestTriangleFreeProcess:
     def test_tiny(self):
         assert triangle_free_process(1, 0).n == 1
         assert triangle_free_process(2, 0).edge_count == 1
+
+    def test_matches_the_recompute_every_step_process(self):
+        cases = [(n, seed) for n in (1, 2, 3, 5, 10, 12, 30) for seed in range(4)]
+        for n, seed in cases + [(101, 7)]:
+            assert triangle_free_process(n, seed) == brute_triangle_free_process(n, seed), (n, seed)

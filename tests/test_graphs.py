@@ -25,11 +25,14 @@ from hadwiger2.constructions import (
     clebsch,
     complete,
     cycle,
+    hoffman_singleton,
     kneser,
     petersen,
 )
+from hadwiger2.matching import chromatic_number_alpha2
 from hadwiger2.iso import canonical_form, is_isomorphic, has_induced_subgraph
 from hadwiger2.rng import SplitMix64
+from hadwiger2.steiner import gewirtz
 
 from conftest import (
     brute_diameter,
@@ -219,6 +222,25 @@ class TestConnectivity:
         # 5, back up through 3 (freeing it) to 1, and leave 1 towards 4.
         g = Graph(9, [(0, 1), (0, 2), (1, 3), (1, 4), (2, 5), (3, 6), (5, 6), (4, 7), (6, 8), (7, 8)])
         assert _disjoint_paths(g, 0, 8, 9) == 2
+
+    def test_search_continues_from_the_seeded_flow(self):
+        # s = 0 and t = 6 share only vertex 1, so the flow starts with 0-1-6
+        # and the BFS adds 0-2-3-6 and 0-4-5-6; the chords 2-1 and 4-3 lead
+        # into used vertices.  N(0) has 3 vertices, so 3 is the answer.
+        g = Graph(7, [(0, 1), (1, 6), (0, 2), (2, 3), (3, 6), (0, 4), (4, 5), (5, 6), (1, 2), (3, 4)])
+        assert [_disjoint_paths(g, 0, 6, k) for k in range(5)] == [0, 1, 2, 3, 3]
+
+    @pytest.mark.parametrize("name", ["hoffman_singleton", "gewirtz"])
+    def test_capped_above_40_vertices_matches_networkx(self, name, steiner_system):
+        # Every non-adjacent pair has more common neighbours than any cap
+        # below, so each pair settles on the seeded flow alone.
+        host = hoffman_singleton() if name == "hoffman_singleton" else gewirtz(steiner_system)
+        g = complement(host)
+        kappa = nx.node_connectivity(_to_nx(g))
+        chi = chromatic_number_alpha2(g)
+        assert g.n > 40 and kappa == {"hoffman_singleton": 42, "gewirtz": 45}[name]
+        for k in (7, chi, kappa, kappa + 1, g.n):
+            assert vertex_connectivity(g, at_least=k) == min(kappa, k), k
 
     def test_capped_matches_networkx(self):
         rng = SplitMix64(41)

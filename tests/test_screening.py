@@ -1,12 +1,23 @@
 """Counterexample-profile screening."""
 
+from itertools import combinations
+
+import networkx as nx
 import pytest
 
 from hadwiger2.cliques import colour_classes
 from hadwiger2.conjectures import connected_dominating_matching
-from hadwiger2.constructions import complete, cycle, wheel5
+from hadwiger2.constructions import cayley_abelian, complete, cycle, wheel5
 from hadwiger2.generation import connected_alpha2_graphs
-from hadwiger2.graphs import Graph, complement, independence_number_is_2, induced_subgraph
+from hadwiger2.graphs import (
+    Graph,
+    complement,
+    independence_number_is_2,
+    induced_subgraph,
+    is_connected,
+    is_triangle_free,
+)
+from hadwiger2.rng import SplitMix64
 from hadwiger2.screening import (
     BLOCKS,
     PROPERTIES,
@@ -161,3 +172,63 @@ class TestScreenKernelsAgainstDefinitions:
                 cdm = got.witness
                 assert cdm.is_matching_of(g)
                 assert _brute_is_cdm(g, cdm.edges), (g.edges(), cdm.edges)
+
+
+def _random_triangle_free(n: int, keep: int, rng: SplitMix64) -> Graph:
+    """Pairs in shuffled order, each added with probability keep/100 when
+    it closes no triangle."""
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    rng.shuffle(pairs)
+    rows = [0] * n
+    for u, v in pairs:
+        if not rows[u] & rows[v] and rng.randrange(100) < keep:
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+    return Graph.from_rows(rows)
+
+
+def _nx_matching_number(gc: Graph, keep) -> int:
+    h = nx.Graph()
+    h.add_nodes_from(keep)
+    h.add_edges_from((u, v) for u, v in gc.edges() if u in keep and v in keep)
+    return len(nx.max_weight_matching(h, maxcardinality=True))
+
+
+def _brute_p4(g: Graph) -> bool:
+    """mu(gc - x - y) = mu - 1 and mu(gc - x - y - v) = mu(gc - x - y) for
+    every v, over every edge xy of the complement gc."""
+    gc = complement(g)
+    mu = _nx_matching_number(gc, set(range(g.n)))
+    for x, y in gc.edges():
+        rest = set(range(g.n)) - {x, y}
+        mu_rest = _nx_matching_number(gc, rest)
+        if mu_rest != mu - 1:
+            return False
+        if any(_nx_matching_number(gc, rest - {v}) != mu_rest for v in rest):
+            return False
+    return True
+
+
+class TestWarmStartedP4:
+    def test_p4_matches_networkx_on_10_to_16_vertices(self):
+        # Seeded random hosts mostly fail P4; complements of triangle-free
+        # circulants of odd order often pass it.
+        rng = SplitMix64(20261018)
+        hosts = []
+        while len(hosts) < 12:
+            gc = _random_triangle_free(10 + rng.randrange(7), 50 + rng.randrange(51), rng)
+            if gc.edge_count and is_connected(complement(gc)):
+                hosts.append(complement(gc))
+        for n in (11, 13, 15):
+            for k in (0, 1, 2):
+                for rest in combinations(range(2, n // 2 + 1), k):
+                    conn = (1, *rest)
+                    gc = cayley_abelian((n,), [(c,) for c in conn] + [(n - c,) for c in conn])
+                    if is_triangle_free(gc) and is_connected(complement(gc)):
+                        hosts.append(complement(gc))
+        verdicts = []
+        for g in hosts:
+            got = table1_screen(g).verdicts["P4"].status == "pass"
+            assert got == _brute_p4(g), g.edges()
+            verdicts.append(got)
+        assert 0 < sum(verdicts) < len(verdicts)
