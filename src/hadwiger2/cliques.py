@@ -10,8 +10,7 @@ vertex-transitive instances (Kneser-type graphs, block-graph
 complements) where the colouring bound is far from tight.
 
 ``colour_classes`` is the one exact k-colouring kernel (DSATUR); the
-four-clique covers colour the complement with it, and the screen's
-edge-criticality property colours each edge-deleted host.
+four-clique covers colour the complement with it.
 """
 
 from __future__ import annotations

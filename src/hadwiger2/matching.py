@@ -1,9 +1,11 @@
 """Maximum matching in general graphs, the Gallai-Edmonds set D, and the
 alpha<=2 chromatic shortcut.
 
-The matching routine is Edmonds' blossom algorithm in its classic
-odd-cycle-shrinking form: breadth-first alternating trees with blossom
-bases tracked per vertex, one augmentation per exposed root.  Once the
+The matching routine is Edmonds' blossom algorithm ("Paths, trees, and
+flowers", 1965) in its classic odd-cycle-shrinking form: breadth-first
+alternating trees, one augmentation per exposed root, with the outer and
+inner vertices and each blossom's members kept as bitmasks, so a
+contraction rebases only the vertices of the blossoms it absorbs.  Once the
 matching is maximum, the search from each exposed root fails, and the
 outer (even) vertices of its tree are the vertices that an even
 alternating path reaches from that root.  Their union over the exposed
@@ -59,62 +61,84 @@ def _find_augmenting(
     g: Graph, match: list[int], root: int, within: int
 ) -> tuple[int, list[int], int]:
     """(end, parent, outer): the exposed end of an augmenting path from
-    root (-1 if none), the tree's parent links, and its outer vertices."""
+    root (-1 if none), the tree's parent links, and its outer vertices.
+
+    Each blossom is its base plus the member bitmask ``members[base]``.
+    A dequeued outer vertex splits its neighbours by mask: unreached ones
+    grow the tree, outer ones in another blossom contract, and the rest
+    (its own blossom, inner vertices) are skipped.  A contraction rebases
+    only the members of the blossoms that move into the new one.
+    """
     n = g.n
     outer = 1 << root
+    inner = 0
     parent = [-1] * n
     base = list(range(n))
+    members = [1 << v for v in range(n)]
     queue = deque([root])
 
     def lca(a: int, b: int) -> int:
-        seen = [False] * n
+        seen = 0
         while True:
             a = base[a]
-            seen[a] = True
+            seen |= 1 << a
             if match[a] == -1:
                 break
             a = parent[match[a]]
         while True:
             b = base[b]
-            if seen[b]:
+            if seen >> b & 1:
                 return b
             b = parent[match[b]]
 
-    def mark_path(v: int, b: int, child: int, in_blossom: list[bool]) -> None:
+    def mark_path(v: int, b: int, child: int) -> int:
+        moved = 0
         while base[v] != b:
-            in_blossom[base[v]] = True
-            in_blossom[base[match[v]]] = True
+            moved |= members[base[v]] | members[base[match[v]]]
             parent[v] = child
             child = match[v]
             v = parent[match[v]]
+        return moved
 
-    while queue:
+    # Once every vertex is outer nothing is left to reach: the search fails.
+    while queue and outer != within:
         v = queue.popleft()
-        for to in bits(g.row(v) & within):
-            if base[v] == base[to] or match[v] == to:
-                continue
-            if to == root or (match[to] != -1 and parent[match[to]] != -1):
-                cur_base = lca(v, to)
-                in_blossom = [False] * n
-                mark_path(v, cur_base, to, in_blossom)
-                mark_path(to, cur_base, v, in_blossom)
-                for i in range(n):
-                    if in_blossom[base[i]]:
-                        base[i] = cur_base
-                        if not outer >> i & 1:
-                            outer |= 1 << i
-                            queue.append(i)
-            elif parent[to] == -1:
-                parent[to] = v
-                if match[to] == -1:
-                    return to, parent, outer
-                outer |= 1 << match[to]
-                queue.append(match[to])
+        nbrs = g.row(v) & within & ~members[base[v]]
+        grow = nbrs & ~outer & ~inner
+        while grow:
+            low = grow & -grow
+            grow ^= low
+            if outer & low:
+                continue  # made outer by this scan; contracted below
+            to = low.bit_length() - 1
+            parent[to] = v
+            inner |= low
+            if match[to] == -1:
+                return to, parent, outer
+            outer |= 1 << match[to]
+            queue.append(match[to])
+        contract = nbrs & outer
+        while contract:
+            to = (contract & -contract).bit_length() - 1
+            cur_base = lca(v, to)
+            moved = mark_path(v, cur_base, to) | mark_path(to, cur_base, v)
+            blossom = members[cur_base]
+            for i in bits(moved & ~blossom):
+                base[i] = cur_base
+            blossom |= moved
+            members[cur_base] = blossom
+            fresh = blossom & ~outer
+            outer |= fresh
+            queue.extend(bits(fresh))
+            contract &= ~blossom
     return -1, parent, outer
 
 
-def _maximum_match(g: Graph, within: int, start: list[int] | None = None) -> list[int]:
-    """Partner list (-1 if exposed) of a maximum matching of g[within].
+def _maximum_match(
+    g: Graph, within: int, start: list[int] | None = None
+) -> tuple[list[int], int]:
+    """(match, exposed): the partner list (-1 if exposed) of a maximum
+    matching of g[within], and the bitmask of its exposed vertices.
 
     It starts from the edges of ``start`` (a partner list of a matching of
     g) that lie inside within, or from nothing, and extends that greedily.
@@ -122,6 +146,7 @@ def _maximum_match(g: Graph, within: int, start: list[int] | None = None) -> lis
     two vertices are exposed: an augmenting path joins two of them, and a
     root with none never gains one later (Edmonds).
     """
+    exposed = within
     if start is None:
         match = [-1] * g.n
     else:
@@ -129,37 +154,38 @@ def _maximum_match(g: Graph, within: int, start: list[int] | None = None) -> lis
             w if w != -1 and within >> v & 1 and within >> w & 1 else -1
             for v, w in enumerate(start)
         ]
-    exposed = 0
-    for v in bits(within):
-        if match[v] == -1:
-            for w in bits(g.row(v) & within):
-                if match[w] == -1:
-                    match[v] = w
-                    match[w] = v
-                    break
-            else:
-                exposed += 1
-    for root in bits(within):
-        if exposed < 2:
+        for v in bits(within):
+            if match[v] != -1:
+                exposed ^= 1 << v
+    for v in bits(exposed):
+        if exposed >> v & 1:
+            free = g.row(v) & exposed
+            if free:
+                w = (free & -free).bit_length() - 1
+                match[v] = w
+                match[w] = v
+                exposed &= ~(1 << v) & ~(1 << w)
+    for root in bits(exposed):
+        if exposed & (exposed - 1) == 0:
             break
-        if match[root] != -1:
+        if not exposed >> root & 1:
             continue
         end, parent, _ = _find_augmenting(g, match, root, within)
         if end != -1:
-            exposed -= 2
+            exposed &= ~(1 << root) & ~(1 << end)
         while end != -1:
             prev = parent[end]
             nxt = match[prev]
             match[end] = prev
             match[prev] = end
             end = nxt
-    return match
+    return match, exposed
 
 
 def maximum_matching(g: Graph, within: int | None = None) -> Matching:
     """One maximum matching of g, or of the subgraph induced on the bitmask
     ``within`` (the size is canonical, the edges are not)."""
-    match = _maximum_match(g, g.full_mask if within is None else within)
+    match, _ = _maximum_match(g, g.full_mask if within is None else within)
     return Matching(tuple((v, match[v]) for v in range(g.n) if match[v] > v))
 
 
@@ -195,12 +221,11 @@ def _gallai_edmonds(
 ) -> tuple[int, int, list[int]]:
     """(mu, D, match) of g[within], with ``match`` the maximum matching
     found from the warm start ``start`` (see ``_maximum_match``)."""
-    match = _maximum_match(g, within, start)
+    match, exposed = _maximum_match(g, within, start)
     d = 0
-    for root in bits(within):
-        if match[root] == -1:
-            d |= _find_augmenting(g, match, root, within)[2]
-    return (g.n - match.count(-1)) // 2, d, match
+    for root in bits(exposed):
+        d |= _find_augmenting(g, match, root, within)[2]
+    return (within.bit_count() - exposed.bit_count()) // 2, d, match
 
 
 def is_factor_critical(g: Graph) -> bool:

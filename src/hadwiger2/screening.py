@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cliques import colour_classes, max_clique
+from .cliques import max_clique
 from .conjectures import connected_dominating_matching, dominating_edge
 from .graphs import (
     Graph,
@@ -31,7 +31,6 @@ BLOCKS = {
     "minimal-shc": PROPERTIES[:16],
 }
 
-_HAMILTONIAN_CAP = 30
 _COLOURING_CAP = 24
 
 
@@ -62,36 +61,6 @@ class ScreeningReport:
         )
 
 
-def is_hamiltonian(g: Graph) -> bool:
-    """Hamiltonian cycle test: Dirac shortcut, then backtracking."""
-    n = g.n
-    if n < 3 or not is_connected(g):
-        return False
-    if any(g.degree(v) < 2 for v in range(n)):
-        return False
-    if all(2 * g.degree(v) >= n for v in range(n)):
-        return True  # Dirac's theorem
-    start = 0
-    target = g.row(start)
-
-    def extend(v: int, visited: int) -> bool:
-        if visited == g.full_mask:
-            return bool(g.row(v) >> start & 1)
-        cand = g.row(v) & ~visited
-        # A non-final vertex stripped of all unvisited neighbours is a dead end.
-        for w in bits(~visited & g.full_mask):
-            avail = g.row(w) & ~visited
-            ends = avail | (g.row(w) & ((1 << v) | (1 << start)))
-            if not ends:
-                return False
-        for w in bits(cand):
-            if extend(w, visited | (1 << w)):
-                return True
-        return False
-
-    return extend(start, 1 << start)
-
-
 def _nonadjacent_pairs(g: Graph):
     for x in range(g.n):
         rx = g.row(x)
@@ -105,8 +74,10 @@ def table1_screen(g: Graph) -> ScreeningReport:
 
     Requires a connected host with independence number exactly 2.  P4 is
     the literal pair-deletion criticality (chromatic drop by one and the
-    remainder vertex-critical); P10 and P22 are capped by instance size
-    and report not-evaluated beyond the cap.
+    remainder vertex-critical); P10 is read off the vertex connectivity.
+    Only P22 is capped by instance size: above ``_COLOURING_CAP``
+    vertices it reports not-evaluated.  P6 can stop undecided when its
+    search budget runs out.
     """
     if not is_connected(g):
         raise ValueError("screening requires a connected host")
@@ -166,14 +137,20 @@ def table1_screen(g: Graph) -> ScreeningReport:
     put("P8", kappa >= chi, kappa_detail + f", chi={chi}")
     put("P9", delta >= chi, f"delta={delta}, chi={chi}")
 
-    if n <= _HAMILTONIAN_CAP or 2 * delta >= n:
-        put("P10", is_hamiltonian(g))
-    else:
-        verdicts["P10"] = Verdict("not-evaluated", f"n>{_HAMILTONIAN_CAP}")
+    # Hamiltonicity: kappa >= alpha = 2 gives a Hamiltonian cycle
+    # (Chvatal-Erdos), and a Hamiltonian graph on n >= 3 vertices is
+    # 2-connected; a connected host with alpha = 2 has n >= 3.
+    put("P10", kappa >= 2)
 
     put("P11", is_factor_critical(g))
     put("P12", diameter(gc) == 2 if gc.edge_count else False)
 
+    # For each non-adjacent pair: A = N(x) - N[y], B = N(x) & N(y),
+    # C = N(y) - N[x].  P14 fails iff some b in B is adjacent to all of A
+    # or to all of C.  P15 asks, for every a in A and c in C, that a ~ c
+    # iff some b in B misses both; for fixed a that is C & N(a) equal to
+    # the part of C outside the common neighbourhood of B - N(a).  Each
+    # property stops being scanned once it has failed.
     p13 = p14 = p15 = p16 = True
     for x, y in _nonadjacent_pairs(g):
         rx, ry = g.row(x), g.row(y)
@@ -181,30 +158,37 @@ def table1_screen(g: Graph) -> ScreeningReport:
         a_mask = rx & ~ry & ~(1 << y)
         c_mask = ry & ~rx & ~(1 << x)
         if not b_mask:
-            p13 = False
-            p14 = p16 = False
-            continue
-        for b in bits(b_mask):
-            rb = g.row(b)
-            if not a_mask & ~rb or not c_mask & ~rb:
-                p14 = False
-        for a in bits(a_mask):
-            ra = g.row(a)
-            for c in bits(c_mask):
-                common_nonnbr = b_mask & ~ra & ~g.row(c)
-                if bool(ra >> c & 1) != bool(common_nonnbr):
-                    p15 = False
-        found_c5 = False
-        for b in bits(b_mask):
-            rb = g.row(b)
-            for a in bits(a_mask & ~rb):
-                if g.row(a) & (c_mask & ~rb):
-                    found_c5 = True
-                    break
-            if found_c5:
+            p13 = p14 = p16 = False
+            if not p15:
                 break
-        if not found_c5:
-            p16 = False
+            continue
+        if p14:
+            common_a = common_c = g.full_mask
+            for a in bits(a_mask):
+                common_a &= g.row(a)
+            for c in bits(c_mask):
+                common_c &= g.row(c)
+            if b_mask & (common_a | common_c):
+                p14 = False
+        if p15:
+            for a in bits(a_mask):
+                ra = g.row(a)
+                common = c_mask
+                for b in bits(b_mask & ~ra):
+                    common &= g.row(b)
+                if c_mask & ra != c_mask & ~common:
+                    p15 = False
+                    break
+        if p16:
+            for b in bits(b_mask):
+                rb = g.row(b)
+                c_off_b = c_mask & ~rb
+                if any(g.row(a) & c_off_b for a in bits(a_mask & ~rb)):
+                    break
+            else:
+                p16 = False
+        if not (p13 or p14 or p15 or p16):
+            break
     put("P13", p13)
     put("P14", p14)
     put("P15", p15)
@@ -227,12 +211,18 @@ def table1_screen(g: Graph) -> ScreeningReport:
     put("P21", p21, "A/B/C size windows")
 
     if n <= _COLOURING_CAP:
+        # A (chi - 1)-colouring of g - uv puts u and v in one class (else
+        # it colours g), and alpha = 2 leaves room there for at most one w,
+        # a common neighbour of u and v in gc.  The pair class needs
+        # mu(gc - u - v) = mu; a triple class needs mu(gc - u - v - w) =
+        # mu - 1, i.e. mu(gc - u - v) = mu - 1 and w in D(gc - u - v).
         p22 = True
         for u, v in g.edges():
-            rows = list(g.rows())
-            rows[u] &= ~(1 << v)
-            rows[v] &= ~(1 << u)
-            if colour_classes(rows, chi - 1) is None:
+            rest = g.full_mask & ~(1 << u) & ~(1 << v)
+            mu_rest, d_rest, _ = _gallai_edmonds(gc, rest, host)
+            if mu_rest != mu and not (
+                mu_rest == mu - 1 and d_rest & gc.row(u) & gc.row(v)
+            ):
                 p22 = False
                 break
         put("P22", p22, "edge-criticality (advisory for minimal profiles)")

@@ -128,6 +128,23 @@ def brute_connected_matching_number(g: Graph) -> int:
     return best
 
 
+def brute_is_hamiltonian(g: Graph) -> bool:
+    """A Hamiltonian cycle by extending every simple path from vertex 0."""
+    if g.n < 3:
+        return False
+
+    def rec(v: int, visited: int) -> bool:
+        if visited == g.full_mask:
+            return g.has_edge(v, 0)
+        return any(
+            rec(w, visited | (1 << w))
+            for w in range(g.n)
+            if not visited >> w & 1 and g.has_edge(v, w)
+        )
+
+    return rec(0, 1)
+
+
 def brute_odd_girth(g: Graph):
     """Shortest odd closed walk via boolean adjacency powers."""
     if g.n == 0:

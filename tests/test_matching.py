@@ -1,5 +1,9 @@
 """Blossom matching and the independence-2 chromatic shortcut."""
 
+import signal
+from contextlib import contextmanager
+
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 
@@ -7,6 +11,7 @@ from hadwiger2.graphs import Graph, bits, complement, induced_subgraph
 from hadwiger2.constructions import complete, cycle, petersen, wheel5
 from hadwiger2.matching import (
     Matching,
+    _gallai_edmonds,
     chromatic_number_alpha2,
     gallai_edmonds,
     is_factor_critical,
@@ -62,6 +67,94 @@ class TestGallaiEdmonds:
                     d |= 1 << v
             got = gallai_edmonds(g, within if trial % 2 else None)
             assert got == (mu, d), (g.edges(), within)
+
+
+def _nx_gallai_edmonds(g: Graph, within: int) -> tuple[int, int]:
+    """mu of g[within] and D = {v : mu(g[within] - v) = mu}, by networkx."""
+
+    def mu(keep: set) -> int:
+        h = nx.Graph()
+        h.add_nodes_from(keep)
+        h.add_edges_from((u, v) for u, v in g.edges() if u in keep and v in keep)
+        return len(nx.max_weight_matching(h, maxcardinality=True))
+
+    keep = set(bits(within))
+    m = mu(keep)
+    return m, sum(1 << v for v in keep if mu(keep - {v}) == m)
+
+
+def _random_matching(g: Graph, rng: SplitMix64) -> list[int]:
+    """Partner list of a greedy matching over the edges in shuffled order."""
+    edges = g.edges()
+    rng.shuffle(edges)
+    match = [-1] * g.n
+    for u, v in edges:
+        if match[u] == match[v] == -1:
+            match[u], match[v] = v, u
+    return match
+
+
+def _check_kernel(g: Graph, within: int, start: list[int]) -> None:
+    want = _nx_gallai_edmonds(g, within)
+    assert gallai_edmonds(g, within) == want, (g.edges(), within)
+    mu, d, match = _gallai_edmonds(g, within, start)
+    assert (mu, d) == want, (g.edges(), within, start)
+    pairs = [(v, w) for v, w in enumerate(match) if w > v]
+    assert len(pairs) == mu
+    for v, w in pairs:
+        assert match[w] == v and g.has_edge(v, w) and within >> v & 1 and within >> w & 1
+
+
+# Shrunk from a random counterexample.  From the exposed vertex 12 the
+# search contracts {2, 10, 11} (base 11) and {5, 6, 9} (base 9); then
+# {2, 4, 8, 10, 11} absorbs the first, and a blossom with base 12 absorbs
+# both.  A base map that moves only the absorbed bases, not their other
+# members, makes the search loop forever here.
+NESTED = Graph(
+    13,
+    [(0, 11), (0, 12), (1, 7), (1, 10), (2, 4), (2, 8), (2, 10), (2, 11), (3, 9),
+     (3, 12), (4, 8), (5, 6), (5, 7), (5, 9), (6, 8), (6, 9), (10, 11)],
+)
+
+
+@contextmanager
+def _deadline(seconds: float):
+    """Fail instead of hanging: a broken blossom base map can make the
+    search loop forever."""
+
+    def stop(*_):
+        raise AssertionError("blossom search did not terminate")
+
+    old = signal.signal(signal.SIGALRM, stop)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+
+
+class TestKernelAgainstNetworkx:
+    def test_random_hosts_masks_and_warm_starts(self):
+        rng = SplitMix64(20261020)
+        with _deadline(60):
+            for trial in range(60):
+                n = 2 + rng.randrange(39)
+                g = random_graph(n, 5 + rng.randrange(40), rng)
+                within = g.full_mask if trial % 3 == 0 else g.full_mask & rng.next_u64()
+                start = _random_matching(g, rng) if trial % 2 else [-1] * n
+                _check_kernel(g, within, start)
+
+    def test_nested_blossoms(self):
+        empty = [-1] * NESTED.n
+        rng = SplitMix64(13)
+        with _deadline(20):
+            _check_kernel(NESTED, NESTED.full_mask, empty)
+            assert gallai_edmonds(NESTED) == (6, NESTED.full_mask)
+            for v in range(NESTED.n):
+                within = NESTED.full_mask & ~(1 << v)
+                _check_kernel(NESTED, within, empty)
+                _check_kernel(NESTED, within, _random_matching(NESTED, rng))
 
 
 class TestChromaticShortcut:

@@ -1,16 +1,17 @@
 """Counterexample-profile screening."""
 
-from itertools import combinations
+from itertools import combinations, permutations
 
 import networkx as nx
 import pytest
 
 from hadwiger2.cliques import colour_classes
 from hadwiger2.conjectures import connected_dominating_matching
-from hadwiger2.constructions import cayley_abelian, complete, cycle, wheel5
+from hadwiger2.constructions import andrasfai, cayley_abelian, clebsch, complete, cycle, wheel5
 from hadwiger2.generation import connected_alpha2_graphs
 from hadwiger2.graphs import (
     Graph,
+    bits,
     complement,
     independence_number_is_2,
     induced_subgraph,
@@ -18,14 +19,14 @@ from hadwiger2.graphs import (
     is_triangle_free,
 )
 from hadwiger2.rng import SplitMix64
-from hadwiger2.screening import (
-    BLOCKS,
-    PROPERTIES,
-    is_hamiltonian,
-    table1_screen,
-)
+from hadwiger2.screening import BLOCKS, PROPERTIES, table1_screen
 
-from conftest import all_matchings, brute_chromatic_number, brute_matching_number
+from conftest import (
+    all_matchings,
+    brute_chromatic_number,
+    brute_is_hamiltonian,
+    brute_matching_number,
+)
 
 
 class TestHelpers:
@@ -39,13 +40,13 @@ class TestHelpers:
         from hadwiger2.constructions import petersen
         from hadwiger2.graphs import induced_subgraph
 
-        assert is_hamiltonian(cycle(6))
-        assert is_hamiltonian(complete(4))
-        assert not is_hamiltonian(Graph(4, [(0, 1), (1, 2), (2, 3)]))
+        assert brute_is_hamiltonian(cycle(6))
+        assert brute_is_hamiltonian(complete(4))
+        assert not brute_is_hamiltonian(Graph(4, [(0, 1), (1, 2), (2, 3)]))
         # Petersen is the classic hypohamiltonian graph: not Hamiltonian
         # itself, every single-vertex deletion is.
-        assert not is_hamiltonian(petersen())
-        assert is_hamiltonian(induced_subgraph(petersen(), range(9)))
+        assert not brute_is_hamiltonian(petersen())
+        assert brute_is_hamiltonian(induced_subgraph(petersen(), range(9)))
 
 
 class TestScreen:
@@ -209,6 +210,20 @@ def _brute_p4(g: Graph) -> bool:
     return True
 
 
+def _circulant_complements() -> list[Graph]:
+    """Connected complements of the triangle-free circulants of order 11,
+    13 and 15 with connection set {1} plus at most two more offsets."""
+    hosts = []
+    for n in (11, 13, 15):
+        for k in (0, 1, 2):
+            for rest in combinations(range(2, n // 2 + 1), k):
+                conn = (1, *rest)
+                gc = cayley_abelian((n,), [(c,) for c in conn] + [(n - c,) for c in conn])
+                if is_triangle_free(gc) and is_connected(complement(gc)):
+                    hosts.append(complement(gc))
+    return hosts
+
+
 class TestWarmStartedP4:
     def test_p4_matches_networkx_on_10_to_16_vertices(self):
         # Seeded random hosts mostly fail P4; complements of triangle-free
@@ -219,16 +234,151 @@ class TestWarmStartedP4:
             gc = _random_triangle_free(10 + rng.randrange(7), 50 + rng.randrange(51), rng)
             if gc.edge_count and is_connected(complement(gc)):
                 hosts.append(complement(gc))
-        for n in (11, 13, 15):
-            for k in (0, 1, 2):
-                for rest in combinations(range(2, n // 2 + 1), k):
-                    conn = (1, *rest)
-                    gc = cayley_abelian((n,), [(c,) for c in conn] + [(n - c,) for c in conn])
-                    if is_triangle_free(gc) and is_connected(complement(gc)):
-                        hosts.append(complement(gc))
+        hosts += _circulant_complements()
         verdicts = []
         for g in hosts:
             got = table1_screen(g).verdicts["P4"].status == "pass"
             assert got == _brute_p4(g), g.edges()
             verdicts.append(got)
         assert 0 < sum(verdicts) < len(verdicts)
+
+
+@pytest.fixture(scope="module")
+def alpha2_upto_8(tf_levels_8):
+    """Every connected graph with independence number exactly 2 on <= 8
+    vertices, with its screen."""
+    return [
+        (g, table1_screen(g))
+        for n in range(3, 9)
+        for g in connected_alpha2_graphs(n, tf_levels_8)
+        if independence_number_is_2(g)
+    ]
+
+
+def _random_alpha2_hosts(count: int, seed: int) -> list[Graph]:
+    """Connected complements of seeded random triangle-free graphs with at
+    least one edge, on 10 to 24 vertices."""
+    rng = SplitMix64(seed)
+    hosts = []
+    while len(hosts) < count:
+        gc = _random_triangle_free(10 + rng.randrange(15), 30 + rng.randrange(71), rng)
+        if gc.edge_count and is_connected(complement(gc)):
+            hosts.append(complement(gc))
+    return hosts
+
+
+def _colouring_p22(g: Graph, chi: int) -> bool:
+    """Every edge deletion is (chi - 1)-colourable, by the DSATUR kernel."""
+    for u, v in g.edges():
+        rows = list(g.rows())
+        rows[u] &= ~(1 << v)
+        rows[v] &= ~(1 << u)
+        if colour_classes(rows, chi - 1) is None:
+            return False
+    return True
+
+
+class TestExactP10AndP22:
+    def test_p10_is_hamiltonicity(self, alpha2_upto_8):
+        assert len(alpha2_upto_8) > 400
+        verdicts = []
+        for g, rep in alpha2_upto_8:
+            got = rep.verdicts["P10"]
+            assert got.status == ("pass" if brute_is_hamiltonian(g) else "fail"), g.edges()
+            assert got.detail == ""
+            verdicts.append(got.status == "pass")
+        assert 0 < sum(verdicts) < len(verdicts)
+
+    def test_p22_matches_colouring_up_to_8(self, alpha2_upto_8):
+        verdicts = []
+        for g, rep in alpha2_upto_8:
+            chi = g.n - _nx_matching_number(complement(g), set(range(g.n)))
+            want = _colouring_p22(g, chi)
+            assert (rep.verdicts["P22"].status == "pass") == want, g.edges()
+            verdicts.append(want)
+        assert 0 < sum(verdicts) < len(verdicts)
+
+    def test_p22_matches_colouring_on_10_to_24_vertices(self):
+        # Random hosts almost always fail P22; the complements of
+        # Andrasfai(4) and Andrasfai(6) pass it.
+        hosts = _random_alpha2_hosts(40, 20261019)
+        hosts += [complement(andrasfai(k)) for k in (4, 5, 6, 7)]
+        verdicts = []
+        for g in hosts:
+            chi = g.n - _nx_matching_number(complement(g), set(range(g.n)))
+            want = _colouring_p22(g, chi)
+            assert (table1_screen(g).verdicts["P22"].status == "pass") == want, g.edges()
+            verdicts.append(want)
+        assert 0 < sum(verdicts) < len(verdicts)
+
+
+def _pair_parts(g: Graph, x: int, y: int) -> tuple[set, set, set]:
+    """A = N(x) - N[y], B = N(x) & N(y), C = N(y) - N[x], as sets."""
+    nx_, ny = set(bits(g.row(x))), set(bits(g.row(y)))
+    return nx_ - ny - {y}, nx_ & ny, ny - nx_ - {x}
+
+
+def _in_induced_c5(g: Graph, x: int, y: int) -> bool:
+    """Some induced 5-cycle x-a-c-y-b-x through the non-adjacent x, y."""
+    others = [v for v in range(g.n) if v not in (x, y)]
+    e = g.has_edge
+    return any(
+        e(x, a) and e(a, c) and e(c, y) and e(y, b) and e(b, x)
+        and not (e(x, c) or e(a, y) or e(a, b) or e(c, b))
+        for a, c, b in permutations(others, 3)
+    )
+
+
+def _brute_pair_properties(g: Graph, chi: int) -> dict[str, bool]:
+    """P13-P16 and P21 from their definitions over the non-adjacent pairs.
+
+    P14 asks that no b in B is adjacent to all of A or to all of C; P15
+    that a ~ c iff some b in B misses both, for a in A and c in C (pairs
+    with empty B already fail P13 and are not scored by P15).
+    """
+    e = g.has_edge
+    pairs = [(x, y) for x in range(g.n) for y in range(x + 1, g.n) if not e(x, y)]
+    parts = {p: _pair_parts(g, *p) for p in pairs}
+    return {
+        "P13": all(b_set for _, b_set, _ in parts.values()),
+        "P14": all(
+            b_set
+            and not any(all(e(b, a) for a in a_set) for b in b_set)
+            and not any(all(e(b, c) for c in c_set) for b in b_set)
+            for a_set, b_set, c_set in parts.values()
+        ),
+        "P15": all(
+            e(a, c) == any(not e(b, a) and not e(b, c) for b in b_set)
+            for a_set, b_set, c_set in parts.values()
+            if b_set
+            for a in a_set
+            for c in c_set
+        ),
+        "P16": all(_in_induced_c5(g, x, y) for x, y in pairs),
+        "P21": all(
+            2 <= len(a_set) <= chi - 4
+            and 2 <= len(c_set) <= chi - 4
+            and 5 <= len(b_set) <= 2 * chi - 7
+            for a_set, b_set, c_set in parts.values()
+        ),
+    }
+
+
+class TestPairPropertiesAgainstDefinitions:
+    def test_p13_to_p16_and_p21(self, alpha2_upto_7):
+        # In this labelling no pair x < y has a b in B adjacent to all of
+        # A, but one has a b adjacent to all of C: P14 fails through C only.
+        c_side = complement(
+            Graph(7, [(0, 2), (0, 5), (1, 5), (1, 6), (2, 4), (2, 6), (3, 4), (3, 6), (4, 5)])
+        )
+        hosts = alpha2_upto_7 + _circulant_complements() + [complement(clebsch()), c_side]
+        seen = {p: set() for p in ("P13", "P14", "P15", "P16", "P21")}
+        for g in hosts:
+            chi = g.n - _nx_matching_number(complement(g), set(range(g.n)))
+            want = _brute_pair_properties(g, chi)
+            rep = table1_screen(g)
+            got = {p: rep.verdicts[p].status == "pass" for p in want}
+            assert got == want, g.edges()
+            for p, ok in got.items():
+                seen[p].add(ok)
+        assert seen["P14"] == seen["P15"] == {True, False}
