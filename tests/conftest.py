@@ -8,7 +8,7 @@ that shares none of their logic.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
@@ -143,6 +143,44 @@ def brute_is_hamiltonian(g: Graph) -> bool:
         )
 
     return rec(0, 1)
+
+
+def brute_orbits(g: Graph) -> tuple[int, ...]:
+    """The least vertex of each vertex's automorphism orbit.
+
+    Up to 7 vertices every permutation is tried.  Above that, networkx's
+    VF2 matcher is asked, for each vertex v and each earlier orbit root u
+    of the same degree, for one automorphism mapping v to u (enumerating
+    the whole group is too slow: the empty graph on 8 vertices has 40,320
+    automorphisms).
+    """
+    import networkx as nx
+    from networkx.algorithms.isomorphism import GraphMatcher
+
+    n = g.n
+    orbit = list(range(n))
+    if n <= 7:
+        nbrs = [list(bits(g.row(v))) for v in range(n)]
+        for p in permutations(range(n)):
+            if all(sum(1 << p[w] for w in nbrs[v]) == g.row(p[v]) for v in range(n)):
+                for v in range(n):
+                    orbit[v] = min(orbit[v], p[v])
+        return tuple(orbit)
+
+    def marked(v: int) -> nx.Graph:
+        h = nx.Graph()
+        h.add_nodes_from((u, {"marked": u == v}) for u in range(n))
+        h.add_edges_from(g.edges())
+        return h
+
+    for v in range(n):
+        for u in range(v):
+            if orbit[u] == u and g.degree(u) == g.degree(v):
+                matcher = GraphMatcher(marked(v), marked(u), node_match=lambda a, b: a == b)
+                if next(matcher.isomorphisms_iter(), None) is not None:
+                    orbit[v] = u
+                    break
+    return tuple(orbit)
 
 
 def brute_odd_girth(g: Graph):

@@ -1,10 +1,21 @@
 """Exact maximum clique and clique enumeration."""
 
+from math import isqrt
+
 from hypothesis import given, settings
 
+from hadwiger2 import cliques
 from hadwiger2.cliques import all_cliques, clique_number, is_clique, max_clique, maximal_cliques
 from hadwiger2.graphs import bits, complement
-from hadwiger2.constructions import clebsch, complete, cycle, petersen
+from hadwiger2.constructions import (
+    clebsch,
+    complete,
+    cycle,
+    hoffman_singleton,
+    petersen,
+    srg_parameters,
+)
+from hadwiger2.steiner import gewirtz
 
 from conftest import brute_clique_number, brute_clique_number_simple
 from test_graphs import graphs_strategy
@@ -34,10 +45,41 @@ def test_matches_brute_force(g):
 
 
 def test_spectral_certificate_agrees_with_search():
-    # The ratio-bound shortcut only fires above 40 vertices; check one
-    # instance both ways by comparing to the order-based oracle.
+    # 16 vertices: below the ratio-bound path (above 40 vertices), so this
+    # checks the branch and bound against the order-based oracle.
     g = complement(clebsch())
     assert clique_number(g) == brute_clique_number_simple(g) == 5
+
+
+def test_ratio_bound_path_meets_integer_hoffman_bound(steiner_system, monkeypatch):
+    # On the Hoffman-Singleton and Gewirtz complements the greedy incumbent
+    # meets the floating-point ratio bound, so max_clique returns without
+    # search.  For srg(n, k, lam, mu) the least eigenvalue is the integer
+    # s = (lam - mu - sqrt((lam - mu)^2 + 4(k - mu))) / 2, and the Hoffman
+    # bound n(-s)/(k - s) is exact here.
+    bounds = []
+
+    def spy(g):
+        bounds.append(real(g))
+        return bounds[-1]
+
+    real = cliques._ratio_upper_bound
+    monkeypatch.setattr(cliques, "_ratio_upper_bound", spy)
+    for host, omega in ((hoffman_singleton(), 15), (gewirtz(steiner_system), 16)):
+        p = srg_parameters(host)
+        root = isqrt((p.lam - p.mu) ** 2 + 4 * (p.k - p.mu))
+        assert root * root == (p.lam - p.mu) ** 2 + 4 * (p.k - p.mu)
+        assert (p.lam - p.mu - root) % 2 == 0
+        s = (p.lam - p.mu - root) // 2
+        assert p.n * -s % (p.k - s) == 0
+        assert p.n * -s // (p.k - s) == omega
+
+        g = complement(host)
+        bounds.clear()
+        clique = max_clique(g)
+        assert bounds == [omega]
+        assert len(clique) == clique_number(g) == omega
+        assert is_clique(g, clique)
 
 
 def test_maximal_cliques_of_c5():

@@ -8,7 +8,9 @@ from itertools import combinations
 import networkx as nx
 
 from hadwiger2.generation import (
+    _least_key_children,
     _next_level,
+    _siblings,
     connected_alpha2_graphs,
     independent_set_masks,
     triangle_free_graphs,
@@ -132,3 +134,17 @@ def test_next_level_ignores_parent_labels(tf_levels_8):
         rng.shuffle(perm)
         relabelled.append(Graph(7, [(perm[u], perm[v]) for u, v in g.edges()]))
     assert _classes(_next_level(relabelled)) == _classes(tf_levels_8[8])
+
+
+def test_siblings_are_one_per_child_class(tf_levels_8):
+    # Siblings in one Aut(parent) orbit give isomorphic children, so the
+    # kept representatives are at least as many as the classes; at these
+    # orders no two representatives give isomorphic children either.
+    # Classes are counted with a per-parent canonical-form dict.
+    for n in range(1, 8):
+        for parent in tf_levels_8[n]:
+            children = _least_key_children(parent)
+            classes = {canonical_form(Graph.from_rows(rows)) for _, rows, _ in children}
+            kept = _siblings(parent)
+            assert {mask for mask, _, _ in kept} <= {mask for mask, _, _ in children}
+            assert len(kept) == len(classes), parent.edges()

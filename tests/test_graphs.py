@@ -30,11 +30,12 @@ from hadwiger2.constructions import (
     petersen,
 )
 from hadwiger2.matching import chromatic_number_alpha2
-from hadwiger2.iso import canonical_form, is_isomorphic, has_induced_subgraph
+from hadwiger2.iso import canonical_form, is_isomorphic, has_induced_subgraph, search
 from hadwiger2.rng import SplitMix64
 from hadwiger2.steiner import gewirtz
 
 from conftest import (
+    brute_orbits,
     brute_diameter,
     brute_girth,
     brute_independence_number,
@@ -379,3 +380,32 @@ class TestCanonicalForm:
             same += iso
             differ += not iso
         assert same > 50 and differ > 50
+
+
+class TestSearch:
+    def _check(self, g):
+        found = search(g.rows())
+        assert found.orbits == brute_orbits(g), g.edges()
+        relabelled = [0] * g.n
+        for v in range(g.n):
+            relabelled[found.labelling[v]] = sum(1 << found.labelling[w] for w in g.neighbors(v))
+        assert tuple(relabelled) == found.key
+        for perm in found.generators:
+            assert sorted(perm) == list(range(g.n))
+            assert all(
+                sum(1 << perm[w] for w in g.neighbors(v)) == g.row(perm[v]) for v in range(g.n)
+            )
+
+    def test_orbits_match_brute_force_on_triangle_free_graphs(self, tf_levels_8):
+        assert [len(tf_levels_8[n]) for n in range(1, 9)] == [1, 2, 3, 7, 14, 38, 107, 410]
+        for level in tf_levels_8.values():
+            for g in level:
+                self._check(g)
+
+    def test_orbits_of_vertex_transitive_graphs(self):
+        # Graph(6) and K_{3,3} are all twins: only the twin transpositions
+        # join their orbits.
+        k33 = Graph(6, [(u, v) for u in range(3) for v in range(3, 6)])
+        for g in (Graph(6), k33, petersen(), clebsch()):
+            self._check(g)
+            assert set(search(g.rows()).orbits) == {0}
