@@ -7,7 +7,10 @@ regular hosts a Hoffman ratio bound on the complement (least adjacency
 eigenvalue) is tried first; when the multi-start greedy incumbent meets
 it, optimality is certified without any search, which settles the large
 vertex-transitive instances (Kneser-type graphs, block-graph
-complements) where the colouring bound is far from tight.
+complements) where the colouring bound is far from tight.  When the
+complement is strongly regular the bound is exact integer arithmetic;
+only other regular complements fall back to a floating-point
+eigenvalue, with a 1e-6 slack.
 
 ``colour_classes`` is the one exact k-colouring kernel (DSATUR); the
 four-clique covers colour the complement with it.
@@ -17,9 +20,8 @@ from __future__ import annotations
 
 from typing import Iterator
 
-import numpy as np
-
-from .graphs import Graph, bits
+from .constructions import srg_parameters
+from .graphs import Graph, bits, complement
 
 
 def is_clique(g: Graph, vertices) -> bool:
@@ -71,25 +73,39 @@ def _ratio_upper_bound(g: Graph) -> int | None:
     """Hoffman bound on omega(g) via the complement: for a d-regular
     complement with least eigenvalue s, alpha(complement) <= n(-s)/(d-s).
 
-    eigvalsh errors are ~1e-12 at these sizes; the 1e-6 slack can only
-    round the floor up, never below the true bound, so the result is a
-    sound upper bound.
+    When the complement is srg(n, d, lam, mu), s = (b - sqrt(D))/2 with
+    b = lam - mu and D = b^2 + 4(d - mu) (Brouwer & Haemers, "Spectra of
+    Graphs", ch. 9), and the floor is exact: it is the largest q < n with
+    (n - q) sqrt(D) >= b(n - q) + 2qd, which is true when the right side
+    is at most 0 and is otherwise decided by squaring both sides.  Other
+    regular complements take s from eigvalsh, whose errors are ~1e-12 at
+    these sizes; the 1e-6 slack can only round the floor up, never below
+    the true bound, so the result is still a sound upper bound.
     """
     if not g.is_regular() or g.n < 3:
         return None
-    d = g.n - 1 - g.degree(0)  # complement degree
+    n = g.n
+    d = n - 1 - g.degree(0)  # complement degree
     if d <= 0:
         return None
-    a = np.zeros((g.n, g.n))
-    for u in range(g.n):
-        row = g.row(u)
-        for v in range(g.n):
-            if v != u and not row >> v & 1:
-                a[u, v] = 1.0
+    gc = complement(g)
+    p = srg_parameters(gc)
+    if p is not None:
+        b = p.lam - p.mu
+        disc = b * b + 4 * (d - p.mu)
+
+        def within(q: int) -> bool:
+            rhs = b * (n - q) + 2 * q * d
+            return rhs <= 0 or (n - q) ** 2 * disc >= rhs * rhs
+
+        return next(q for q in range(n - 1, -1, -1) if within(q))  # within(0) holds
+    import numpy as np
+
+    a = np.array([[row >> v & 1 for v in range(n)] for row in gc.rows()], dtype=float)
     s = float(np.linalg.eigvalsh(a)[0])
     if s >= 0:
         return None
-    return int((g.n * (-s)) / (d - s) + 1e-6)
+    return int((n * (-s)) / (d - s) + 1e-6)
 
 
 def max_clique(g: Graph) -> tuple[int, ...]:

@@ -145,41 +145,53 @@ def _subset_masks(n: int, k: int) -> list[int]:
     return out
 
 
+def _intersection_graph(n: int, k: int, sizes: int) -> Graph:
+    """k-subsets of range(n) in colexicographic order, distinct ones
+    adjacent iff the size of their intersection is a bit of ``sizes``.
+
+    Row i is read off bitmasks over the subsets: ``exact[c]`` holds those
+    that meet c of the elements of subset i seen so far, and each element
+    x moves the subsets containing x up by one.  Adjacency depends only on
+    |A & B|, which is symmetric, and bit i is cleared from row i, so the
+    rows skip the checks of ``Graph.from_rows``.
+    """
+    masks = _subset_masks(n, k)
+    containing = [0] * n
+    for j, m in enumerate(masks):
+        for x in bits(m):
+            containing[x] |= 1 << j
+    full = (1 << len(masks)) - 1
+    rows = []
+    for i, m in enumerate(masks):
+        exact = [full]
+        for x in bits(m):
+            s = containing[x]
+            exact = [e & ~s | f & s for e, f in zip(exact + [0], [0] + exact)]
+        rows.append(sum(e for c, e in enumerate(exact) if sizes >> c & 1) & ~(1 << i))
+    return Graph._trusted(rows)
+
+
 def kneser(n: int, k: int) -> Graph:
     """Kneser graph: k-subsets adjacent iff disjoint."""
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
-    masks = _subset_masks(n, k)
-    edges = [
-        (i, j)
-        for i in range(len(masks))
-        for j in range(i + 1, len(masks))
-        if masks[i] & masks[j] == 0
-    ]
-    return Graph(len(masks), edges)
+    return _intersection_graph(n, k, 1)
 
 
 def generalized_kneser_geq(n: int, k: int, t: int) -> Graph:
     """k-subsets adjacent iff they intersect in at least t elements."""
     if not (1 <= k <= n and t >= 1):
         raise ValueError("need 1 <= k <= n and t >= 1")
-    masks = _subset_masks(n, k)
-    edges = [
-        (i, j)
-        for i in range(len(masks))
-        for j in range(i + 1, len(masks))
-        if (masks[i] & masks[j]).bit_count() >= t
-    ]
-    return Graph(len(masks), edges)
+    return _intersection_graph(n, k, -1 << t)  # sizes t, t + 1, ...
 
 
 def generalized_kneser_leq(n: int, k: int, t: int) -> Graph:
     """k-subsets adjacent iff they intersect in at most t elements (t >= 0)."""
     if t < 0:
         raise ValueError("need t >= 0")
-    if t == 0:
-        return kneser(n, k)
-    return complement(generalized_kneser_geq(n, k, t + 1))
+    if not 1 <= k <= n:
+        raise ValueError("need 1 <= k <= n")
+    return _intersection_graph(n, k, (2 << t) - 1)
 
 
 def andrasfai(d: int) -> Graph:

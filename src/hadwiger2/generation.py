@@ -125,7 +125,7 @@ def _extend(parent: Graph) -> Iterator[Graph]:
             first = min(bits(ties), key=found.labelling.__getitem__)
             if found.orbits[first] != found.orbits[k]:
                 continue
-        yield Graph.from_rows(rows)
+        yield Graph._trusted(rows)
 
 
 def _next_level(parents: list[Graph]) -> list[Graph]:

@@ -52,10 +52,7 @@ class Graph:
     @classmethod
     def from_rows(cls, rows: Sequence[int]) -> "Graph":
         """Build from adjacency bitsets (must already be symmetric, loop-free)."""
-        g = object.__new__(cls)
-        g.n = len(rows)
-        g._rows = tuple(rows)
-        g._hash = hash((g.n, g._rows))
+        g = cls._trusted(rows)
         full = (1 << g.n) - 1
         for i, row in enumerate(g._rows):
             if row & ~full or row >> i & 1:
@@ -64,6 +61,16 @@ class Graph:
             for j in bits(row):
                 if not g._rows[j] >> i & 1:
                     raise ValueError("adjacency not symmetric")
+        return g
+
+    @classmethod
+    def _trusted(cls, rows: Sequence[int]) -> "Graph":
+        """Build from rows that are symmetric and loop-free by construction,
+        without the checks of ``from_rows``."""
+        g = object.__new__(cls)
+        g.n = len(rows)
+        g._rows = tuple(rows)
+        g._hash = hash((g.n, g._rows))
         return g
 
     def row(self, v: int) -> int:
@@ -121,9 +128,7 @@ class Graph:
 def complement(g: Graph) -> Graph:
     """Complement graph: uv is an edge iff u != v and uv is not an edge of g."""
     full = g.full_mask
-    return Graph.from_rows(
-        tuple((full & ~r & ~(1 << i)) for i, r in enumerate(g.rows()))
-    )
+    return Graph._trusted([full & ~r & ~(1 << i) for i, r in enumerate(g.rows())])
 
 
 def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:

@@ -1,11 +1,15 @@
 """Command line front end: commands, formats, exit codes."""
 
 import io
+import os
+import pathlib
+import subprocess
+import sys
 
 from hadwiger2.cli import main
 from hadwiger2.certificates import parse_certificate
 from hadwiger2.graph6 import read_graph6, write_graph6
-from hadwiger2.constructions import clebsch, cycle, petersen
+from hadwiger2.constructions import clebsch, cycle, hoffman_singleton, petersen
 from hadwiger2.graphs import Graph, complement
 from hadwiger2.iso import is_isomorphic
 from hadwiger2.conjectures import parse_model, is_cdm
@@ -233,6 +237,42 @@ class TestScreen:
         feed(monkeypatch, write_graph6(cycle(6)))
         code, _, err = run(capsys, "screen")
         assert code == 2
+
+
+def test_srg_workflows_do_not_import_numpy(steiner_system, tmp_path):
+    # The clique bound on strongly regular complements is integer
+    # arithmetic.  A fresh interpreter is needed: conftest imports numpy.
+    from hadwiger2.steiner import gewirtz, mesner
+
+    hosts = {
+        "hoffman_singleton": hoffman_singleton(),
+        "gewirtz": gewirtz(steiner_system),
+        "mesner": mesner(steiner_system),
+    }
+    argvs = []
+    for name, host in hosts.items():
+        path = tmp_path / f"{name}.g6"
+        path.write_text(write_graph6(complement(host)) + "\n")
+        argvs.append(["screen", "--in", str(path)])
+    argvs.append(["certify", "--kind", "cover4", "--in", str(tmp_path / "hoffman_singleton.g6")])
+    script = (
+        "import contextlib, io, sys\n"
+        "from hadwiger2 import cli\n"
+        f"argvs = {argvs!r}\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [cli.main(argv) for argv in argvs]\n"
+        "print(codes, 'numpy' in sys.modules)\n"
+    )
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[0, 0, 0, 0] False\n"
 
 
 class TestWorkersAndComplement:

@@ -1,21 +1,25 @@
 """Exact maximum clique and clique enumeration."""
 
-from math import isqrt
+from math import comb, isqrt
 
+import numpy as np
 from hypothesis import given, settings
 
 from hadwiger2 import cliques
 from hadwiger2.cliques import all_cliques, clique_number, is_clique, max_clique, maximal_cliques
-from hadwiger2.graphs import bits, complement
+from hadwiger2.graphs import Graph, bits, complement
 from hadwiger2.constructions import (
+    cayley_abelian,
     clebsch,
     complete,
     cycle,
+    generalized_kneser_geq,
     hoffman_singleton,
+    kneser,
     petersen,
     srg_parameters,
 )
-from hadwiger2.steiner import gewirtz
+from hadwiger2.steiner import gewirtz, higman_sims, mesner
 
 from conftest import brute_clique_number, brute_clique_number_simple
 from test_graphs import graphs_strategy
@@ -51,9 +55,60 @@ def test_spectral_certificate_agrees_with_search():
     assert clique_number(g) == brute_clique_number_simple(g) == 5
 
 
+def _eigvalsh_bound(g):
+    # floor(n(-s)/(d - s)) for the least eigenvalue s of g's complement,
+    # with the slack the floating-point fallback uses.
+    h = complement(g)
+    a = np.array([[row >> v & 1 for v in range(h.n)] for row in h.rows()], dtype=float)
+    s = float(np.linalg.eigvalsh(a)[0])
+    return int(g.n * -s / (h.degree(0) - s) + 1e-6)
+
+
+def _paley(p):
+    return cayley_abelian((p,), {(x * x % p,) for x in range(1, p)})
+
+
+def test_exact_ratio_bound_matches_eigvalsh_on_srg_complements(steiner_system):
+    hosts = [petersen(), clebsch(), hoffman_singleton(), gewirtz(steiner_system),
+             mesner(steiner_system), higman_sims(steiner_system)]
+    hosts += [generalized_kneser_geq(m, 2, 1) for m in range(4, 10)]  # T(m)
+    hosts += [_paley(p) for p in (13, 17, 29)]  # s = (-1 - sqrt(p)) / 2
+    # Four disjoint K_5: imprimitive, mu = 0 and s = -1.
+    hosts.append(Graph(20, [(u, v) for u in range(20) for v in range(u) if u // 5 == v // 5]))
+    bounds = []
+    for host in hosts:
+        assert srg_parameters(host) is not None
+        g = complement(host)
+        bounds.append(cliques._ratio_upper_bound(g))
+        assert bounds[-1] == _eigvalsh_bound(g), srg_parameters(host)
+    assert bounds[:6] == [4, 6, 15, 16, 21, 26]
+    assert bounds[-1] == 4
+
+
+def test_ratio_bound_falls_back_to_eigvalsh_off_srg(monkeypatch):
+    # Kneser(8, 3) is regular but not strongly regular, so the bound on its
+    # 56-vertex complement comes from eigvalsh.  omega of the complement is
+    # alpha(K(8, 3)) = C(7, 2) = 21 (Erdos-Ko-Rado), which the bound meets.
+    host = kneser(8, 3)
+    assert host.is_regular() and srg_parameters(host) is None
+    calls = []
+    real = np.linalg.eigvalsh
+
+    def spy(a):
+        calls.append(a.shape)
+        return real(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    g = complement(host)
+    clique = max_clique(g)
+    assert calls == [(56, 56)]
+    assert len(clique) == comb(7, 2) == _eigvalsh_bound(g)
+    assert is_clique(g, clique)
+
+
 def test_ratio_bound_path_meets_integer_hoffman_bound(steiner_system, monkeypatch):
     # On the Hoffman-Singleton and Gewirtz complements the greedy incumbent
-    # meets the floating-point ratio bound, so max_clique returns without
+    # meets the exact integer ratio bound, so max_clique returns without
     # search.  For srg(n, k, lam, mu) the least eigenvalue is the integer
     # s = (lam - mu - sqrt((lam - mu)^2 + 4(k - mu))) / 2, and the Hoffman
     # bound n(-s)/(k - s) is exact here.

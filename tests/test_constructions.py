@@ -1,6 +1,7 @@
 """Named graph families: parameters, self-checks, Cayley and process graphs."""
 
 import math
+from itertools import combinations
 
 import pytest
 
@@ -92,6 +93,31 @@ class TestKneserFamilies:
             generalized_kneser_geq(6, 3, 2)
         )
         assert generalized_kneser_leq(5, 2, 0) == kneser(5, 2)
+
+    def test_row_build_matches_edge_lists(self):
+        # Every (n, k, t) of acceptance check C8 with n <= 9, against
+        # graphs built from explicit edge lists over the colex labels.
+        def by_edges(n, k, adjacent):
+            labels = [set(c) for c in kneser_labels(n, k)]
+            return Graph(len(labels), [
+                (i, j)
+                for i, j in combinations(range(len(labels)), 2)
+                if adjacent(len(labels[i] & labels[j]))
+            ])
+
+        cases = 0
+        for k in range(1, 10):
+            for n in range(k, 10):
+                if math.comb(n, k) > 500:
+                    continue
+                assert kneser(n, k) == by_edges(n, k, lambda c: c == 0)
+                for t in range(k):
+                    assert generalized_kneser_leq(n, k, t) == by_edges(n, k, lambda c: c <= t)
+                    assert generalized_kneser_geq(n, k, t + 1) == by_edges(
+                        n, k, lambda c: c >= t + 1
+                    )
+                    cases += 1
+        assert cases == 165
 
     def test_odd_girth_formula_samples(self):
         for n, k, t in [(7, 3, 0), (9, 4, 0), (8, 3, 1), (11, 4, 1)]:

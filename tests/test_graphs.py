@@ -409,3 +409,9 @@ class TestSearch:
         for g in (Graph(6), k33, petersen(), clebsch()):
             self._check(g)
             assert set(search(g.rows()).orbits) == {0}
+
+    def test_found_automorphisms_prune_the_tree(self):
+        # |Aut| is 120 for Petersen and 1920 for Clebsch; a search that
+        # visited one leaf per automorphism would add |Aut| - 1 generators.
+        for g in (petersen(), clebsch()):
+            assert len(search(g.rows()).generators) < 64
