@@ -32,7 +32,6 @@ from .certificates import (
 )
 from .conjectures import (
     KModel,
-    Outcome,
     connected_dominating_matching,
     connected_matching_max,
     dominating_edge,
@@ -60,9 +59,8 @@ from .constructions import (
     triangle_free_process,
 )
 from .graph6 import read_graph6, write_graph6
-from .graphs import Graph, alpha_at_most_2, complement, independence_number_is_2, is_connected
+from .graphs import Graph, alpha_at_most_2, complement
 from .generation import connected_alpha2_graphs, triangle_free_graphs
-from .matching import Matching
 from .screening import BLOCKS, PROPERTIES, table1_screen
 from .steiner import gewirtz, higman_sims, mesner, steiner_3_6_22
 
@@ -201,24 +199,11 @@ def cmd_build(args, seed: int) -> int:
 # check
 
 
-def _find_cdm(g: Graph, budget: int | None = None) -> Outcome:
-    """CDM search on a connected host with alpha <= 2: the exact search when
-    alpha = 2, else (a complete graph) a dominating edge if there is one."""
-    if independence_number_is_2(g):
-        return connected_dominating_matching(g, budget=budget)
-    e = dominating_edge(g)
-    return Outcome("refuted") if e is None else Outcome("found", Matching((e,)))
-
-
 def cmd_check(args, seed: int) -> int:
     g = _read_input_graph(args)
     name = args.conjecture
     if name == "cdm":
-        if not is_connected(g):
-            raise CliError("cdm check requires a connected graph")
-        if not alpha_at_most_2(g):
-            raise CliError("cdm check requires independence number at most 2")
-        got = _find_cdm(g, budget=args.budget)
+        got = connected_dominating_matching(g, budget=args.budget)
         status = got.status
         exhausted = " budget_exhausted=true" if status == "unknown" else ""
         print(f"conjecture=cdm n={g.n} holds={WORD[status]}{exhausted}")
@@ -227,8 +212,6 @@ def cmd_check(args, seed: int) -> int:
                 raise RuntimeError("CDM search returned a matching that fails verification")
             model = KModel(got.witness.edges, got.witness.size)
     elif name == "shc-half":
-        if not alpha_at_most_2(g):
-            raise CliError("shc-half check requires independence number at most 2")
         got = half_order_model_search(g, budget=args.budget)
         status, model = got.status, got.witness
         print(f"conjecture=shc-half n={g.n} target={(g.n + 1) // 2} holds={WORD[status]}")
@@ -272,7 +255,7 @@ def cmd_check(args, seed: int) -> int:
 def _check_cdm(g: Graph) -> bool:
     if g.n < 2:
         return True  # conjecture hypotheses not met; nothing to check
-    got = _find_cdm(g)
+    got = connected_dominating_matching(g)
     return got.status == "found" and is_cdm(g, got.witness.edges)
 
 
@@ -284,11 +267,6 @@ def _check_4cm(g: Graph) -> bool:
 
 
 _ENUM_CHECKS = {"cdm": _check_cdm, "4cm": _check_4cm}
-
-
-def _worker_check(job: tuple[str, str]) -> bool:
-    check_name, g6 = job
-    return _ENUM_CHECKS[check_name](read_graph6(g6))
 
 
 def cmd_enumerate(args, seed: int) -> int:
@@ -314,11 +292,7 @@ def cmd_enumerate(args, seed: int) -> int:
             partial = budget is not None and total + len(batch) > budget
             if partial:
                 batch = batch[: max(budget - total, 0)]
-            if pool:
-                # Workers receive graph6 strings; the sequential path checks in place.
-                results = pool.map(_worker_check, [(args.check, write_graph6(g)) for g in batch])
-            else:
-                results = [check(g) for g in batch]
+            results = pool.map(check, batch) if pool else [check(g) for g in batch]
             violations = sum(1 for r in results if not r)
             total += len(batch)
             bad_total += violations

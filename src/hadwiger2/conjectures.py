@@ -1,6 +1,8 @@
 """Checkers and searchers for the conjecture objects: connected matchings,
 connected dominating matchings, small-branch-set complete-graph models,
 seagull packings, dominating edges, and unavoidable induced subgraphs.
+Hosts have independence number at most 2 (alpha <= 2); the CDM, half-order
+model and seagull searches check this and raise ``ValueError`` otherwise.
 
 Two search kernels do the work.  ``_grow_matching`` is a fail-first search
 for matchings with pairwise adjacent edges that must cover given vertices:
@@ -25,7 +27,6 @@ from .graphs import (
     bits,
     complement,
     girth,
-    independence_number_is_2,
     inflate,
     is_connected,
     induced_subgraph,
@@ -170,12 +171,13 @@ def connected_dominating_matching(g: Graph, budget: int | None = None) -> Outcom
     it with edges above u, so every CDM is reached from exactly one first
     edge.  This is exhaustive; with a node ``budget``, shared by all first
     edges, it stops with "unknown" instead.  Requires a connected host
-    with independence number exactly 2.
+    with independence number at most 2; a complete host K_n is answered by
+    its dominating edge (0, 1), or refuted when n < 2.
     """
     if not is_connected(g):
         raise ValueError("connected dominating matchings need a connected host")
-    if not independence_number_is_2(g):
-        raise ValueError("host must have independence number exactly 2")
+    if not alpha_at_most_2(g):
+        raise ValueError("host must have independence number at most 2")
     e = dominating_edge(g)
     if e is not None:
         return Outcome("found", Matching((e,)))

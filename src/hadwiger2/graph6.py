@@ -83,7 +83,8 @@ def read_graph6(text: str) -> Graph:
                 rows[row_i] |= 1 << col
                 rows[col] |= 1 << row_i
             idx += 1
-    return Graph.from_rows(tuple(rows))
+    # Each bit sets both rows[row_i] and rows[col], row_i < col < n.
+    return Graph._trusted(rows)
 
 
 def read_graph6_file(path: str) -> list[Graph]:

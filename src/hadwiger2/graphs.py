@@ -9,7 +9,6 @@ Every function in this module is pure; Graph values are safe to share.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
@@ -136,20 +135,15 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:
     vs = sorted(set(vertices))
     if vs and not (0 <= vs[0] and vs[-1] < g.n):
         raise ValueError("vertex index out of range")
-    pos = {v: i for i, v in enumerate(vs)}
+    bit = {v: 1 << i for i, v in enumerate(vs)}
+    mask = sum(1 << v for v in vs)
     rows = []
     for v in vs:
         r = 0
-        for w in bits(g.row(v)):
-            if w in pos:
-                r |= 1 << pos[w]
+        for w in bits(g.row(v) & mask):
+            r |= bit[w]
         rows.append(r)
-    return Graph.from_rows(tuple(rows))
-
-
-def subgraph_mask(g: Graph, mask: int) -> Graph:
-    """Induced subgraph on the vertices of ``mask`` (a bitset)."""
-    return induced_subgraph(g, bits(mask))
+    return Graph._trusted(rows)
 
 
 def is_connected(g: Graph, within: int | None = None) -> bool:
@@ -270,22 +264,21 @@ def blow_up(spec: InflationSpec) -> Graph:
     return Graph.from_rows(tuple(rows))
 
 
-def _bfs_dist(g: Graph, source: int) -> list[int | float]:
-    dist: list[int | float] = [INFINITE] * g.n
-    dist[source] = 0
-    seen = 1 << source
-    frontier = seen
-    d = 0
-    while frontier:
-        nxt = 0
-        for v in bits(frontier):
-            nxt |= g.row(v)
-        frontier = nxt & ~seen
-        seen |= frontier
-        d += 1
-        for v in bits(frontier):
-            dist[v] = d
-    return dist
+def _layers(g: Graph, root: int) -> Iterator[tuple[int, int, int]]:
+    """Breadth-first layers from ``root`` as bitmasks: for d = 0, 1, ...
+    yields ``(layer, reach, twice)``, where layer holds the vertices at
+    distance d, reach is the union of their neighbourhoods, and twice holds
+    the vertices at distance d + 1 with at least two neighbours in layer."""
+    seen = layer = 1 << root
+    while layer:
+        reach = twice = 0
+        for v in bits(layer):
+            r = g.row(v)
+            twice |= reach & r
+            reach |= r
+        yield layer, reach, twice & ~seen
+        layer = reach & ~seen
+        seen |= layer
 
 
 def diameter(g: Graph) -> int | float:
@@ -293,35 +286,35 @@ def diameter(g: Graph) -> int | float:
     if g.n == 0:
         raise ValueError("diameter of the empty graph is undefined")
     best = 0
-    for v in range(g.n):
-        dist = _bfs_dist(g, v)
-        ecc = max(dist)
-        if ecc == INFINITE:
+    for root in range(g.n):
+        seen = 0
+        for ecc, (layer, _, _) in enumerate(_layers(g, root)):
+            seen |= layer
+        if seen != g.full_mask:
             return INFINITE
         best = max(best, ecc)
     return best
 
 
 def girth(g: Graph) -> int | float:
-    """Length of a shortest cycle; INFINITE for forests."""
+    """Length of a shortest cycle; INFINITE for forests.
+
+    From each root, the first BFS layer d holding an edge closes a cycle
+    of length at most 2d + 1, and a vertex of the next layer with two
+    neighbours in layer d one of length at most 2d + 2.  A shortest cycle
+    is isometric, so from any of its vertices the bound is its length.
+    """
     best: int | float = INFINITE
     for root in range(g.n):
-        dist = [-1] * g.n
-        dist[root] = 0
-        parent = [-1] * g.n
-        queue = deque([root])
-        while queue:
-            x = queue.popleft()
-            if 2 * dist[x] >= best - 1:
+        for d, (layer, reach, twice) in enumerate(_layers(g, root)):
+            if 2 * d + 1 >= best:
                 break
-            for y in bits(g.row(x)):
-                if dist[y] == -1:
-                    dist[y] = dist[x] + 1
-                    parent[y] = x
-                    queue.append(y)
-                elif y != parent[x] and dist[y] >= dist[x]:
-                    # Non-tree edge closes a cycle through the BFS tree.
-                    best = min(best, dist[x] + dist[y] + 1)
+            if reach & layer:
+                best = 2 * d + 1
+                break
+            if twice:
+                best = 2 * d + 2
+                break
         if best == 3:
             break
     return best
@@ -330,24 +323,18 @@ def girth(g: Graph) -> int | float:
 def odd_girth(g: Graph) -> int | float:
     """Length of a shortest odd cycle; INFINITE for bipartite graphs.
 
-    BFS layers from each root, as masks: the first layer d holding an edge
-    closes an odd walk of length 2d+1, and a shortest odd cycle shows up
-    this way from any of its vertices.
+    The first BFS layer d holding an edge closes an odd walk of length
+    2d+1, and a shortest odd cycle shows up this way from any of its
+    vertices.
     """
     best: int | float = INFINITE
     for root in range(g.n):
-        seen = frontier = 1 << root
-        d = 0
-        while frontier and 2 * d + 1 < best:
-            nxt = 0
-            for v in bits(frontier):
-                nxt |= g.row(v)
-            if nxt & frontier:
+        for d, (layer, reach, _) in enumerate(_layers(g, root)):
+            if 2 * d + 1 >= best:
+                break
+            if reach & layer:
                 best = 2 * d + 1
                 break
-            frontier = nxt & ~seen
-            seen |= frontier
-            d += 1
         if best == 3:
             break
     return best

@@ -25,18 +25,15 @@ def _refine(nbrs: list[list[int]], colors: list[int], ncolors: int) -> list[int]
         ncolors = len(relabel)
 
 
-def wl_colors(g: Graph, colors: list[int] | None = None) -> tuple[int, ...]:
-    """Refine ``colors`` (default: the degrees) to the coarsest stable colouring,
-    as ranks of the sorted signatures (see ``_refine``)."""
+def wl_colors(g: Graph) -> tuple[int, ...]:
+    """Refine the degrees to the coarsest stable colouring, as ranks of the
+    sorted signatures (see ``_refine``)."""
     nbrs = [list(bits(r)) for r in g.rows()]
-    if colors is None:
-        colors = [len(nb) for nb in nbrs]
+    colors = [len(nb) for nb in nbrs]
     return tuple(_refine(nbrs, colors, len(set(colors))))
 
 
-def induced_embeddings(
-    pattern: Graph, host: Graph, *, limit: int = 1
-) -> Iterator[tuple[int, ...]]:
+def induced_embeddings(pattern: Graph, host: Graph) -> Iterator[tuple[int, ...]]:
     """Yield mappings pattern -> host realising pattern as an induced subgraph.
 
     Backtracking over pattern vertices in a most-constrained-first static
@@ -61,7 +58,6 @@ def induced_embeddings(
 
     mapping = [-1] * k
     used = 0
-    count = 0
 
     def candidates(idx: int) -> int:
         v = order[idx]
@@ -76,7 +72,7 @@ def induced_embeddings(
         return cand
 
     def search(idx: int) -> Iterator[tuple[int, ...]]:
-        nonlocal used, count
+        nonlocal used
         if idx == k:
             yield tuple(mapping)
             return
@@ -90,17 +86,11 @@ def induced_embeddings(
             used &= ~(1 << hv)
             mapping[v] = -1
 
-    for m in search(0):
-        yield m
-        count += 1
-        if limit and count >= limit:
-            return
+    yield from search(0)
 
 
 def has_induced_subgraph(host: Graph, pattern: Graph) -> bool:
-    for _ in induced_embeddings(pattern, host, limit=1):
-        return True
-    return False
+    return next(induced_embeddings(pattern, host), None) is not None
 
 
 def is_isomorphic(g: Graph, h: Graph) -> bool:

@@ -182,15 +182,14 @@ def _maximum_match(
     return match, exposed
 
 
-def maximum_matching(g: Graph, within: int | None = None) -> Matching:
-    """One maximum matching of g, or of the subgraph induced on the bitmask
-    ``within`` (the size is canonical, the edges are not)."""
-    match, _ = _maximum_match(g, g.full_mask if within is None else within)
+def maximum_matching(g: Graph) -> Matching:
+    """One maximum matching of g (the size is canonical, the edges are not)."""
+    match, _ = _maximum_match(g, g.full_mask)
     return Matching(tuple((v, match[v]) for v in range(g.n) if match[v] > v))
 
 
-def matching_number(g: Graph, within: int | None = None) -> int:
-    return maximum_matching(g, within).size
+def matching_number(g: Graph) -> int:
+    return maximum_matching(g).size
 
 
 def chromatic_number_alpha2(g: Graph) -> int:

@@ -15,7 +15,6 @@ from .graphs import (
     Graph,
     bits,
     complement,
-    diameter,
     independence_number_is_2,
     is_connected,
     vertex_connectivity,
@@ -124,7 +123,11 @@ def table1_screen(g: Graph) -> ScreeningReport:
         verdicts["P6"] = Verdict("not-evaluated", "CDM search budget exhausted")
     else:
         put("P6", cdm.status == "refuted", "no non-empty CDM")
-    put("P7", dominating_edge(g) is None, "every edge deletion creates a 3-independent set")
+    # uv dominates g iff u, v are non-adjacent in gc with no common
+    # gc-neighbour; gc is triangle-free with n >= 3, so it is not complete,
+    # and diam(gc) = 2 (P12) iff g has no dominating edge (P7).
+    p7 = dominating_edge(g) is None
+    put("P7", p7, "every edge deletion creates a 3-independent set")
 
     # Above 40 vertices kappa is capped at the larger of the two thresholds
     # P8 and P18 compare it with, which decides both.
@@ -143,7 +146,7 @@ def table1_screen(g: Graph) -> ScreeningReport:
     put("P10", kappa >= 2)
 
     put("P11", is_factor_critical(g))
-    put("P12", diameter(gc) == 2 if gc.edge_count else False)
+    put("P12", p7)
 
     # For each non-adjacent pair: A = N(x) - N[y], B = N(x) & N(y),
     # C = N(y) - N[x].  P14 fails iff some b in B is adjacent to all of A

@@ -10,11 +10,12 @@ from hadwiger2.conjectures import (
 from hadwiger2.generation import connected_alpha2_graphs
 from hadwiger2.graphs import (
     Graph,
+    bits,
     complement,
     diameter,
     independence_number_is_2,
+    induced_subgraph,
     is_connected,
-    subgraph_mask,
     vertex_connectivity,
 )
 from hadwiger2.iso import is_c5_free
@@ -74,12 +75,17 @@ def test_c5_free_equivalence(tf_levels_9):
             # the induced C5 itself is a witness subgraph without a
             # dominating edge, so the right side fails trivially
             continue
+        # alpha <= 2 is inherited, so alpha(g[mask]) = 2 iff mask is not a
+        # clique; clique[mask] extends clique[mask minus its least vertex].
+        closed = [r | 1 << v for v, r in enumerate(g.rows())]
+        clique = [True] * (1 << g.n)
         for mask in range(1, 1 << g.n):
-            if not is_connected(g, mask):
+            low = mask & -mask
+            rest = mask ^ low
+            clique[mask] = clique[rest] and closed[low.bit_length() - 1] & rest == rest
+            if clique[mask] or not is_connected(g, mask):
                 continue
-            h = subgraph_mask(g, mask)
-            if not independence_number_is_2(h):
-                continue
+            h = induced_subgraph(g, bits(mask))
             assert dominating_edge(h) is not None, (g.edges(), mask)
 
 

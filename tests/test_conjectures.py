@@ -99,9 +99,10 @@ class TestCDM:
         with pytest.raises(ValueError):
             connected_dominating_matching(TWO_TRIANGLES)
 
-    def test_alpha_one_rejected(self):
-        with pytest.raises(ValueError):
-            connected_dominating_matching(complete(4))
+    def test_complete_host_answered_by_dominating_edge(self):
+        got = connected_dominating_matching(complete(4))
+        assert got.status == "found" and got.witness.edges == ((0, 1),)
+        assert connected_dominating_matching(complete(1)) == Outcome("refuted")
 
     def test_inflations_of_petersen_complement(self):
         base = complement(petersen())

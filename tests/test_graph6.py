@@ -7,7 +7,9 @@ from hypothesis import given, settings, strategies as st
 from hadwiger2.graph6 import read_graph6, write_graph6
 from hadwiger2.graphs import Graph
 from hadwiger2.constructions import complete, cycle, petersen
+from hadwiger2.rng import SplitMix64
 
+from conftest import random_graph
 from test_graphs import graphs_strategy
 
 
@@ -48,6 +50,14 @@ def test_matches_networkx(g):
     assert set(back.edges()) == {(u, v) for u, v in g.edges()} or set(
         (min(e), max(e)) for e in back.edges()
     ) == set(g.edges())
+
+
+def test_roundtrip_up_to_70_vertices():
+    rng = SplitMix64(6)
+    for n in (0, 1, 2, 7, 13, 62, 63, 64, 70):
+        for p in (0, 10, 50, 90, 100):
+            g = random_graph(n, p, rng)
+            assert read_graph6(write_graph6(g)) == g
 
 
 def test_large_n_header():

@@ -188,13 +188,16 @@ class TestMetricInvariants:
         assert odd_girth(g) == 7
         assert brute_odd_girth(g) == 7
 
-    @given(graphs_strategy(max_n=7))
-    @settings(max_examples=40, deadline=None)
-    def test_metrics_match_brute_force(self, g):
-        assert girth(g) == brute_girth(g)
-        assert odd_girth(g) == brute_odd_girth(g)
-        if g.n:
-            assert diameter(g) == brute_diameter(g)
+    def test_metrics_match_brute_force_on_the_atlas(self):
+        """Every graph on at most 7 vertices, one per isomorphism class."""
+        atlas = nx.graph_atlas_g()
+        assert len(atlas) == 1253
+        for h in atlas:
+            g = Graph(h.number_of_nodes(), h.edges())
+            assert girth(g) == brute_girth(g), g.edges()
+            assert odd_girth(g) == brute_odd_girth(g), g.edges()
+            if g.n:
+                assert diameter(g) == brute_diameter(g), g.edges()
 
 
 class TestConnectivity:

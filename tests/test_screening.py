@@ -13,6 +13,7 @@ from hadwiger2.graphs import (
     Graph,
     bits,
     complement,
+    diameter,
     independence_number_is_2,
     induced_subgraph,
     is_connected,
@@ -287,6 +288,15 @@ class TestExactP10AndP22:
             assert got.status == ("pass" if brute_is_hamiltonian(g) else "fail"), g.edges()
             assert got.detail == ""
             verdicts.append(got.status == "pass")
+        assert 0 < sum(verdicts) < len(verdicts)
+
+    def test_p12_is_p7_and_complement_diameter_2(self, alpha2_upto_8):
+        verdicts = []
+        for g, rep in alpha2_upto_8:
+            p12 = rep.verdicts["P12"].status
+            assert p12 == rep.verdicts["P7"].status, g.edges()
+            assert (p12 == "pass") == (diameter(complement(g)) == 2), g.edges()
+            verdicts.append(p12 == "pass")
         assert 0 < sum(verdicts) < len(verdicts)
 
     def test_p22_matches_colouring_up_to_8(self, alpha2_upto_8):

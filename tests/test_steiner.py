@@ -6,7 +6,6 @@ import pytest
 
 from hadwiger2.constructions import SrgParams, srg_parameters
 from hadwiger2.graphs import complement, diameter, induced_subgraph, is_triangle_free
-from hadwiger2.iso import is_isomorphic
 from hadwiger2.matching import chromatic_number_alpha2
 from hadwiger2.steiner import SteinerSystem, gewirtz, higman_sims, mesner
 
