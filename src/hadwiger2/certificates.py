@@ -23,6 +23,7 @@ from .graphs import (
     alpha_at_most_2,
     bits,
     complement,
+    is_triangle_free,
     vertex_connectivity,
 )
 
@@ -248,12 +249,13 @@ def four_cover_check(g: Graph) -> Outcome:
     certifies that every proper inflation has a clique of at least a
     quarter of its order plus a half, hence the half-order Hadwiger bound.
     """
-    if not alpha_at_most_2(g):
+    gc = complement(g)
+    if not is_triangle_free(gc):
         raise ValueError("four-clique covers are only used when alpha <= 2")
     n = g.n
     if 4 * len(max_clique(g)) < n + 2:
         return Outcome("refuted")
-    rows = [g.full_mask & ~g.row(v) & ~(1 << v) for v in range(n)]
+    rows = list(gc.rows())
     if colour_classes(rows, 4) is None:
         return Outcome("refuted")
     for x in range(n):

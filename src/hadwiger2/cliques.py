@@ -162,18 +162,31 @@ def colour_classes(rows: list[int], k: int) -> list[int] | None:
     """k colour classes (bitmasks) of the graph with adjacency `rows`, or None.
 
     Exact DSATUR (Brelaz 1979): colour next the uncoloured vertex with the
-    most forbidden colours, ties to the most uncoloured neighbours, and try
-    only one colour that no vertex has yet (first-use symmetry breaking).
-    A colour is forbidden at the neighbours that lacked it and restored on
-    backtrack.  An explicit stack keeps deep searches off the recursion limit.
+    most forbidden colours, ties to the most uncoloured neighbours, then
+    to the lowest index, and try only one colour that no vertex has yet
+    (first-use symmetry breaking).  A colour is forbidden at the
+    neighbours that lacked it and restored on backtrack.  The uncoloured
+    vertices sit in saturation buckets, ``level[s]`` holding those with s
+    forbidden colours as a bitmask; each forbidden bit set or undone
+    moves its vertex one bucket, so a step looks only at the highest
+    non-empty bucket.  An explicit stack keeps deep searches off the
+    recursion limit.
     """
     forbidden = [0] * len(rows)
     classes = [0] * k
     uncoloured = (1 << len(rows)) - 1
+    level = [uncoloured] + [0] * k
     stack = []  # [vertex, untried colours, colour, neighbours it newly forbade]
     while uncoloured:
-        v = max(bits(uncoloured), key=lambda w: (
-            forbidden[w].bit_count(), (rows[w] & uncoloured).bit_count()))
+        s = k
+        while not level[s]:
+            s -= 1
+        most = -1
+        for w in bits(level[s]):
+            d = (rows[w] & uncoloured).bit_count()
+            if d > most:
+                most, v = d, w
+        level[s] ^= 1 << v
         used = sum(1 for m in classes if m)
         stack.append([v, ((1 << min(used + 1, k)) - 1) & ~forbidden[v], -1, ()])
         uncoloured ^= 1 << v
@@ -184,16 +197,23 @@ def colour_classes(rows: list[int], k: int) -> list[int] | None:
                 classes[c] ^= 1 << v
                 for w in changed:
                     forbidden[w] ^= 1 << c
+                    s = forbidden[w].bit_count()
+                    level[s + 1] ^= 1 << w
+                    level[s] |= 1 << w
             if options:
                 c = (options & -options).bit_length() - 1
                 changed = [w for w in bits(rows[v] & uncoloured) if not forbidden[w] >> c & 1]
                 for w in changed:
+                    s = forbidden[w].bit_count()
                     forbidden[w] |= 1 << c
+                    level[s] ^= 1 << w
+                    level[s + 1] |= 1 << w
                 classes[c] |= 1 << v
                 frame[1:] = options & (options - 1), c, changed
                 break
             stack.pop()
             uncoloured |= 1 << v
+            level[forbidden[v].bit_count()] |= 1 << v
         else:
             return None
     return classes

@@ -166,13 +166,17 @@ def _grow_matching(
 def connected_dominating_matching(g: Graph, budget: int | None = None) -> Outcome:
     """A non-empty connected dominating matching ("found"), or "refuted".
 
-    A dominating edge answers at once.  Otherwise each edge uv in turn is
-    fixed as the least edge of the matching and ``_grow_matching`` extends
-    it with edges above u, so every CDM is reached from exactly one first
-    edge.  This is exhaustive; with a node ``budget``, shared by all first
-    edges, it stops with "unknown" instead.  Requires a connected host
-    with independence number at most 2; a complete host K_n is answered by
-    its dominating edge (0, 1), or refuted when n < 2.
+    A dominating edge answers at once, whatever the budget: the first one
+    (lexicographic) is the one-edge witness.  Otherwise each edge uv in
+    turn is fixed as the least edge of the matching and ``_grow_matching``
+    extends it with edges above u, so every CDM is reached from exactly
+    one first edge.  This is exhaustive; with a node ``budget``, shared by
+    all first edges, it stops with "unknown" instead.  A one-edge CDM is
+    a dominating edge, so the outcome is "found" with one edge exactly
+    when g has a dominating edge; callers may read that off the outcome.
+    Requires a connected host with independence number at most 2; a
+    complete host K_n is answered by its dominating edge (0, 1), or
+    refuted when n < 2.
     """
     if not is_connected(g):
         raise ValueError("connected dominating matchings need a connected host")

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cliques import max_clique
-from .conjectures import connected_dominating_matching, dominating_edge
+from .conjectures import connected_dominating_matching
 from .graphs import (
     Graph,
     bits,
@@ -123,10 +123,12 @@ def table1_screen(g: Graph) -> ScreeningReport:
         verdicts["P6"] = Verdict("not-evaluated", "CDM search budget exhausted")
     else:
         put("P6", cdm.status == "refuted", "no non-empty CDM")
-    # uv dominates g iff u, v are non-adjacent in gc with no common
-    # gc-neighbour; gc is triangle-free with n >= 3, so it is not complete,
-    # and diam(gc) = 2 (P12) iff g has no dominating edge (P7).
-    p7 = dominating_edge(g) is None
+    # The CDM search answers with a dominating edge whenever g has one,
+    # and a one-edge CDM is a dominating edge, so P7 fails exactly when it
+    # found one edge.  uv dominates g iff u, v are non-adjacent in gc with
+    # no common gc-neighbour; gc is triangle-free with n >= 3, so it is
+    # not complete, and diam(gc) = 2 (P12) iff g has no dominating edge.
+    p7 = not (cdm.status == "found" and cdm.witness.size == 1)
     put("P7", p7, "every edge deletion creates a 3-independent set")
 
     # Above 40 vertices kappa is capped at the larger of the two thresholds

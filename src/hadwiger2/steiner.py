@@ -4,13 +4,15 @@ The system is built from the projective plane PG(2,4): 21 points, 21
 lines of 5 points, plus an extra point oo = 21.  Blocks are the 21
 extended lines (line plus oo) together with one of the three families of
 56 pairwise-evenly-intersecting hyperovals.  The Steiner property (every
-triple of points in exactly one block) is verified exhaustively.
+triple of points in exactly one block) is verified by counting: 77
+blocks of 6 points, no two sharing more than two points, hold
+77 * C(6,3) = 1540 distinct triples, which is every one of the
+C(22,3) = 1540 triples of the 22 points.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from .constructions import _check, verify_srg
 from .graphs import Graph, bits, induced_subgraph
@@ -59,34 +61,30 @@ def _hyperovals(lines: list[int]) -> list[int]:
     """All 6-point sets meeting every line in 0 or 2 points (as bitmasks).
 
     Equivalently: all 6-arcs.  Found by depth-first extension of arcs
-    (sets with no 3 collinear points).
+    (sets with no 3 collinear points) in increasing point order; the
+    points that may still join are those above the last one and on no
+    line through two points of the arc.
     """
+    join = [[0] * 21 for _ in range(21)]  # join[p][q]: the line through p and q
+    for lm in lines:
+        for p in bits(lm):
+            for q in bits(lm):
+                join[p][q] = lm
     out = []
 
-    def extend(chosen: list[int], mask: int, start: int, line_counts: list[int]):
-        if len(chosen) == 6:
-            out.append(mask)
+    def extend(arc: int, free: int):
+        if arc.bit_count() == 6:
+            out.append(arc)
             return
-        for p in range(start, 21):
-            ok = True
-            touched = []
-            for li, lm in enumerate(lines):
-                if lm >> p & 1:
-                    if line_counts[li] == 2:
-                        ok = False
-                        break
-                    touched.append(li)
-            if not ok:
-                continue
-            for li in touched:
-                line_counts[li] += 1
-            chosen.append(p)
-            extend(chosen, mask | (1 << p), p + 1, line_counts)
-            chosen.pop()
-            for li in touched:
-                line_counts[li] -= 1
+        while free:
+            p = (free & -free).bit_length() - 1
+            free ^= 1 << p
+            blocked = 0
+            for q in bits(arc):
+                blocked |= join[p][q]
+            extend(arc | 1 << p, free & ~blocked)
 
-    extend([], 0, 0, [0] * 21)
+    extend(0, (1 << 21) - 1)
     return out
 
 
@@ -140,10 +138,13 @@ class SteinerSystem:
                 m |= 1 << x
             _check(m.bit_count() == 6, "block with repeated points")
             masks.append(m)
-        for triple in combinations(range(22), 3):
-            tm = (1 << triple[0]) | (1 << triple[1]) | (1 << triple[2])
-            hits = sum(1 for m in masks if m & tm == tm)
-            _check(hits == 1, f"triple {triple} lies in {hits} blocks")
+        # Two blocks sharing at most two points share no triple, so the
+        # 77 * C(6,3) = 1540 block triples are distinct; as there are
+        # C(22,3) = 1540 point triples, each lies in exactly one block.
+        for i, m in enumerate(masks):
+            for j in range(i):
+                _check((m & masks[j]).bit_count() <= 2,
+                       f"blocks {self.blocks[j]} and {self.blocks[i]} share three points")
 
     def block_masks(self) -> list[int]:
         out = []

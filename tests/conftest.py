@@ -368,6 +368,44 @@ def milp_cover4(g: Graph) -> bool:
     return _milp_feasible(4 * g.n, rows, lb, ub)
 
 
+def dsatur_reference(rows: list[int], k: int) -> list[int] | None:
+    """The exact DSATUR kernel as it stood before saturation buckets: every
+    step scores every uncoloured vertex by (forbidden colours, uncoloured
+    neighbours) and takes the first maximum.  Kept verbatim so the
+    bucketed ``cliques.colour_classes`` can be checked to return the same
+    class list, not only the same colourability."""
+    forbidden = [0] * len(rows)
+    classes = [0] * k
+    uncoloured = (1 << len(rows)) - 1
+    stack = []  # [vertex, untried colours, colour, neighbours it newly forbade]
+    while uncoloured:
+        v = max(bits(uncoloured), key=lambda w: (
+            forbidden[w].bit_count(), (rows[w] & uncoloured).bit_count()))
+        used = sum(1 for m in classes if m)
+        stack.append([v, ((1 << min(used + 1, k)) - 1) & ~forbidden[v], -1, ()])
+        uncoloured ^= 1 << v
+        while stack:
+            frame = stack[-1]
+            v, options, c, changed = frame
+            if c >= 0:
+                classes[c] ^= 1 << v
+                for w in changed:
+                    forbidden[w] ^= 1 << c
+            if options:
+                c = (options & -options).bit_length() - 1
+                changed = [w for w in bits(rows[v] & uncoloured) if not forbidden[w] >> c & 1]
+                for w in changed:
+                    forbidden[w] |= 1 << c
+                classes[c] |= 1 << v
+                frame[1:] = options & (options - 1), c, changed
+                break
+            stack.pop()
+            uncoloured |= 1 << v
+        else:
+            return None
+    return classes
+
+
 def random_graph(n: int, p_numerator: int, rng: SplitMix64) -> Graph:
     edges = []
     for u in range(n):

@@ -5,9 +5,18 @@ from math import comb, isqrt
 import numpy as np
 from hypothesis import given, settings
 
-from hadwiger2 import cliques
-from hadwiger2.cliques import all_cliques, clique_number, is_clique, max_clique, maximal_cliques
+from hadwiger2 import certificates, cliques
+from hadwiger2.certificates import four_cover_check
+from hadwiger2.cliques import (
+    all_cliques,
+    clique_number,
+    colour_classes,
+    is_clique,
+    max_clique,
+    maximal_cliques,
+)
 from hadwiger2.graphs import Graph, bits, complement
+from hadwiger2.rng import SplitMix64
 from hadwiger2.constructions import (
     cayley_abelian,
     clebsch,
@@ -18,10 +27,16 @@ from hadwiger2.constructions import (
     kneser,
     petersen,
     srg_parameters,
+    triangle_free_process,
 )
 from hadwiger2.steiner import gewirtz, higman_sims, mesner
 
-from conftest import brute_clique_number, brute_clique_number_simple
+from conftest import (
+    brute_clique_number,
+    brute_clique_number_simple,
+    dsatur_reference,
+    random_graph,
+)
 from test_graphs import graphs_strategy
 
 
@@ -164,3 +179,55 @@ def test_maximal_cliques_are_maximal_and_exhaustive(g):
     # every maximum clique size appears
     if g.n:
         assert max((m.bit_count() for m in masks), default=0) == brute_clique_number(g)
+
+
+# ---------------------------------------------------------------------------
+# The bucketed DSATUR kernel against the scan-every-vertex reference: the
+# same choice order gives the same search tree, hence the same class list.
+
+
+def _twin_rows(rows, x, y):
+    """The rows four_cover_check colours: closed twins n of x and n+1 of y."""
+    n = len(rows)
+    cx, cy = rows[x] | 1 << x, rows[y] | 1 << y
+    twins = [r | (cx >> v & 1) << n | (cy >> v & 1) << n + 1 for v, r in enumerate(rows)]
+    return twins + [cx | (cx >> y & 1) << n + 1, cy | (cy >> x & 1) << n]
+
+
+def _cover4_hosts(steiner_system):
+    return [hoffman_singleton(), gewirtz(steiner_system), mesner(steiner_system)]
+
+
+def test_colour_classes_matches_reference_on_random_graphs():
+    rng = SplitMix64(20260)
+    for _ in range(2000):
+        g = random_graph(1 + rng.randrange(22), rng.randrange(101), rng)
+        rows = list(g.rows())
+        for k in range(6):
+            assert colour_classes(rows, k) == dsatur_reference(rows, k), (g.edges(), k)
+
+
+def test_colour_classes_matches_reference_on_cover4_hosts(steiner_system):
+    # The complement rows of the Hoffman-Singleton, Gewirtz and Mesner
+    # complements are the rows of the graphs themselves.
+    for host in _cover4_hosts(steiner_system):
+        rows = list(host.rows())
+        for k in (3, 4, 5):
+            assert colour_classes(rows, k) == dsatur_reference(rows, k)
+        n = host.n
+        for x, y in ((0, 0), (0, 1), (n - 2, n - 1)):
+            twins = _twin_rows(rows, x, y)
+            assert colour_classes(twins, 4) == dsatur_reference(twins, 4), (n, x, y)
+
+
+def test_colour_classes_matches_reference_on_triangle_free_process():
+    for seed in range(6):
+        rows = list(triangle_free_process(60, seed).rows())
+        assert colour_classes(rows, 4) == dsatur_reference(rows, 4), seed
+
+
+def test_four_cover_witnesses_match_reference(steiner_system, monkeypatch):
+    hosts = [complement(h) for h in _cover4_hosts(steiner_system)]
+    got = [four_cover_check(g) for g in hosts]
+    monkeypatch.setattr(certificates, "colour_classes", dsatur_reference)
+    assert got == [four_cover_check(g) for g in hosts]

@@ -6,7 +6,7 @@ import networkx as nx
 import pytest
 
 from hadwiger2.cliques import colour_classes
-from hadwiger2.conjectures import connected_dominating_matching
+from hadwiger2.conjectures import connected_dominating_matching, dominating_edge
 from hadwiger2.constructions import andrasfai, cayley_abelian, clebsch, complete, cycle, wheel5
 from hadwiger2.generation import connected_alpha2_graphs
 from hadwiger2.graphs import (
@@ -297,6 +297,21 @@ class TestExactP10AndP22:
             assert p12 == rep.verdicts["P7"].status, g.edges()
             assert (p12 == "pass") == (diameter(complement(g)) == 2), g.edges()
             verdicts.append(p12 == "pass")
+        assert 0 < sum(verdicts) < len(verdicts)
+
+    def test_p7_is_no_dominating_edge(self, alpha2_upto_8, steiner_system):
+        from hadwiger2.constructions import hoffman_singleton, kneser
+        from hadwiger2.steiner import gewirtz, mesner
+
+        screened = [(g, rep) for g, rep in alpha2_upto_8]
+        for h in (clebsch(), andrasfai(6), kneser(7, 3), hoffman_singleton(),
+                  gewirtz(steiner_system), mesner(steiner_system)):
+            screened.append((complement(h), table1_screen(complement(h))))
+        verdicts = []
+        for g, rep in screened:
+            p7 = rep.verdicts["P7"].status == "pass"
+            assert p7 == (dominating_edge(g) is None), g.edges()
+            verdicts.append(p7)
         assert 0 < sum(verdicts) < len(verdicts)
 
     def test_p22_matches_colouring_up_to_8(self, alpha2_upto_8):

@@ -4,10 +4,18 @@ from itertools import combinations
 
 import pytest
 
-from hadwiger2.constructions import SrgParams, srg_parameters
+from hadwiger2.constructions import ConstructionError, SrgParams, srg_parameters
 from hadwiger2.graphs import complement, diameter, induced_subgraph, is_triangle_free
 from hadwiger2.matching import chromatic_number_alpha2
-from hadwiger2.steiner import SteinerSystem, gewirtz, higman_sims, mesner
+from hadwiger2.steiner import (
+    SteinerSystem,
+    _hyperovals,
+    _pg24_lines,
+    _pg24_points,
+    gewirtz,
+    higman_sims,
+    mesner,
+)
 
 
 def test_block_counts(steiner_system):
@@ -33,6 +41,37 @@ def test_invalid_system_rejected(steiner_system):
     blocks[0] = tuple(sorted(set(blocks[1]) ^ {0, 1} | {0}))[:6]
     with pytest.raises(Exception):
         SteinerSystem(tuple(blocks))
+
+
+def test_duplicated_block_rejected(steiner_system):
+    blocks = list(steiner_system.blocks)
+    blocks[0] = blocks[1]
+    assert len(blocks) == 77
+    with pytest.raises(ConstructionError, match="share three points"):
+        SteinerSystem(tuple(blocks))
+
+
+def test_blocks_sharing_a_triple_rejected(steiner_system):
+    blocks = list(steiner_system.blocks)
+    keep = set(blocks[1][:3])
+    others = [x for x in range(22) if x not in blocks[1]][:3]
+    blocks[0] = tuple(sorted(keep | set(others)))
+    assert len(blocks) == 77 and len(set(blocks[0]) & set(blocks[1])) == 3
+    with pytest.raises(ConstructionError, match="share three points"):
+        SteinerSystem(tuple(blocks))
+
+
+def test_hyperovals_match_brute_force():
+    # Every 6-subset of PG(2,4) meeting each line in 0 or 2 points.
+    lines = _pg24_lines(_pg24_points())
+    brute = set()
+    for six in combinations(range(21), 6):
+        m = sum(1 << p for p in six)
+        if all((m & lm).bit_count() in (0, 2) for lm in lines):
+            brute.add(m)
+    got = _hyperovals(lines)
+    assert len(brute) == 168
+    assert len(got) == 168 and set(got) == brute
 
 
 def test_mesner_parameters(steiner_system):
