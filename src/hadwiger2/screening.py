@@ -19,6 +19,7 @@ from .graphs import (
     is_connected,
     vertex_connectivity,
 )
+from .iso import search
 from .matching import _gallai_edmonds, is_factor_critical
 
 PROPERTIES = tuple(f"P{i}" for i in range(1, 23))
@@ -60,12 +61,15 @@ class ScreeningReport:
         )
 
 
-def _nonadjacent_pairs(g: Graph):
+def _pairs(g: Graph, adjacent: bool, reps: int):
+    """The pairs x < y of ``g``, adjacent or not as asked, with x or y in
+    the bitset ``reps``, in lexicographic order."""
     for x in range(g.n):
-        rx = g.row(x)
-        for y in range(x + 1, g.n):
-            if not rx >> y & 1:
-                yield x, y
+        ys = (g.row(x) if adjacent else ~g.row(x)) & g.full_mask >> (x + 1) << (x + 1)
+        if not reps >> x & 1:
+            ys &= reps
+        for y in bits(ys):
+            yield x, y
 
 
 def table1_screen(g: Graph) -> ScreeningReport:
@@ -74,9 +78,13 @@ def table1_screen(g: Graph) -> ScreeningReport:
     Requires a connected host with independence number exactly 2.  P4 is
     the literal pair-deletion criticality (chromatic drop by one and the
     remainder vertex-critical); P10 is read off the vertex connectivity.
-    Only P22 is capped by instance size: above ``_COLOURING_CAP``
-    vertices it reports not-evaluated.  P6 can stop undecided when its
-    search budget runs out.
+    The pair properties P4, P13-P16, P21 and P22 are checked only on the
+    pairs that meet a representative of an automorphism orbit, found by
+    one ``iso.search`` of the complement; on an asymmetric host that is
+    every pair.  Only P22 is capped by instance size: above
+    ``_COLOURING_CAP`` vertices it reports not-evaluated.  The orbits do
+    not lift the cap, because asymmetric hosts still pay one matching
+    test per edge.  P6 can stop undecided when its search budget runs out.
     """
     if not is_connected(g):
         raise ValueError("screening requires a connected host")
@@ -90,6 +98,12 @@ def table1_screen(g: Graph) -> ScreeningReport:
     chi = n - mu
     omega = len(max_clique(g))
     delta = min(g.degree(v) for v in range(n))
+    # Aut(g) = Aut(gc).  Each per-pair property below (P4, P13-P16, P21,
+    # P22) is symmetric in the pair, invariant under automorphisms and
+    # reported with a constant detail.  An automorphism carries x to the
+    # least vertex of its orbit, so every pair is the image of a pair that
+    # meets an orbit representative, and those pairs decide the property.
+    reps = sum(1 << v for v, r in enumerate(search(gc.rows()).orbits) if v == r)
     verdicts: dict[str, Verdict] = {}
 
     def put(name: str, ok: bool, detail: str = ""):
@@ -104,7 +118,7 @@ def table1_screen(g: Graph) -> ScreeningReport:
     # matching minus x, y and their partners, at most two augmentations
     # short of maximum; mu and D do not depend on the matching found.
     p4_ok = True
-    for x, y in _nonadjacent_pairs(g):
+    for x, y in _pairs(g, False, reps):
         rest = g.full_mask & ~(1 << x) & ~(1 << y)
         mu_rest, d_rest, _ = _gallai_edmonds(gc, rest, host)
         if n - 2 - mu_rest != chi - 1 or d_rest != rest:
@@ -157,7 +171,7 @@ def table1_screen(g: Graph) -> ScreeningReport:
     # the part of C outside the common neighbourhood of B - N(a).  Each
     # property stops being scanned once it has failed.
     p13 = p14 = p15 = p16 = True
-    for x, y in _nonadjacent_pairs(g):
+    for x, y in _pairs(g, False, reps):
         rx, ry = g.row(x), g.row(y)
         b_mask = rx & ry
         a_mask = rx & ~ry & ~(1 << y)
@@ -205,7 +219,7 @@ def table1_screen(g: Graph) -> ScreeningReport:
     put("P20", delta >= chi + 1, f"delta={delta}, chi={chi}")
 
     p21 = True
-    for x, y in _nonadjacent_pairs(g):
+    for x, y in _pairs(g, False, reps):
         rx, ry = g.row(x), g.row(y)
         a = (rx & ~ry & ~(1 << y)).bit_count()
         c = (ry & ~rx & ~(1 << x)).bit_count()
@@ -222,7 +236,7 @@ def table1_screen(g: Graph) -> ScreeningReport:
         # mu(gc - u - v) = mu; a triple class needs mu(gc - u - v - w) =
         # mu - 1, i.e. mu(gc - u - v) = mu - 1 and w in D(gc - u - v).
         p22 = True
-        for u, v in g.edges():
+        for u, v in _pairs(g, True, reps):
             rest = g.full_mask & ~(1 << u) & ~(1 << v)
             mu_rest, d_rest, _ = _gallai_edmonds(gc, rest, host)
             if mu_rest != mu and not (

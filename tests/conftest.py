@@ -3,18 +3,35 @@
 Every oracle here recomputes its quantity from first principles
 (exhaustive enumeration, backtracking over labelled objects, boolean
 matrix powers) so the production algorithms are checked against code
-that shares none of their logic.
+that shares none of their logic.  The ``*_reference`` functions are the
+exception: verbatim copies of kernels that a faster version replaced,
+kept so the new kernel can be checked to give exactly the old answers.
 """
 
 from __future__ import annotations
 
+import signal
+from contextlib import contextmanager
 from itertools import combinations, permutations
+from typing import Sequence
 
 import numpy as np
 import pytest
 
-from hadwiger2.graphs import Graph, bits
+from hadwiger2.cliques import max_clique
+from hadwiger2.conjectures import connected_dominating_matching
+from hadwiger2.graphs import (
+    Graph,
+    bits,
+    complement,
+    independence_number_is_2,
+    is_connected,
+    vertex_connectivity,
+)
+from hadwiger2.iso import Search, _orbit_closure, _refine
+from hadwiger2.matching import _gallai_edmonds, is_factor_critical
 from hadwiger2.rng import SplitMix64
+from hadwiger2.screening import _COLOURING_CAP, ScreeningReport, Verdict
 
 
 def brute_independence_number(g: Graph) -> int:
@@ -219,7 +236,7 @@ def brute_girth(g: Graph):
 
 
 def brute_vertex_connectivity(g: Graph) -> int:
-    from hadwiger2.graphs import is_connected, induced_subgraph
+    from hadwiger2.graphs import induced_subgraph
 
     n = g.n
     if all(g.degree(v) == n - 1 for v in range(n)):
@@ -406,6 +423,255 @@ def dsatur_reference(rows: list[int], k: int) -> list[int] | None:
     return classes
 
 
+def search_reference(rows: Sequence[int]) -> Search:
+    """``iso.search`` as it stood before backjumping: after a leaf with the
+    best key adds its automorphism, the search carries on through the rest
+    of that leaf's subtree.  Kept verbatim so the backjumping search can
+    be checked to return the same key, labelling and orbits."""
+    n = len(rows)
+    nbrs = [list(bits(r)) for r in rows]
+    root = list(range(n))
+    generators: list[tuple[int, ...]] = []
+    best: list[int] | None = None
+    best_ranks: list[int] = []
+
+    def find(v: int) -> int:
+        while root[v] != v:
+            root[v] = root[root[v]]
+            v = root[v]
+        return v
+
+    def add(perm: tuple[int, ...]) -> None:
+        generators.append(perm)
+        for v, w in enumerate(perm):
+            if v == w:
+                continue
+            a, b = find(v), find(w)
+            if a < b:
+                root[b] = a
+            elif b < a:
+                root[a] = b
+
+    def visit(colors: list[int], ncolors: int) -> None:
+        nonlocal best, best_ranks
+        ranks = _refine(nbrs, colors, ncolors)
+        size = [0] * n
+        for c in ranks:
+            size[c] += 1
+        least = next((c for c in range(n) if size[c] > 1), None)
+        if least is None:
+            leaf = [0] * n
+            for v, nb in enumerate(nbrs):
+                leaf[ranks[v]] = sum(1 << ranks[w] for w in nb)
+            if best is None or leaf < best:
+                best, best_ranks = leaf, ranks
+            elif leaf == best:
+                vertex_of = [0] * n
+                for v, c in enumerate(ranks):
+                    vertex_of[c] = v
+                add(tuple(vertex_of[c] for c in best_ranks))
+            return
+        cells = len(set(ranks)) + 1
+        tried: list[int] = []
+        stabiliser: list[tuple[int, ...]] = []  # found generators preserving ranks
+        checked = 0  # generators[:checked] have been sorted into stabiliser
+        skip = 0  # the orbits of the tried vertices under stabiliser
+        for v in range(n):
+            if ranks[v] != least:
+                continue
+            if checked < len(generators):
+                stabiliser += [p for p in generators[checked:] if [ranks[w] for w in p] == ranks]
+                checked = len(generators)
+                skip = _orbit_closure(skip, stabiliser)
+            if skip >> v & 1:
+                continue
+            twin = next((u for u in tried if rows[u] & ~(1 << v) == rows[v] & ~(1 << u)), None)
+            if twin is not None:
+                perm = list(range(n))
+                perm[twin], perm[v] = v, twin
+                add(tuple(perm))
+                continue
+            tried.append(v)
+            skip = _orbit_closure(skip | 1 << v, stabiliser)
+            visit([2 * c + (u != v) for u, c in enumerate(ranks)], cells)
+
+    degrees = [len(nb) for nb in nbrs]
+    visit(degrees, len(set(degrees)))
+    return Search(tuple(best), tuple(best_ranks), tuple(find(v) for v in range(n)), generators)
+
+
+def _nonadjacent_pairs(g: Graph):
+    for x in range(g.n):
+        rx = g.row(x)
+        for y in range(x + 1, g.n):
+            if not rx >> y & 1:
+                yield x, y
+
+
+def table1_screen_reference(g: Graph) -> ScreeningReport:
+    """``screening.table1_screen`` as it stood before the orbit scan: P4,
+    P13-P16, P21 and P22 visit every pair.  Kept verbatim so the screen
+    can be checked to give the same status and detail for every
+    property."""
+    if not is_connected(g):
+        raise ValueError("screening requires a connected host")
+    if not independence_number_is_2(g):
+        raise ValueError("screening requires independence number exactly 2")
+    n = g.n
+    # alpha(g) = 2 makes chi = n - mu(gc); P1 (chi(g - v) < chi(g) for
+    # every v) is D(gc) = V, and P5 is gc factor-critical.
+    gc = complement(g)
+    mu, d, host = _gallai_edmonds(gc, g.full_mask)
+    chi = n - mu
+    omega = len(max_clique(g))
+    delta = min(g.degree(v) for v in range(n))
+    verdicts: dict[str, Verdict] = {}
+
+    def put(name: str, ok: bool, detail: str = ""):
+        verdicts[name] = Verdict("pass" if ok else "fail", detail)
+
+    put("P1", d == g.full_mask, f"chi={chi}")
+    put("P2", is_connected(gc), "complement connected iff not decomposable")
+    put("P3", n == 2 * chi - 1, f"n={n}, 2chi-1={2 * chi - 1}")
+
+    # g - x - y inherits alpha <= 2, so both matching shortcuts run on gc
+    # inside the mask of the remaining vertices.  Each starts from the host
+    # matching minus x, y and their partners, at most two augmentations
+    # short of maximum; mu and D do not depend on the matching found.
+    p4_ok = True
+    for x, y in _nonadjacent_pairs(g):
+        rest = g.full_mask & ~(1 << x) & ~(1 << y)
+        mu_rest, d_rest, _ = _gallai_edmonds(gc, rest, host)
+        if n - 2 - mu_rest != chi - 1 or d_rest != rest:
+            p4_ok = False
+            break
+    put("P4", p4_ok, "pair deletion leaves a (chi-1)-critical graph")
+
+    put(
+        "P5",
+        2 * mu == n - 1 and d == g.full_mask,
+        "complement minus any vertex has a perfect matching",
+    )
+
+    cdm = connected_dominating_matching(g, budget=None if n <= 16 else 500_000)
+    if cdm.status == "unknown":
+        verdicts["P6"] = Verdict("not-evaluated", "CDM search budget exhausted")
+    else:
+        put("P6", cdm.status == "refuted", "no non-empty CDM")
+    # The CDM search answers with a dominating edge whenever g has one,
+    # and a one-edge CDM is a dominating edge, so P7 fails exactly when it
+    # found one edge.  uv dominates g iff u, v are non-adjacent in gc with
+    # no common gc-neighbour; gc is triangle-free with n >= 3, so it is
+    # not complete, and diam(gc) = 2 (P12) iff g has no dominating edge.
+    p7 = not (cdm.status == "found" and cdm.witness.size == 1)
+    put("P7", p7, "every edge deletion creates a 3-independent set")
+
+    # Above 40 vertices kappa is capped at the larger of the two thresholds
+    # P8 and P18 compare it with, which decides both.
+    if n <= 40:
+        kappa = vertex_connectivity(g)
+        kappa_detail = f"kappa={kappa}"
+    else:
+        kappa = vertex_connectivity(g, at_least=max(chi, 7))
+        kappa_detail = "thresholded"
+    put("P8", kappa >= chi, kappa_detail + f", chi={chi}")
+    put("P9", delta >= chi, f"delta={delta}, chi={chi}")
+
+    # Hamiltonicity: kappa >= alpha = 2 gives a Hamiltonian cycle
+    # (Chvatal-Erdos), and a Hamiltonian graph on n >= 3 vertices is
+    # 2-connected; a connected host with alpha = 2 has n >= 3.
+    put("P10", kappa >= 2)
+
+    put("P11", is_factor_critical(g))
+    put("P12", p7)
+
+    # For each non-adjacent pair: A = N(x) - N[y], B = N(x) & N(y),
+    # C = N(y) - N[x].  P14 fails iff some b in B is adjacent to all of A
+    # or to all of C.  P15 asks, for every a in A and c in C, that a ~ c
+    # iff some b in B misses both; for fixed a that is C & N(a) equal to
+    # the part of C outside the common neighbourhood of B - N(a).  Each
+    # property stops being scanned once it has failed.
+    p13 = p14 = p15 = p16 = True
+    for x, y in _nonadjacent_pairs(g):
+        rx, ry = g.row(x), g.row(y)
+        b_mask = rx & ry
+        a_mask = rx & ~ry & ~(1 << y)
+        c_mask = ry & ~rx & ~(1 << x)
+        if not b_mask:
+            p13 = p14 = p16 = False
+            if not p15:
+                break
+            continue
+        if p14:
+            common_a = common_c = g.full_mask
+            for a in bits(a_mask):
+                common_a &= g.row(a)
+            for c in bits(c_mask):
+                common_c &= g.row(c)
+            if b_mask & (common_a | common_c):
+                p14 = False
+        if p15:
+            for a in bits(a_mask):
+                ra = g.row(a)
+                common = c_mask
+                for b in bits(b_mask & ~ra):
+                    common &= g.row(b)
+                if c_mask & ra != c_mask & ~common:
+                    p15 = False
+                    break
+        if p16:
+            for b in bits(b_mask):
+                rb = g.row(b)
+                c_off_b = c_mask & ~rb
+                if any(g.row(a) & c_off_b for a in bits(a_mask & ~rb)):
+                    break
+            else:
+                p16 = False
+        if not (p13 or p14 or p15 or p16):
+            break
+    put("P13", p13)
+    put("P14", p14)
+    put("P15", p15)
+    put("P16", p16, "every non-adjacent pair lies in an induced C5")
+
+    put("P17", chi >= 7, f"chi={chi}")
+    put("P18", kappa >= 7, "")
+    put("P19", omega <= chi - 3, f"omega={omega}, chi={chi}")
+    put("P20", delta >= chi + 1, f"delta={delta}, chi={chi}")
+
+    p21 = True
+    for x, y in _nonadjacent_pairs(g):
+        rx, ry = g.row(x), g.row(y)
+        a = (rx & ~ry & ~(1 << y)).bit_count()
+        c = (ry & ~rx & ~(1 << x)).bit_count()
+        b = (rx & ry).bit_count()
+        if not (2 <= a <= chi - 4 and 2 <= c <= chi - 4 and 5 <= b <= 2 * chi - 7):
+            p21 = False
+            break
+    put("P21", p21, "A/B/C size windows")
+
+    if n <= _COLOURING_CAP:
+        # A (chi - 1)-colouring of g - uv puts u and v in one class (else
+        # it colours g), and alpha = 2 leaves room there for at most one w,
+        # a common neighbour of u and v in gc.  The pair class needs
+        # mu(gc - u - v) = mu; a triple class needs mu(gc - u - v - w) =
+        # mu - 1, i.e. mu(gc - u - v) = mu - 1 and w in D(gc - u - v).
+        p22 = True
+        for u, v in g.edges():
+            rest = g.full_mask & ~(1 << u) & ~(1 << v)
+            mu_rest, d_rest, _ = _gallai_edmonds(gc, rest, host)
+            if mu_rest != mu and not (
+                mu_rest == mu - 1 and d_rest & gc.row(u) & gc.row(v)
+            ):
+                p22 = False
+                break
+        put("P22", p22, "edge-criticality (advisory for minimal profiles)")
+    else:
+        verdicts["P22"] = Verdict("not-evaluated", f"n>{_COLOURING_CAP}")
+
+    return ScreeningReport(verdicts)
+
+
 def random_graph(n: int, p_numerator: int, rng: SplitMix64) -> Graph:
     edges = []
     for u in range(n):
@@ -433,6 +699,23 @@ def brute_triangle_free_process(n: int, seed: int) -> Graph:
         u, v = candidates[rng.randrange(len(candidates))]
         rows[u] |= 1 << v
         rows[v] |= 1 << u
+
+
+@contextmanager
+def deadline(seconds: float, what: str):
+    """Fail, instead of running on, when the block takes longer than
+    ``seconds`` of wall time (SIGALRM, main thread only)."""
+
+    def stop(*_):
+        raise AssertionError(f"{what} did not finish within {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, stop)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
 
 
 @pytest.fixture(scope="session")

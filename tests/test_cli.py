@@ -239,22 +239,10 @@ class TestScreen:
         assert code == 2
 
 
-def test_srg_workflows_do_not_import_numpy(steiner_system, tmp_path):
-    # The clique bound on strongly regular complements is integer
-    # arithmetic.  A fresh interpreter is needed: conftest imports numpy.
-    from hadwiger2.steiner import gewirtz, mesner
-
-    hosts = {
-        "hoffman_singleton": hoffman_singleton(),
-        "gewirtz": gewirtz(steiner_system),
-        "mesner": mesner(steiner_system),
-    }
-    argvs = []
-    for name, host in hosts.items():
-        path = tmp_path / f"{name}.g6"
-        path.write_text(write_graph6(complement(host)) + "\n")
-        argvs.append(["screen", "--in", str(path)])
-    argvs.append(["certify", "--kind", "cover4", "--in", str(tmp_path / "hoffman_singleton.g6")])
+def _codes_and_numpy(argvs) -> str:
+    """Run each argv through ``cli.main`` in a fresh interpreter (conftest
+    imports numpy) and return its line: the exit codes, then whether
+    numpy was imported."""
     script = (
         "import contextlib, io, sys\n"
         "from hadwiger2 import cli\n"
@@ -272,7 +260,39 @@ def test_srg_workflows_do_not_import_numpy(steiner_system, tmp_path):
         timeout=120,
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout == "[0, 0, 0, 0] False\n"
+    return done.stdout
+
+
+def test_srg_workflows_do_not_import_numpy(steiner_system, tmp_path):
+    # The clique bound on strongly regular complements is integer
+    # arithmetic.
+    from hadwiger2.steiner import gewirtz, mesner
+
+    hosts = {
+        "hoffman_singleton": hoffman_singleton(),
+        "gewirtz": gewirtz(steiner_system),
+        "mesner": mesner(steiner_system),
+    }
+    argvs = []
+    for name, host in hosts.items():
+        path = tmp_path / f"{name}.g6"
+        path.write_text(write_graph6(complement(host)) + "\n")
+        argvs.append(["screen", "--in", str(path)])
+    argvs.append(["certify", "--kind", "cover4", "--in", str(tmp_path / "hoffman_singleton.g6")])
+    assert _codes_and_numpy(argvs) == "[0, 0, 0, 0] False\n"
+
+
+def test_orbit_screen_does_not_import_numpy(steiner_system, tmp_path):
+    # The screen searches the complement for its automorphism orbits; that
+    # search, like the rest of the screen, must not pull numpy in.
+    from hadwiger2.steiner import mesner
+
+    argvs = []
+    for name, host in (("clebsch", clebsch()), ("mesner", mesner(steiner_system))):
+        path = tmp_path / f"{name}.g6"
+        path.write_text(write_graph6(complement(host)) + "\n")
+        argvs.append(["screen", "--in", str(path)])
+    assert _codes_and_numpy(argvs) == "[0, 0] False\n"
 
 
 class TestWorkersAndComplement:

@@ -22,6 +22,7 @@ from hadwiger2.graphs import (
     vertex_connectivity,
 )
 from hadwiger2.constructions import (
+    andrasfai,
     clebsch,
     complete,
     cycle,
@@ -35,6 +36,8 @@ from hadwiger2.rng import SplitMix64
 from hadwiger2.steiner import gewirtz
 
 from conftest import (
+    deadline,
+    search_reference,
     brute_orbits,
     brute_diameter,
     brute_girth,
@@ -418,3 +421,61 @@ class TestSearch:
         # visited one leaf per automorphism would add |Aut| - 1 generators.
         for g in (petersen(), clebsch()):
             assert len(search(g.rows()).generators) < 64
+
+
+def _named_hosts_and_complements(steiner_system):
+    hosts = [petersen(), clebsch(), andrasfai(6), kneser(7, 3), hoffman_singleton(),
+             gewirtz(steiner_system)]
+    return hosts + [complement(h) for h in hosts]
+
+
+class TestBackjumping:
+    """The search backjumps after each automorphism found at a leaf; the
+    reference search carries on through the rest of that leaf's subtree."""
+
+    def test_matches_reference_on_triangle_free_graphs(self, tf_levels_9):
+        assert sum(len(level) for level in tf_levels_9.values()) == 2479
+        for level in tf_levels_9.values():
+            for g in level:
+                assert search(g.rows())[:3] == search_reference(g.rows())[:3], g.edges()
+
+    def test_matches_reference_on_named_hosts(self, steiner_system):
+        for g in _named_hosts_and_complements(steiner_system):
+            assert search(g.rows())[:3] == search_reference(g.rows())[:3], g.n
+
+    def test_fewer_generators_than_vertices(self, steiner_system):
+        from hadwiger2.steiner import higman_sims, mesner
+
+        hosts = _named_hosts_and_complements(steiner_system)
+        hosts += [mesner(steiner_system), higman_sims(steiner_system)]
+        hosts += [complement(h) for h in hosts[-2:]]
+        for g in hosts:
+            assert len(search(g.rows()).generators) < g.n, g.n
+
+    def test_higman_sims_complement_in_seconds(self, steiner_system):
+        # Without backjumping this search takes about 32 s (Python 3.11) and
+        # adds 6,116 generators.
+        from hadwiger2.steiner import higman_sims
+
+        g = complement(higman_sims(steiner_system))
+        with deadline(10, "the Higman-Sims complement search"):
+            found = search(g.rows())
+        assert set(found.orbits) == {0}
+
+    def test_is_isomorphic_on_a_relabelled_kneser_complement(self):
+        # Comparing by backtracking embeddings did not finish here within 20 s.
+        g = complement(kneser(7, 3))
+        perm = list(range(g.n))
+        SplitMix64(5).shuffle(perm)
+        k = _relabel(kneser(7, 3), perm)
+        h, switched = complement(k), complement(_switch_edges(k, SplitMix64(6)))
+
+        def common_neighbours(f: Graph) -> list[int]:
+            return sorted((f.row(u) & f.row(v)).bit_count() for u, v in f.edges())
+
+        # Same degrees, yet not isomorphic: the edges' common neighbourhoods differ.
+        assert switched.degree_sequence() == g.degree_sequence()
+        assert common_neighbours(switched) != common_neighbours(g)
+        with deadline(10, "is_isomorphic on the Kneser(7, 3) complement"):
+            assert is_isomorphic(g, h)
+            assert not is_isomorphic(g, switched)

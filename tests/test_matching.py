@@ -1,8 +1,5 @@
 """Blossom matching and the independence-2 chromatic shortcut."""
 
-import signal
-from contextlib import contextmanager
-
 import networkx as nx
 import pytest
 from hypothesis import given, settings
@@ -21,7 +18,7 @@ from hadwiger2.matching import (
 )
 from hadwiger2.generation import connected_alpha2_graphs
 
-from conftest import brute_chromatic_number, brute_matching_number, random_graph
+from conftest import brute_chromatic_number, brute_matching_number, deadline, random_graph
 from hadwiger2.rng import SplitMix64
 from test_graphs import graphs_strategy
 
@@ -117,27 +114,12 @@ NESTED = Graph(
 )
 
 
-@contextmanager
-def _deadline(seconds: float):
-    """Fail instead of hanging: a broken blossom base map can make the
-    search loop forever."""
-
-    def stop(*_):
-        raise AssertionError("blossom search did not terminate")
-
-    old = signal.signal(signal.SIGALRM, stop)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, old)
-
-
+# The deadlines fail a test instead of hanging it: a broken blossom base
+# map can make the search loop forever.
 class TestKernelAgainstNetworkx:
     def test_random_hosts_masks_and_warm_starts(self):
         rng = SplitMix64(20261020)
-        with _deadline(60):
+        with deadline(60, "the blossom search"):
             for trial in range(60):
                 n = 2 + rng.randrange(39)
                 g = random_graph(n, 5 + rng.randrange(40), rng)
@@ -148,7 +130,7 @@ class TestKernelAgainstNetworkx:
     def test_nested_blossoms(self):
         empty = [-1] * NESTED.n
         rng = SplitMix64(13)
-        with _deadline(20):
+        with deadline(20, "the blossom search"):
             _check_kernel(NESTED, NESTED.full_mask, empty)
             assert gallai_edmonds(NESTED) == (6, NESTED.full_mask)
             for v in range(NESTED.n):

@@ -27,6 +27,7 @@ from conftest import (
     brute_chromatic_number,
     brute_is_hamiltonian,
     brute_matching_number,
+    table1_screen_reference,
 )
 
 
@@ -407,3 +408,38 @@ class TestPairPropertiesAgainstDefinitions:
             for p, ok in got.items():
                 seen[p].add(ok)
         assert seen["P14"] == seen["P15"] == {True, False}
+
+
+class TestOrbitScreen:
+    """The pair properties are scanned on the pairs that meet an orbit
+    representative; the reference screen scans every pair.  Status and
+    detail must agree on every property."""
+
+    @staticmethod
+    def _agree(hosts) -> None:
+        for g in hosts:
+            assert table1_screen(g).verdicts == table1_screen_reference(g).verdicts, g.edges()
+
+    def test_small_alpha2_graphs(self, tf_levels_9):
+        hosts = [
+            g
+            for n in range(3, 10)
+            for g in connected_alpha2_graphs(n, tf_levels_9)
+            if independence_number_is_2(g)
+        ]
+        assert len(hosts) == 2450
+        self._agree(hosts)
+
+    def test_random_hosts(self):
+        self._agree(_random_alpha2_hosts(320, 20261019))
+
+    def test_paper_hosts_and_asymmetric_process_hosts(self, steiner_system):
+        # The first seven are vertex-transitive; the triangle-free process
+        # complements have no non-trivial automorphism.
+        from hadwiger2.constructions import hoffman_singleton, kneser, triangle_free_process
+        from hadwiger2.steiner import gewirtz, higman_sims, mesner
+
+        hosts = [clebsch(), andrasfai(6), kneser(7, 3), hoffman_singleton(), gewirtz(steiner_system),
+                 mesner(steiner_system), higman_sims(steiner_system)]
+        hosts += [triangle_free_process(101, seed) for seed in (0, 1)]
+        self._agree([complement(h) for h in hosts])
