@@ -14,7 +14,9 @@ def _refine(nbrs: list[list[int]], colors: list[int], ncolors: int) -> list[int]
 
     Each round recolours a vertex by its colour and the multiset of its
     neighbours' colours.  The result is given as ranks of the sorted
-    signatures, so it does not depend on the vertex labels.
+    signatures, so it does not depend on the vertex labels, and, as a
+    signature starts with the old colour, ``colors[u] < colors[v]``
+    implies ``result[u] < result[v]``.
     """
     while True:
         sigs = [(colors[v], tuple(sorted([colors[w] for w in nb]))) for v, nb in enumerate(nbrs)]
@@ -169,6 +171,13 @@ def search(rows: Sequence[int]) -> Search:
     generate, so every least leaf is the image of a visited least leaf,
     and an automorphism is fixed by the leaf it maps the first least leaf
     to.  Orbits are read off by union-find.
+
+    Contract: the labelling keeps the order of the root ranks.  If the
+    root refinement (``_refine`` from the degree colouring) ranks u below
+    v, then ``labelling[u] < labelling[v]``: refinement keeps the order of
+    colours, and individualisation maps colour c to 2c or 2c + 1.  Canonical
+    augmentation in ``generation`` settles ties on this, so a change here
+    must keep it.
     """
     n = len(rows)
     nbrs = [list(bits(r)) for r in rows]

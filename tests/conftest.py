@@ -13,13 +13,14 @@ from __future__ import annotations
 import signal
 from contextlib import contextmanager
 from itertools import combinations, permutations
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 import pytest
 
 from hadwiger2.cliques import max_clique
 from hadwiger2.conjectures import connected_dominating_matching
+from hadwiger2.generation import independent_set_masks
 from hadwiger2.graphs import (
     Graph,
     bits,
@@ -28,7 +29,7 @@ from hadwiger2.graphs import (
     is_connected,
     vertex_connectivity,
 )
-from hadwiger2.iso import Search, _orbit_closure, _refine
+from hadwiger2.iso import Search, _orbit_closure, _refine, search
 from hadwiger2.matching import _gallai_edmonds, is_factor_critical
 from hadwiger2.rng import SplitMix64
 from hadwiger2.screening import _COLOURING_CAP, ScreeningReport, Verdict
@@ -499,6 +500,91 @@ def search_reference(rows: Sequence[int]) -> Search:
     visit(degrees, len(set(degrees)))
     return Search(tuple(best), tuple(best_ranks), tuple(find(v) for v in range(n)), generators)
 
+
+
+def least_key_children_reference(parent: Graph) -> list[tuple[int, list[int], int]]:
+    """``generation._least_key_children`` as it stood before keys were read
+    off the parent: every passing mask builds the child's rows first.
+    This and the two functions below are kept verbatim so the generation
+    that settles ties without a search and carries Aut(parent) can be
+    checked to give the same labelled levels."""
+    k = parent.n
+    pdeg = [r.bit_count() for r in parent.rows()]
+    least = min(pdeg)
+    at_least = sum(1 << v for v, dv in enumerate(pdeg) if dv == least)
+    out = []
+    for mask in independent_set_masks(parent):
+        d = mask.bit_count()
+        # The least old degree is `least` unless mask covers every vertex of it.
+        if d > (least if at_least & ~mask else least + 1):
+            continue
+        rows = [r | ((mask >> i & 1) << k) for i, r in enumerate(parent.rows())]
+        rows.append(mask)
+        deg = [r.bit_count() for r in rows]
+        s = sum(deg[u] for u in bits(mask))
+        ties = 1 << k
+        for v in range(k):
+            if deg[v] == d:
+                sv = sum(deg[u] for u in bits(rows[v]))
+                if sv < s:
+                    break
+                if sv == s:
+                    ties |= 1 << v
+        else:
+            out.append((mask, rows, ties))
+    return out
+
+
+def siblings_reference(parent: Graph) -> list[tuple[int, list[int], int]]:
+    """``generation._siblings`` before it took carried generators."""
+    children = least_key_children_reference(parent)
+    if len(children) < 2:
+        return children
+    generators = search(parent.rows()).generators
+    seen: set[int] = set()
+    out = []
+    for child in children:
+        if child[0] in seen:
+            continue
+        out.append(child)
+        seen.add(child[0])
+        stack = [child[0]]
+        while stack:
+            mask = stack.pop()
+            for perm in generators:
+                image = sum(1 << perm[v] for v in bits(mask))
+                if image not in seen:
+                    seen.add(image)
+                    stack.append(image)
+    return out
+
+
+def extend_reference(parent: Graph) -> Iterator[Graph]:
+    """``generation._extend`` before ties were settled without a search:
+    every tied child is searched."""
+    k = parent.n
+    for _, rows, ties in siblings_reference(parent):
+        if ties != 1 << k:
+            found = search(rows)
+            first = min(bits(ties), key=found.labelling.__getitem__)
+            if found.orbits[first] != found.orbits[k]:
+                continue
+        yield Graph._trusted(rows)
+
+
+def from_rows_reference(rows: Sequence[int]) -> Graph:
+    """``Graph.from_rows`` as it stood before the word-parallel symmetry
+    check: one membership test per edge."""
+    g = Graph._trusted(rows)
+    full = (1 << g.n) - 1
+    for i, row in enumerate(g._rows):
+        if row & ~full or row >> i & 1:
+            raise ValueError("adjacency rows out of range or with loops")
+    for i, row in enumerate(g._rows):
+        for j in bits(row):
+            if not g._rows[j] >> i & 1:
+                raise ValueError("adjacency not symmetric")
+    return g
 
 def _nonadjacent_pairs(g: Graph):
     for x in range(g.n):

@@ -3,13 +3,16 @@
 import json
 import pathlib
 import random
+from collections import Counter
 from itertools import combinations
 
 import networkx as nx
 
+from hadwiger2 import generation
 from hadwiger2.generation import (
     _least_key_children,
     _next_level,
+    _settle,
     _siblings,
     connected_alpha2_graphs,
     independent_set_masks,
@@ -17,7 +20,9 @@ from hadwiger2.generation import (
 )
 from hadwiger2.graphs import Graph, bits, complement, is_connected, is_triangle_free
 from hadwiger2.constructions import complete, cycle
-from hadwiger2.iso import canonical_form, is_isomorphic
+from hadwiger2.iso import canonical_form, is_isomorphic, search
+
+from conftest import extend_reference
 
 FIXTURE = pathlib.Path(__file__).parent / "fixtures" / "triangle_free_counts.json"
 
@@ -148,3 +153,52 @@ def test_siblings_are_one_per_child_class(tf_levels_8):
             kept = _siblings(parent)
             assert {mask for mask, _, _ in kept} <= {mask for mask, _, _ in children}
             assert len(kept) == len(classes), parent.edges()
+
+
+def test_levels_equal_reference_row_for_row(tf_levels_9):
+    # Settling ties without a search, reading keys off the parent and
+    # carrying Aut(parent) change no accepted child and no label.
+    reference = {1: [Graph(1)]}
+    for n in range(1, 9):
+        reference[n + 1] = [child for parent in reference[n] for child in extend_reference(parent)]
+    levels = triangle_free_graphs(9)
+    for n in range(1, 10):
+        rows = [g.rows() for g in reference[n]]
+        assert [g.rows() for g in levels[n]] == rows, n
+        assert [g.rows() for g in tf_levels_9[n]] == rows, n
+
+
+def test_settle_agrees_with_the_orbit_test(tf_levels_8):
+    # Every tied child of every parent on at most 8 vertices, siblings in
+    # one orbit included: a decision without search must be the search's.
+    outcomes: Counter = Counter()
+    for level in tf_levels_8.values():
+        for parent in level:
+            k = parent.n
+            for _, rows, ties in _least_key_children(parent):
+                if ties == 1 << k:
+                    continue
+                found = search(rows)
+                first = min(bits(ties), key=found.labelling.__getitem__)
+                accepted = found.orbits[first] == found.orbits[k]
+                settled = _settle(rows, ties)
+                assert settled in (None, accepted), (parent.edges(), bin(ties))
+                twins = all(rows[v] & ~(1 << k) == rows[k] & ~(1 << v) for v in bits(ties))
+                outcomes["twin accept" if twins else settled] += 1
+    # Twin accepts, rank rejects, rank accepts and searches all occur.
+    assert set(outcomes) == {"twin accept", False, True, None}, outcomes
+
+
+def test_each_labelled_graph_searched_at_most_once(monkeypatch):
+    searched: list[tuple[int, ...]] = []
+
+    def counting(rows):
+        searched.append(tuple(rows))
+        return search(rows)
+
+    monkeypatch.setattr(generation, "search", counting)
+    triangle_free_graphs(9)
+    # Searching every tied child and every parent with two children or
+    # more took 1,730 searches.
+    assert len(searched) == 758
+    assert len(set(searched)) == len(searched)

@@ -31,7 +31,7 @@ from hadwiger2.constructions import (
     petersen,
 )
 from hadwiger2.matching import chromatic_number_alpha2
-from hadwiger2.iso import canonical_form, is_isomorphic, has_induced_subgraph, search
+from hadwiger2.iso import _refine, canonical_form, is_isomorphic, has_induced_subgraph, search
 from hadwiger2.rng import SplitMix64
 from hadwiger2.steiner import gewirtz
 
@@ -44,6 +44,7 @@ from conftest import (
     brute_independence_number,
     brute_odd_girth,
     brute_vertex_connectivity,
+    from_rows_reference,
     random_graph,
 )
 
@@ -81,6 +82,45 @@ class TestGraphBasics:
         assert complement(complete(3)) == Graph(3)
         assert is_isomorphic(complement(cycle(5)), cycle(5))
         assert complement(petersen()).edge_count == 30
+
+
+def _built_or_error(build, rows):
+    try:
+        return build(tuple(rows)).rows()
+    except ValueError as error:
+        return str(error)
+
+
+class TestFromRows:
+    """The word-parallel symmetry check accepts and rejects exactly what
+    the per-edge check did, with the same messages."""
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 63, 64, 65, 300])
+    def test_matches_per_edge_reference(self, n):
+        rng = SplitMix64(7000 + n)
+        outcomes = set()
+        for trial in range(9):
+            rows = list(random_graph(n, 5 + rng.randrange(90), rng).rows())
+            if n >= 2 and trial % 3 == 1:
+                u = rng.randrange(n)
+                rows[u] ^= 1 << (u + 1 + rng.randrange(n - 1)) % n
+            elif n and trial % 3 == 2:
+                u = rng.randrange(n)
+                rows[u] |= 1 << u
+            built = _built_or_error(Graph.from_rows, rows)
+            assert built == _built_or_error(from_rows_reference, rows), (n, trial)
+            outcomes.add(built if isinstance(built, str) else "graph")
+        expected = {"graph"}
+        if n:
+            expected.add("adjacency rows out of range or with loops")
+        if n >= 2:
+            expected.add("adjacency not symmetric")
+        assert outcomes == expected
+
+    def test_out_of_range_rows(self):
+        for rows in ([0b1000, 0, 0], [-1, 0], [0, 1 << 64]):
+            assert _built_or_error(Graph.from_rows, rows) == _built_or_error(from_rows_reference, rows)
+            assert _built_or_error(Graph.from_rows, rows) == "adjacency rows out of range or with loops"
 
 
 class TestInducedSubgraph:
@@ -421,6 +461,37 @@ class TestSearch:
         # visited one leaf per automorphism would add |Aut| - 1 generators.
         for g in (petersen(), clebsch()):
             assert len(search(g.rows()).generators) < 64
+
+
+class TestRefinementOrder:
+    """Contract that ``generation._settle`` rests on: refinement and the
+    search keep the order of colours, so the canonical labelling orders
+    vertices of different root ranks as the root refinement does."""
+
+    def _graphs(self, seed):
+        rng = SplitMix64(seed)
+        for _ in range(150):
+            yield random_graph(1 + rng.randrange(16), 10 + rng.randrange(80), rng), rng
+
+    def test_refine_keeps_colour_order(self):
+        for g, rng in self._graphs(31):
+            colors = [rng.randrange(2 * g.n) for _ in range(g.n)]
+            ranks = _refine([g.neighbors(v) for v in range(g.n)], colors, len(set(colors)))
+            for u in range(g.n):
+                for v in range(g.n):
+                    if colors[u] < colors[v]:
+                        assert ranks[u] < ranks[v], (g.edges(), colors)
+
+    def test_labelling_keeps_root_rank_order(self, tf_levels_8):
+        graphs = [g for g, _ in self._graphs(37)] + tf_levels_8[8]
+        for g in graphs:
+            degrees = [g.degree(v) for v in range(g.n)]
+            root = _refine([g.neighbors(v) for v in range(g.n)], degrees, len(set(degrees)))
+            labelling = search(g.rows()).labelling
+            for u in range(g.n):
+                for v in range(g.n):
+                    if root[u] < root[v]:
+                        assert labelling[u] < labelling[v], g.edges()
 
 
 def _named_hosts_and_complements(steiner_system):
