@@ -273,48 +273,47 @@ def four_cover_check(g: Graph) -> Outcome:
     return Outcome("refuted")
 
 
-def format_certificate(cert: CliqueFamilyCertificate) -> str:
-    """Text form: a 'theta_f num/den' line, then one 'X v1 v2 ...' per clique."""
-    b = Fraction(cert.bound)
-    lines = [f"theta_f {b.numerator}/{b.denominator}"]
-    for c in cert.cliques:
-        lines.append("X " + " ".join(str(v) for v in c))
+def _write_cliques(header: str, cliques) -> str:
+    """The line ``header``, then one 'X v1 v2 ...' line per clique."""
+    lines = [header] + ["X " + " ".join(map(str, c)) for c in cliques]
     return "\n".join(lines) + "\n"
 
 
-def parse_certificate(text: str) -> CliqueFamilyCertificate:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("theta_f "):
-        raise ValueError("certificate text must start with a 'theta_f' line")
-    num, den = lines[0].split()[1].split("/")
+def _read_cliques(text: str, what: str, header: str) -> tuple[str, tuple[tuple[int, ...], ...]]:
+    """The first line and the cliques of a ``_write_cliques`` text, blank
+    lines skipped.  The first line must be ``header``, or start with it
+    when it ends in a space."""
+    lines = [ln for ln in text.splitlines() if ln.strip()] or [""]
+    if not (lines[0].startswith(header) if header.endswith(" ") else lines[0] == header):
+        raise ValueError(f"{what} text must start with a '{header.strip()}' line")
     cliques = []
     for ln in lines[1:]:
         parts = ln.split()
         if parts[0] != "X":
-            raise ValueError(f"unexpected certificate line: {ln!r}")
+            raise ValueError(f"unexpected {what} line: {ln!r}")
         cliques.append(tuple(int(x) for x in parts[1:]))
-    return CliqueFamilyCertificate(tuple(cliques), Fraction(int(num), int(den)))
+    return lines[0], tuple(cliques)
+
+
+def format_certificate(cert: CliqueFamilyCertificate) -> str:
+    """Text form: a 'theta_f num/den' line, then one 'X v1 v2 ...' per clique."""
+    b = Fraction(cert.bound)
+    return _write_cliques(f"theta_f {b.numerator}/{b.denominator}", cert.cliques)
+
+
+def parse_certificate(text: str) -> CliqueFamilyCertificate:
+    first, cliques = _read_cliques(text, "certificate", "theta_f ")
+    num, den = first.split()[1].split("/")
+    return CliqueFamilyCertificate(cliques, Fraction(int(num), int(den)))
 
 
 def format_cover4(cover) -> str:
     """Same clique-line format as certificates, under a 'cover4' header."""
-    lines = ["cover4"]
-    for c in cover:
-        lines.append("X " + " ".join(str(v) for v in c))
-    return "\n".join(lines) + "\n"
+    return _write_cliques("cover4", cover)
 
 
 def parse_cover4(text: str) -> tuple[tuple[int, ...], ...]:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != "cover4":
-        raise ValueError("cover text must start with a 'cover4' line")
-    out = []
-    for ln in lines[1:]:
-        parts = ln.split()
-        if parts[0] != "X":
-            raise ValueError(f"unexpected cover line: {ln!r}")
-        out.append(tuple(int(x) for x in parts[1:]))
-    return tuple(out)
+    return _read_cliques(text, "cover", "cover4")[1]
 
 
 @dataclass(frozen=True)

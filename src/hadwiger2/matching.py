@@ -58,10 +58,11 @@ class Matching:
 
 
 def _find_augmenting(
-    g: Graph, match: list[int], root: int, within: int
+    g: Graph, match: list[int], root: int, within: int, stop: int = 0
 ) -> tuple[int, list[int], int]:
     """(end, parent, outer): the exposed end of an augmenting path from
     root (-1 if none), the tree's parent links, and its outer vertices.
+    The search also ends once an outer vertex lies in the bitmask ``stop``.
 
     Each blossom is its base plus the member bitmask ``members[base]``.
     A dequeued outer vertex splits its neighbours by mask: unreached ones
@@ -101,7 +102,7 @@ def _find_augmenting(
         return moved
 
     # Once every vertex is outer nothing is left to reach: the search fails.
-    while queue and outer != within:
+    while queue and outer != within and not outer & stop:
         v = queue.popleft()
         nbrs = g.row(v) & within & ~members[base[v]]
         grow = nbrs & ~outer & ~inner
@@ -216,14 +217,17 @@ def gallai_edmonds(g: Graph, within: int | None = None) -> tuple[int, int]:
 
 
 def _gallai_edmonds(
-    g: Graph, within: int, start: list[int] | None = None
+    g: Graph, within: int, start: list[int] | None = None, stop: int = 0
 ) -> tuple[int, int, list[int]]:
     """(mu, D, match) of g[within], with ``match`` the maximum matching
-    found from the warm start ``start`` (see ``_maximum_match``)."""
+    found from the warm start ``start`` (see ``_maximum_match``).  D is
+    exact unless it meets the bitmask ``stop``, where its search ends."""
     match, exposed = _maximum_match(g, within, start)
     d = 0
     for root in bits(exposed):
-        d |= _find_augmenting(g, match, root, within)[2]
+        if d & stop:
+            break
+        d |= _find_augmenting(g, match, root, within, stop)[2]
     return (within.bit_count() - exposed.bit_count()) // 2, d, match
 
 

@@ -19,7 +19,7 @@ from .graphs import (
     is_connected,
     vertex_connectivity,
 )
-from .iso import search
+from .iso import Search, _orbit_closure, search
 from .matching import _gallai_edmonds, is_factor_critical
 
 PROPERTIES = tuple(f"P{i}" for i in range(1, 23))
@@ -30,8 +30,6 @@ BLOCKS = {
     "minimum-shc": PROPERTIES[:16],
     "minimal-shc": PROPERTIES[:16],
 }
-
-_COLOURING_CAP = 24
 
 
 @dataclass(frozen=True)
@@ -61,15 +59,20 @@ class ScreeningReport:
         )
 
 
-def _pairs(g: Graph, adjacent: bool, reps: int):
-    """The pairs x < y of ``g``, adjacent or not as asked, with x or y in
-    the bitset ``reps``, in lexicographic order."""
-    for x in range(g.n):
-        ys = (g.row(x) if adjacent else ~g.row(x)) & g.full_mask >> (x + 1) << (x + 1)
-        if not reps >> x & 1:
-            ys &= reps
-        for y in bits(ys):
-            yield x, y
+def _pairs(g: Graph, adjacent: bool, found: Search):
+    """Pairs {x, y} of ``g``, adjacent or not as asked: for each orbit
+    representative x of ``found``, the least y of each orbit of the
+    generators fixing x, except a representative y below x."""
+    for x, rep in enumerate(found.orbits):
+        if x != rep:
+            continue
+        fixing = [p for p in found.generators if p[x] == x]
+        ys = (g.row(x) if adjacent else ~g.row(x)) & g.full_mask & ~(1 << x)
+        while ys:
+            y = (ys & -ys).bit_length() - 1
+            ys &= ~_orbit_closure(1 << y, fixing)
+            if y > x or found.orbits[y] != y:
+                yield x, y
 
 
 def table1_screen(g: Graph) -> ScreeningReport:
@@ -77,14 +80,12 @@ def table1_screen(g: Graph) -> ScreeningReport:
 
     Requires a connected host with independence number exactly 2.  P4 is
     the literal pair-deletion criticality (chromatic drop by one and the
-    remainder vertex-critical); P10 is read off the vertex connectivity.
-    The pair properties P4, P13-P16, P21 and P22 are checked only on the
-    pairs that meet a representative of an automorphism orbit, found by
-    one ``iso.search`` of the complement; on an asymmetric host that is
-    every pair.  Only P22 is capped by instance size: above
-    ``_COLOURING_CAP`` vertices it reports not-evaluated.  The orbits do
-    not lift the cap, because asymmetric hosts still pay one matching
-    test per edge.  P6 can stop undecided when its search budget runs out.
+    remainder vertex-critical); P10 is read off the vertex connectivity;
+    P22 is a matching test per edge at every order.  The pair properties
+    P4, P13-P16, P21 and P22 are checked on one pair per orbit of the
+    stabiliser of each orbit representative (see ``_pairs``), from one
+    ``iso.search`` of the complement; on an asymmetric host that is every
+    pair.  P6 can stop undecided when its search budget runs out.
     """
     if not is_connected(g):
         raise ValueError("screening requires a connected host")
@@ -100,10 +101,13 @@ def table1_screen(g: Graph) -> ScreeningReport:
     delta = min(g.degree(v) for v in range(n))
     # Aut(g) = Aut(gc).  Each per-pair property below (P4, P13-P16, P21,
     # P22) is symmetric in the pair, invariant under automorphisms and
-    # reported with a constant detail.  An automorphism carries x to the
-    # least vertex of its orbit, so every pair is the image of a pair that
-    # meets an orbit representative, and those pairs decide the property.
-    reps = sum(1 << v for v, r in enumerate(search(gc.rows()).orbits) if v == r)
+    # reported with a constant detail, so one pair per orbit of pairs
+    # decides it.  An automorphism maps any pair onto one at a
+    # representative x, and an automorphism fixing x maps its other end y
+    # to the least vertex of y's orbit under the generators that fix x (a
+    # subgroup of the stabiliser only splits orbits, which costs pairs,
+    # not exactness).  A pair at a representative y < x is checked at y.
+    found = search(gc.rows())
     verdicts: dict[str, Verdict] = {}
 
     def put(name: str, ok: bool, detail: str = ""):
@@ -118,7 +122,7 @@ def table1_screen(g: Graph) -> ScreeningReport:
     # matching minus x, y and their partners, at most two augmentations
     # short of maximum; mu and D do not depend on the matching found.
     p4_ok = True
-    for x, y in _pairs(g, False, reps):
+    for x, y in _pairs(g, False, found):
         rest = g.full_mask & ~(1 << x) & ~(1 << y)
         mu_rest, d_rest, _ = _gallai_edmonds(gc, rest, host)
         if n - 2 - mu_rest != chi - 1 or d_rest != rest:
@@ -171,7 +175,7 @@ def table1_screen(g: Graph) -> ScreeningReport:
     # the part of C outside the common neighbourhood of B - N(a).  Each
     # property stops being scanned once it has failed.
     p13 = p14 = p15 = p16 = True
-    for x, y in _pairs(g, False, reps):
+    for x, y in _pairs(g, False, found):
         rx, ry = g.row(x), g.row(y)
         b_mask = rx & ry
         a_mask = rx & ~ry & ~(1 << y)
@@ -219,7 +223,7 @@ def table1_screen(g: Graph) -> ScreeningReport:
     put("P20", delta >= chi + 1, f"delta={delta}, chi={chi}")
 
     p21 = True
-    for x, y in _pairs(g, False, reps):
+    for x, y in _pairs(g, False, found):
         rx, ry = g.row(x), g.row(y)
         a = (rx & ~ry & ~(1 << y)).bit_count()
         c = (ry & ~rx & ~(1 << x)).bit_count()
@@ -229,23 +233,20 @@ def table1_screen(g: Graph) -> ScreeningReport:
             break
     put("P21", p21, "A/B/C size windows")
 
-    if n <= _COLOURING_CAP:
-        # A (chi - 1)-colouring of g - uv puts u and v in one class (else
-        # it colours g), and alpha = 2 leaves room there for at most one w,
-        # a common neighbour of u and v in gc.  The pair class needs
-        # mu(gc - u - v) = mu; a triple class needs mu(gc - u - v - w) =
-        # mu - 1, i.e. mu(gc - u - v) = mu - 1 and w in D(gc - u - v).
-        p22 = True
-        for u, v in _pairs(g, True, reps):
-            rest = g.full_mask & ~(1 << u) & ~(1 << v)
-            mu_rest, d_rest, _ = _gallai_edmonds(gc, rest, host)
-            if mu_rest != mu and not (
-                mu_rest == mu - 1 and d_rest & gc.row(u) & gc.row(v)
-            ):
-                p22 = False
-                break
-        put("P22", p22, "edge-criticality (advisory for minimal profiles)")
-    else:
-        verdicts["P22"] = Verdict("not-evaluated", f"n>{_COLOURING_CAP}")
+    # A (chi - 1)-colouring of g - uv puts u and v in one class (else it
+    # colours g), and alpha = 2 leaves room there for at most one w, a
+    # common neighbour of u and v in gc.  The pair class needs
+    # mu(gc - u - v) = mu; a triple class needs mu(gc - u - v - w) = mu - 1,
+    # i.e. mu(gc - u - v) = mu - 1 and w in D(gc - u - v), whose search
+    # can stop once it meets the common neighbourhood.
+    p22 = True
+    for u, v in _pairs(g, True, found):
+        rest = g.full_mask & ~(1 << u) & ~(1 << v)
+        common = gc.row(u) & gc.row(v)
+        mu_rest, d_rest, _ = _gallai_edmonds(gc, rest, host, common)
+        if mu_rest != mu and not (mu_rest == mu - 1 and d_rest & common):
+            p22 = False
+            break
+    put("P22", p22, "edge-criticality (advisory for minimal profiles)")
 
     return ScreeningReport(verdicts)

@@ -33,14 +33,11 @@ def _f4_mul(a: int, b: int) -> int:
 
 def _pg24_points() -> list[tuple[int, int, int]]:
     """Projective points over F4, normalised to leading coordinate 1."""
-    pts = []
-    for a in (0, 1):
-        if a == 1:
-            pts.extend((1, b, c) for b in range(4) for c in range(4))
-    pts.extend((0, 1, c) for c in range(4))
-    pts.append((0, 0, 1))
-    assert len(pts) == 21
-    return pts
+    return (
+        [(1, b, c) for b in range(4) for c in range(4)]
+        + [(0, 1, c) for c in range(4)]
+        + [(0, 0, 1)]
+    )
 
 
 def _pg24_lines(points) -> list[int]:
@@ -130,14 +127,10 @@ class SteinerSystem:
 
     def __post_init__(self):
         _check(len(self.blocks) == 77, "S(3,6,22) must have 77 blocks")
-        masks = []
         for b in self.blocks:
             _check(len(b) == 6 and all(0 <= x <= 21 for x in b), "bad block")
-            m = 0
-            for x in b:
-                m |= 1 << x
-            _check(m.bit_count() == 6, "block with repeated points")
-            masks.append(m)
+        masks = self.block_masks()
+        _check(all(m.bit_count() == 6 for m in masks), "block with repeated points")
         # Two blocks sharing at most two points share no triple, so the
         # 77 * C(6,3) = 1540 block triples are distinct; as there are
         # C(22,3) = 1540 point triples, each lies in exactly one block.
@@ -168,16 +161,19 @@ def steiner_3_6_22() -> SteinerSystem:
     return SteinerSystem(tuple(blocks))
 
 
-def mesner(sys: SteinerSystem) -> Graph:
-    """Blocks of S(3,6,22), adjacent iff disjoint: srg(77,16,0,4)."""
-    masks = sys.block_masks()
-    edges = [
+def _disjoint_pairs(masks: list[int]) -> list[tuple[int, int]]:
+    """The pairs i < j of blocks with no common point."""
+    return [
         (i, j)
-        for i in range(77)
-        for j in range(i + 1, 77)
+        for i in range(len(masks))
+        for j in range(i + 1, len(masks))
         if masks[i] & masks[j] == 0
     ]
-    g = Graph(77, edges)
+
+
+def mesner(sys: SteinerSystem) -> Graph:
+    """Blocks of S(3,6,22), adjacent iff disjoint: srg(77,16,0,4)."""
+    g = Graph(77, _disjoint_pairs(sys.block_masks()))
     verify_srg(g, 77, 16, 0, 4, "mesner")
     return g
 
@@ -201,12 +197,7 @@ def higman_sims(sys: SteinerSystem) -> Graph:
     the blocks containing it.
     """
     masks = sys.block_masks()
-    edges = [
-        (i, j)
-        for i in range(77)
-        for j in range(i + 1, 77)
-        if masks[i] & masks[j] == 0
-    ]
+    edges = _disjoint_pairs(masks)
     for i, m in enumerate(masks):
         for x in bits(m):
             edges.append((i, 77 + x))

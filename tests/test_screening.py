@@ -22,6 +22,7 @@ from hadwiger2.graphs import (
 from hadwiger2.rng import SplitMix64
 from hadwiger2.screening import BLOCKS, PROPERTIES, table1_screen
 
+import conftest
 from conftest import (
     all_matchings,
     brute_chromatic_number,
@@ -433,13 +434,41 @@ class TestOrbitScreen:
     def test_random_hosts(self):
         self._agree(_random_alpha2_hosts(320, 20261019))
 
-    def test_paper_hosts_and_asymmetric_process_hosts(self, steiner_system):
+    def test_paper_hosts_and_asymmetric_process_hosts(self, steiner_system, monkeypatch):
         # The first seven are vertex-transitive; the triangle-free process
-        # complements have no non-trivial automorphism.
+        # complements have no non-trivial automorphism.  The reference's
+        # P22 cap is lifted, so every cell is compared.
         from hadwiger2.constructions import hoffman_singleton, kneser, triangle_free_process
         from hadwiger2.steiner import gewirtz, higman_sims, mesner
 
+        monkeypatch.setattr(conftest, "_COLOURING_CAP", 1 << 30)
         hosts = [clebsch(), andrasfai(6), kneser(7, 3), hoffman_singleton(), gewirtz(steiner_system),
                  mesner(steiner_system), higman_sims(steiner_system)]
         hosts += [triangle_free_process(101, seed) for seed in (0, 1)]
         self._agree([complement(h) for h in hosts])
+
+    def test_p22_is_decided_on_large_hosts(self, steiner_system):
+        from hadwiger2.constructions import hoffman_singleton, kneser, triangle_free_process
+        from hadwiger2.steiner import gewirtz, higman_sims, mesner
+
+        failing = [kneser(7, 3), hoffman_singleton(), gewirtz(steiner_system),
+                   higman_sims(steiner_system)]
+        passing = [mesner(steiner_system)] + [triangle_free_process(101, s) for s in (0, 1)]
+        for hosts, want in ((failing, "fail"), (passing, "pass")):
+            for h in hosts:
+                assert table1_screen(complement(h)).verdicts["P22"].status == want, h.n
+
+    def test_relabelling_keeps_every_verdict(self, steiner_system):
+        from hadwiger2.constructions import hoffman_singleton, kneser
+        from hadwiger2.steiner import gewirtz, mesner
+
+        hosts = [complement(h) for h in (clebsch(), andrasfai(6), kneser(7, 3),
+                                         hoffman_singleton(), gewirtz(steiner_system),
+                                         mesner(steiner_system))]
+        hosts += _random_alpha2_hosts(20, 20261020)
+        rng = SplitMix64(20261020)
+        for g in hosts:
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            relabelled = Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+            assert table1_screen(relabelled).verdicts == table1_screen(g).verdicts, g.edges()
