@@ -16,7 +16,7 @@ from math import comb
 
 from .cliques import colour_classes, is_clique, max_clique
 from .conjectures import Outcome, connected_perfect_matching_search, dominating_edge
-from .constructions import kneser_labels, srg_parameters
+from .constructions import _subset_masks, srg_parameters
 from .graphs import (
     Graph,
     InflationSpec,
@@ -157,13 +157,7 @@ def kneser_certificate(n: int, k: int, t: int, r: int) -> CliqueFamilyCertificat
     if fam < 1:
         raise ValueError("empty canonical family; no certificate for these parameters")
     s = t + 2 * r
-    labels = kneser_labels(n, k)
-    label_masks = []
-    for c in labels:
-        m = 0
-        for x in c:
-            m |= 1 << x
-        label_masks.append(m)
+    label_masks = _subset_masks(n, k)
     cliques = []
     for subset in combinations(range(n), s):
         sm = 0

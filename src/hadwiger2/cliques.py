@@ -3,14 +3,13 @@
 The solver is a branch-and-bound in the Tomita style: candidates are
 greedily partitioned into independent classes, and branches are explored
 in decreasing class index so the bound prunes whole suffixes.  For
-regular hosts a Hoffman ratio bound on the complement (least adjacency
-eigenvalue) is tried first; when the multi-start greedy incumbent meets
-it, optimality is certified without any search, which settles the large
-vertex-transitive instances (Kneser-type graphs, block-graph
-complements) where the colouring bound is far from tight.  When the
-complement is strongly regular the bound is exact integer arithmetic;
-only other regular complements fall back to a floating-point
-eigenvalue, with a 1e-6 slack.
+regular hosts whose complement is strongly regular or vertex-transitive
+a Hoffman ratio bound on the complement (least adjacency eigenvalue) is
+tried first, in exact rational arithmetic on a small quotient matrix;
+when the multi-start greedy incumbent meets it, optimality is certified
+without any search, which settles the large vertex-transitive instances
+(Kneser-type graphs, block-graph complements) where the colouring bound
+is far from tight.
 
 ``colour_classes`` is the one exact k-colouring kernel (DSATUR); the
 four-clique covers colour the complement with it.
@@ -18,10 +17,12 @@ four-clique covers colour the complement with it.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Iterator
 
 from .constructions import srg_parameters
 from .graphs import Graph, bits, complement
+from .iso import _refine, search
 
 
 def is_clique(g: Graph, vertices) -> bool:
@@ -45,10 +46,12 @@ def _greedy_clique(g: Graph, start: int, order_key) -> int:
 
 
 def _initial_incumbent(g: Graph) -> int:
-    """Deterministic multi-start greedy clique, returned as a bitmask."""
+    """Deterministic multi-start greedy clique, returned as a bitmask; it
+    stops at max degree + 1 vertices, as no clique is larger."""
     if g.n == 0:
         return 0
     degs = [g.degree(v) for v in range(g.n)]
+    top = max(degs) + 1
 
     def by_low(cand: int) -> int:
         return (cand & -cand).bit_length() - 1
@@ -66,21 +69,23 @@ def _initial_incumbent(g: Graph) -> int:
             mask = _greedy_clique(g, start, key)
             if mask.bit_count() > best.bit_count():
                 best = mask
+                if best.bit_count() == top:
+                    return best
     return best
 
 
 def _ratio_upper_bound(g: Graph) -> int | None:
-    """Hoffman bound on omega(g) via the complement: for a d-regular
-    complement with least eigenvalue s, alpha(complement) <= n(-s)/(d-s).
+    """Hoffman bound on omega(g) via the complement h: for a d-regular h
+    with least eigenvalue s, alpha(h) <= n(-s)/(d-s).
 
-    When the complement is srg(n, d, lam, mu), s = (b - sqrt(D))/2 with
-    b = lam - mu and D = b^2 + 4(d - mu) (Brouwer & Haemers, "Spectra of
-    Graphs", ch. 9), and the floor is exact: it is the largest q < n with
-    (n - q) sqrt(D) >= b(n - q) + 2qd, which is true when the right side
-    is at most 0 and is otherwise decided by squaring both sides.  Other
-    regular complements take s from eigvalsh, whose errors are ~1e-12 at
-    these sizes; the 1e-6 slack can only round the floor up, never below
-    the true bound, so the result is still a sound upper bound.
+    Refining {0} | rest gives an equitable partition whose quotient has
+    every eigenvalue theta of h with E_theta e_0 != 0 (Godsil, "Algebraic
+    Combinatorics", ch. 5): all of them when h is walk-regular, as every
+    strongly regular (A^2 is in the span of I, A, J) or vertex-transitive
+    h is; other h get None.  With S the edge counts between cells and D
+    the diagonal of cell sizes, the floor is the largest q < n with
+    s <= -qd/(n - q), that is, with (n - q)S + qdD not positive definite.
+    That is monotone in q and decided by the signs of exact pivots.
     """
     if not g.is_regular() or g.n < 3:
         return None
@@ -88,24 +93,34 @@ def _ratio_upper_bound(g: Graph) -> int | None:
     d = n - 1 - g.degree(0)  # complement degree
     if d <= 0:
         return None
-    gc = complement(g)
-    p = srg_parameters(gc)
-    if p is not None:
-        b = p.lam - p.mu
-        disc = b * b + 4 * (d - p.mu)
-
-        def within(q: int) -> bool:
-            rhs = b * (n - q) + 2 * q * d
-            return rhs <= 0 or (n - q) ** 2 * disc >= rhs * rhs
-
-        return next(q for q in range(n - 1, -1, -1) if within(q))  # within(0) holds
-    import numpy as np
-
-    a = np.array([[row >> v & 1 for v in range(n)] for row in gc.rows()], dtype=float)
-    s = float(np.linalg.eigvalsh(a)[0])
-    if s >= 0:
+    h = complement(g)
+    if srg_parameters(h) is None and any(search(h.rows()).orbits):
         return None
-    return int((n * (-s)) / (d - s) + 1e-6)
+    nbrs = [list(bits(r)) for r in h.rows()]
+    cell = _refine(nbrs, [min(v, 1) for v in range(n)], 2)
+    k = max(cell) + 1
+    size = [cell.count(c) for c in range(k)]
+    edges = [[0] * k for _ in range(k)]
+    for v, nb in enumerate(nbrs):
+        for w in nb:
+            edges[cell[v]][cell[w]] += 1
+
+    def definite(q: int) -> bool:
+        a = [[Fraction((n - q) * e + (i == j) * q * d * size[i]) for j, e in enumerate(row)]
+             for i, row in enumerate(edges)]
+        for i in range(k):
+            if a[i][i] <= 0:
+                return False
+            for r in range(i + 1, k):
+                f = a[r][i] / a[i][i]
+                a[r][i:] = [x - f * y for x, y in zip(a[r][i:], a[i][i:])]
+        return True
+
+    lo, hi = 0, n - 1  # not definite at 0 as s < 0, definite at n - 1 as s >= -d
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if definite(mid) else (mid, hi)
+    return lo
 
 
 def max_clique(g: Graph) -> tuple[int, ...]:

@@ -88,35 +88,21 @@ def _hyperovals(lines: list[int]) -> list[int]:
 def _even_family(hyperovals: list[int]) -> list[int]:
     """One maximal family of hyperovals pairwise meeting in 0 or 2 points.
 
-    The compatibility graph (even intersection) splits into three
-    components; each is a clique of 56 and any one yields a valid system.
-    The component of the lexicographically least hyperoval is used.
+    The hyperovals split into three such families of 56 (the components of
+    even intersection); the one of the least hyperoval is those that meet
+    it in an even number of points.  Once they are checked to number 56
+    and to be pairwise even, the family is maximal: any other hyperoval
+    meets the least one oddly.
     """
     hs = sorted(hyperovals)
-    n = len(hs)
-    _check(n == 168, f"expected 168 hyperovals in PG(2,4), got {n}")
-    adj = [0] * n
-    for i in range(n):
-        for j in range(i + 1, n):
-            if (hs[i] & hs[j]).bit_count() % 2 == 0:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-    seen = 1
-    frontier = 1
-    while frontier:
-        nxt = 0
-        for v in bits(frontier):
-            nxt |= adj[v]
-        frontier = nxt & ~seen
-        seen |= frontier
-    members = list(bits(seen))
-    _check(len(members) == 56, "hyperoval family must have 56 members")
-    for i in members:
-        _check(
-            all(adj[i] >> j & 1 for j in members if j != i),
-            "hyperoval family must be pairwise even-intersecting",
-        )
-    return [hs[i] for i in members]
+    _check(len(hs) == 168, f"expected 168 hyperovals in PG(2,4), got {len(hs)}")
+    family = [h for h in hs if (h & hs[0]).bit_count() % 2 == 0]
+    _check(len(family) == 56, "hyperoval family must have 56 members")
+    _check(
+        all((h & o).bit_count() % 2 == 0 for i, h in enumerate(family) for o in family[:i]),
+        "hyperoval family must be pairwise even-intersecting",
+    )
+    return family
 
 
 @dataclass(frozen=True)

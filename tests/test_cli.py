@@ -239,16 +239,17 @@ class TestScreen:
         assert code == 2
 
 
-def _codes_and_numpy(argvs) -> str:
+def _codes_and_numpy(argvs, then="") -> str:
     """Run each argv through ``cli.main`` in a fresh interpreter (conftest
-    imports numpy) and return its line: the exit codes, then whether
-    numpy was imported."""
+    imports numpy), then the statement ``then``, and return its line: the
+    exit codes, then whether numpy was imported."""
     script = (
         "import contextlib, io, sys\n"
         "from hadwiger2 import cli\n"
         f"argvs = {argvs!r}\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    codes = [cli.main(argv) for argv in argvs]\n"
+        f"{then}\n"
         "print(codes, 'numpy' in sys.modules)\n"
     )
     src = pathlib.Path(__file__).resolve().parents[1] / "src"
@@ -264,8 +265,9 @@ def _codes_and_numpy(argvs) -> str:
 
 
 def test_srg_workflows_do_not_import_numpy(steiner_system, tmp_path):
-    # The clique bound on strongly regular complements is integer
-    # arithmetic.
+    # The package has no runtime dependencies: one command of each kind,
+    # and the exact clique bound on a complement that is vertex-transitive
+    # but not strongly regular, run without numpy.
     from hadwiger2.steiner import gewirtz, mesner
 
     hosts = {
@@ -279,7 +281,17 @@ def test_srg_workflows_do_not_import_numpy(steiner_system, tmp_path):
         path.write_text(write_graph6(complement(host)) + "\n")
         argvs.append(["screen", "--in", str(path)])
     argvs.append(["certify", "--kind", "cover4", "--in", str(tmp_path / "hoffman_singleton.g6")])
-    assert _codes_and_numpy(argvs) == "[0, 0, 0, 0] False\n"
+    kneser_path = str(tmp_path / "kneser.g6")
+    argvs.append(["build", "--family", "kneser", "--n", "8", "--k", "3", "--complement",
+                  "--out", kneser_path])
+    argvs.append(["check", "--conjecture", "cdm", "--in", kneser_path])
+    argvs.append(["enumerate", "--max-n", "6", "--check", "cdm"])
+    then = (
+        "from hadwiger2.cliques import max_clique\n"
+        "from hadwiger2.graph6 import read_graph6\n"
+        f"codes.append(len(max_clique(read_graph6(open({kneser_path!r}).read().strip()))))"
+    )
+    assert _codes_and_numpy(argvs, then) == "[0, 0, 0, 0, 0, 0, 0, 21] False\n"
 
 
 def test_orbit_screen_does_not_import_numpy(steiner_system, tmp_path):

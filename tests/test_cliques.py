@@ -1,5 +1,6 @@
 """Exact maximum clique and clique enumeration."""
 
+import time
 from math import comb, isqrt
 
 import numpy as np
@@ -18,12 +19,14 @@ from hadwiger2.cliques import (
 from hadwiger2.graphs import Graph, bits, complement
 from hadwiger2.rng import SplitMix64
 from hadwiger2.constructions import (
+    andrasfai,
     cayley_abelian,
     clebsch,
     complete,
     cycle,
     generalized_kneser_geq,
     hoffman_singleton,
+    hypercube,
     kneser,
     petersen,
     srg_parameters,
@@ -46,6 +49,14 @@ def test_examples():
     assert clique_number(petersen()) == 2
     assert clique_number(complement(petersen())) == 4
     assert clique_number(complement(clebsch())) == 5
+
+
+def test_complete_graph_stops_at_the_first_full_clique():
+    # The multi-start greedy stops once a clique has max degree + 1
+    # vertices; running every start costs O(n^3) here (minutes at n = 1500).
+    start = time.perf_counter()
+    assert max_clique(complete(1500)) == tuple(range(1500))
+    assert time.perf_counter() - start < 30
 
 
 def test_returned_set_is_a_clique():
@@ -72,7 +83,7 @@ def test_spectral_certificate_agrees_with_search():
 
 def _eigvalsh_bound(g):
     # floor(n(-s)/(d - s)) for the least eigenvalue s of g's complement,
-    # with the slack the floating-point fallback uses.
+    # with a 1e-6 slack for floating-point error: the reference for the exact bound.
     h = complement(g)
     a = np.array([[row >> v & 1 for v in range(h.n)] for row in h.rows()], dtype=float)
     s = float(np.linalg.eigvalsh(a)[0])
@@ -100,25 +111,37 @@ def test_exact_ratio_bound_matches_eigvalsh_on_srg_complements(steiner_system):
     assert bounds[-1] == 4
 
 
-def test_ratio_bound_falls_back_to_eigvalsh_off_srg(monkeypatch):
-    # Kneser(8, 3) is regular but not strongly regular, so the bound on its
-    # 56-vertex complement comes from eigvalsh.  omega of the complement is
-    # alpha(K(8, 3)) = C(7, 2) = 21 (Erdos-Ko-Rado), which the bound meets.
-    host = kneser(8, 3)
-    assert host.is_regular() and srg_parameters(host) is None
-    calls = []
-    real = np.linalg.eigvalsh
-
-    def spy(a):
-        calls.append(a.shape)
-        return real(a)
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
-    g = complement(host)
+def test_exact_ratio_bound_matches_eigvalsh_off_srg():
+    # Vertex-transitive complements, all but the perfect matching Kneser(10, 5)
+    # not strongly regular: the one-vertex quotient has 3 to 11 cells here.
+    # omega of the Kneser(8, 3) complement is alpha(K(8, 3)) = C(7, 2) = 21
+    # (Erdos-Ko-Rado), which the bound meets.
+    hosts = [kneser(8, 3), kneser(9, 4), kneser(10, 4), kneser(10, 5),
+             hypercube(5), cycle(11), andrasfai(7)]
+    for host in hosts:
+        g = complement(host)
+        assert cliques._ratio_upper_bound(g) == _eigvalsh_bound(g), host.n
+    g = complement(kneser(8, 3))
     clique = max_clique(g)
-    assert calls == [(56, 56)]
-    assert len(clique) == comb(7, 2) == _eigvalsh_bound(g)
+    assert len(clique) == comb(7, 2) == cliques._ratio_upper_bound(g)
     assert is_clique(g, clique)
+
+
+def _k4s_and_cube(copies):
+    # copies * K4 + Q3: 3-regular, but the quotient around a K4 vertex
+    # sees only K4's eigenvalues 3 and -1, not the cube's -3.
+    rows = [(0b1111 ^ 1 << i) << 4 * c for c in range(copies) for i in range(4)]
+    rows += [r << 4 * copies for r in hypercube(3).rows()]
+    return Graph.from_rows(rows)
+
+
+def test_ratio_bound_needs_a_walk_regular_complement():
+    for copies, alpha in ((1, 5), (9, 13)):
+        host = _k4s_and_cube(copies)
+        assert host.is_regular() and srg_parameters(host) is None
+        g = complement(host)
+        assert cliques._ratio_upper_bound(g) is None
+        assert len(max_clique(g)) == alpha
 
 
 def test_ratio_bound_path_meets_integer_hoffman_bound(steiner_system, monkeypatch):
