@@ -15,7 +15,13 @@ from itertools import combinations
 from math import comb
 
 from .cliques import colour_classes, is_clique, max_clique
-from .conjectures import Outcome, connected_perfect_matching_search, dominating_edge
+from .conjectures import (
+    Outcome,
+    connected_perfect_matching_search,
+    dominating_edge,
+    read_vertex_sets,
+    write_vertex_sets,
+)
 from .constructions import _subset_masks, srg_parameters
 from .graphs import (
     Graph,
@@ -267,47 +273,25 @@ def four_cover_check(g: Graph) -> Outcome:
     return Outcome("refuted")
 
 
-def _write_cliques(header: str, cliques) -> str:
-    """The line ``header``, then one 'X v1 v2 ...' line per clique."""
-    lines = [header] + ["X " + " ".join(map(str, c)) for c in cliques]
-    return "\n".join(lines) + "\n"
-
-
-def _read_cliques(text: str, what: str, header: str) -> tuple[str, tuple[tuple[int, ...], ...]]:
-    """The first line and the cliques of a ``_write_cliques`` text, blank
-    lines skipped.  The first line must be ``header``, or start with it
-    when it ends in a space."""
-    lines = [ln for ln in text.splitlines() if ln.strip()] or [""]
-    if not (lines[0].startswith(header) if header.endswith(" ") else lines[0] == header):
-        raise ValueError(f"{what} text must start with a '{header.strip()}' line")
-    cliques = []
-    for ln in lines[1:]:
-        parts = ln.split()
-        if parts[0] != "X":
-            raise ValueError(f"unexpected {what} line: {ln!r}")
-        cliques.append(tuple(int(x) for x in parts[1:]))
-    return lines[0], tuple(cliques)
-
-
 def format_certificate(cert: CliqueFamilyCertificate) -> str:
     """Text form: a 'theta_f num/den' line, then one 'X v1 v2 ...' per clique."""
     b = Fraction(cert.bound)
-    return _write_cliques(f"theta_f {b.numerator}/{b.denominator}", cert.cliques)
+    return write_vertex_sets(f"theta_f {b.numerator}/{b.denominator}", "X", cert.cliques)
 
 
 def parse_certificate(text: str) -> CliqueFamilyCertificate:
-    first, cliques = _read_cliques(text, "certificate", "theta_f ")
+    first, cliques = read_vertex_sets(text, "certificate", "theta_f ", "X")
     num, den = first.split()[1].split("/")
     return CliqueFamilyCertificate(cliques, Fraction(int(num), int(den)))
 
 
 def format_cover4(cover) -> str:
     """Same clique-line format as certificates, under a 'cover4' header."""
-    return _write_cliques("cover4", cover)
+    return write_vertex_sets("cover4", "X", cover)
 
 
 def parse_cover4(text: str) -> tuple[tuple[int, ...], ...]:
-    return _read_cliques(text, "cover", "cover4")[1]
+    return read_vertex_sets(text, "cover", "cover4", "X")[1]
 
 
 @dataclass(frozen=True)

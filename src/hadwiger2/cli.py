@@ -4,7 +4,13 @@ Commands: build (family constructors to graph6), check (conjecture
 checkers with witnesses), enumerate (exhaustive desk-scale sweeps),
 certify (clique-cover certificates), screen (counterexample profile).
 
-Exit codes: 0 holds/found, 1 fails/not found, 2 usage or input error,
+``check`` and ``enumerate`` share one decision per conjecture
+(``_decide``): the same search, the same target and the same witness
+verification, whether the answer is printed for one graph or counted
+over a sweep.
+
+Exit codes: 0 holds/found, 1 fails/not found, 2 usage or input error
+(every input error is a ``ValueError`` and prints one ``error:`` line),
 3 undecided (a search budget ran out: ``holds=unknown`` or
 ``budget_exhausted=true``).  Reports are line-oriented ``key=value``
 plus a human-readable summary; every run prints a reproducibility header
@@ -19,6 +25,7 @@ import argparse
 import os
 import sys as _sys
 from fractions import Fraction
+from functools import partial
 
 from . import __version__
 from .certificates import (
@@ -60,7 +67,7 @@ from .constructions import (
 )
 from .graph6 import read_graph6, write_graph6
 from .graphs import Graph, alpha_at_most_2, complement
-from .generation import connected_alpha2_graphs, triangle_free_graphs
+from .generation import MAX_DESK_N, connected_alpha2_graphs, triangle_free_graphs
 from .screening import BLOCKS, PROPERTIES, table1_screen
 from .steiner import gewirtz, higman_sims, mesner, steiner_3_6_22
 
@@ -74,15 +81,6 @@ WORD = {"found": "true", "refuted": "false", "unknown": "unknown"}
 EXIT_CODE = {"found": EXIT_OK, "refuted": EXIT_FAIL, "unknown": EXIT_BUDGET}
 
 
-class CliError(Exception):
-    pass
-
-
-def _header(argv: list[str], seed: int) -> None:
-    flags = " ".join(argv)
-    print(f"# hadwiger2 version={__version__} seed={seed} args={flags!r}", file=_sys.stderr)
-
-
 def _read_input_graph(args) -> Graph:
     if getattr(args, "infile", None):
         with open(args.infile, "r", encoding="ascii") as fh:
@@ -91,7 +89,7 @@ def _read_input_graph(args) -> Graph:
         text = _sys.stdin.read().strip().splitlines()
     lines = [ln for ln in text if ln.strip()]
     if len(lines) != 1:
-        raise CliError("expected exactly one graph6 line on input")
+        raise ValueError("expected exactly one graph6 line on input")
     return read_graph6(lines[0])
 
 
@@ -103,83 +101,76 @@ def _emit(text: str, path: str | None) -> None:
         print(text, end="" if text.endswith("\n") else "\n")
 
 
+def _require(args, names: str, what: str) -> None:
+    """Raise unless every flag in the space-separated ``names`` was given."""
+    for name in names.split():
+        if getattr(args, name) is None:
+            raise ValueError(f"--{name} is required for {what}")
+
+
+def _joined(items) -> list[str]:
+    return [" ".join(map(str, x)) for x in items]
+
+
 # ---------------------------------------------------------------------------
 # build
+
+# The flags each family needs, checked in this order.
+_BUILD_FLAGS = {
+    "cycle": "n",
+    "complete": "n",
+    "hypercube": "d",
+    "kneser": "n k",
+    "generalized-kneser-geq": "n k t",
+    "generalized-kneser-leq": "n k t",
+    "andrasfai": "d",
+    "eberhard": "p",
+    "cayley": "orders connection",
+    "triangle-free-process": "n",
+}
 
 
 def _build_graph(args, seed: int) -> tuple[Graph, list[str] | None]:
     fam = args.family
-    need = lambda name: getattr(args, name) is not None or _usage(
-        f"--{name.replace('_', '-')} is required for family {fam}"
-    )
+    _require(args, _BUILD_FLAGS.get(fam, ""), f"family {fam}")
     if fam == "cycle":
-        need("n")
         return cycle(args.n), None
     if fam == "complete":
-        need("n")
         return complete(args.n), None
     if fam == "petersen":
         return petersen(), None
     if fam == "hypercube":
-        need("d")
         return hypercube(args.d), [format(v, f"0{args.d}b") for v in range(1 << args.d)]
     if fam == "clebsch":
         return clebsch(), None
-    if fam == "kneser":
-        need("n"), need("k")
-        labels = kneser_labels(args.n, args.k)
-        return kneser(args.n, args.k), [" ".join(map(str, c)) for c in labels]
-    if fam == "generalized-kneser-geq":
-        need("n"), need("k"), need("t")
-        labels = kneser_labels(args.n, args.k)
-        return (
-            generalized_kneser_geq(args.n, args.k, args.t),
-            [" ".join(map(str, c)) for c in labels],
-        )
-    if fam == "generalized-kneser-leq":
-        need("n"), need("k"), need("t")
-        labels = kneser_labels(args.n, args.k)
-        return (
-            generalized_kneser_leq(args.n, args.k, args.t),
-            [" ".join(map(str, c)) for c in labels],
-        )
+    if fam in ("kneser", "generalized-kneser-geq", "generalized-kneser-leq"):
+        labels = _joined(kneser_labels(args.n, args.k))
+        if fam == "kneser":
+            return kneser(args.n, args.k), labels
+        make = generalized_kneser_geq if fam.endswith("geq") else generalized_kneser_leq
+        return make(args.n, args.k, args.t), labels
     if fam == "andrasfai":
-        need("d")
         return andrasfai(args.d), None
     if fam == "hoffman-singleton":
         return hoffman_singleton(), None
-    if fam == "mesner":
+    if fam in ("mesner", "gewirtz", "higman-sims"):
         sys_ = steiner_3_6_22()
-        return mesner(sys_), [" ".join(map(str, b)) for b in sys_.blocks]
-    if fam == "gewirtz":
-        sys_ = steiner_3_6_22()
-        point = args.point if args.point is not None else 21
-        blocks = [b for b in sys_.blocks if point not in b]
-        return gewirtz(sys_, point), [" ".join(map(str, b)) for b in blocks]
-    if fam == "higman-sims":
-        sys_ = steiner_3_6_22()
-        labels = [" ".join(map(str, b)) for b in sys_.blocks]
-        labels += [f"point {x}" for x in range(22)] + ["apex"]
+        if fam == "mesner":
+            return mesner(sys_), _joined(sys_.blocks)
+        if fam == "gewirtz":
+            blocks = (b for b in sys_.blocks if args.point not in b)
+            return gewirtz(sys_, args.point), _joined(blocks)
+        labels = _joined(sys_.blocks) + [f"point {x}" for x in range(22)] + ["apex"]
         return higman_sims(sys_), labels
     if fam == "eberhard":
-        need("p")
-        g = eberhard(args.p)
-        labels = [f"{a} {b}" for a in range(args.p) for b in range(args.p)]
-        return g, labels
+        return eberhard(args.p), _joined(group_elements((args.p, args.p)))
     if fam == "cayley":
-        need("orders"), need("connection")
         orders = tuple(int(x) for x in args.orders.split(","))
-        conn = []
-        for part in args.connection.split(";"):
-            conn.append(tuple(int(x) for x in part.split(",")))
-        g = cayley_abelian(orders, conn)
-        labels = [" ".join(map(str, e)) for e in group_elements(orders)]
-        return g, labels
+        conn = [tuple(int(x) for x in part.split(",")) for part in args.connection.split(";")]
+        return cayley_abelian(orders, conn), _joined(group_elements(orders))
     if fam == "triangle-free-process":
-        need("n")
         return triangle_free_process(args.n, seed), None
-    _usage(f"unknown family {fam!r}")
-    raise AssertionError
+    raise ValueError(f"unknown family {fam!r}")
 
 
 def cmd_build(args, seed: int) -> int:
@@ -196,87 +187,69 @@ def cmd_build(args, seed: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# check
+# check and enumerate
+
+
+def _decide(name: str, g: Graph, budget: int | None) -> tuple[str, str, KModel | None]:
+    """Decide conjecture ``name`` on g within ``budget`` search nodes (None,
+    for cdm and 4cm: no limit): the status, the report line, and the
+    witness as a model when the status is "found" (None for the empty 4cm
+    target).  CDM and half-order witnesses are verified before return."""
+    if name == "cdm":
+        got = connected_dominating_matching(g, budget=budget)
+        exhausted = " budget_exhausted=true" if got.status == "unknown" else ""
+        line = f"conjecture=cdm n={g.n} holds={WORD[got.status]}{exhausted}"
+        if got.status != "found":
+            return got.status, line, None
+        if not is_cdm(g, got.witness.edges):
+            raise RuntimeError("CDM search returned a matching that fails verification")
+        return "found", line, KModel(got.witness.edges, got.witness.size)
+    if name == "shc-half":
+        got = half_order_model_search(g, budget=budget)
+        if got.status == "found" and not verify_k_model(g, got.witness):
+            raise RuntimeError("half-order model search returned a model that fails verification")
+        line = f"conjecture=shc-half n={g.n} target={(g.n + 1) // 2} holds={WORD[got.status]}"
+        return got.status, line, got.witness
+    if name == "4cm":
+        if not alpha_at_most_2(g):
+            raise ValueError("4cm check requires independence number at most 2")
+        t = (g.n + 1) // 4
+        if t == 0:
+            return "found", f"conjecture=4cm n={g.n} target=0 holds=true", None
+        got = connected_matching_max(g, budget=budget)
+        cm, exact = got.witness, got.status == "found"
+        # An exact maximum below t refutes; a budgeted one decides nothing.
+        status = "found" if cm.size >= t else "refuted" if exact else "unknown"
+        line = (
+            f"conjecture=4cm n={g.n} target={t} cm={cm.size} "
+            f"exact={str(exact).lower()} holds={WORD[status]}"
+        )
+        return status, line, KModel(cm.edges, cm.size) if status == "found" else None
+    e = dominating_edge(g)
+    status = "refuted" if e is None else "found"
+    line = f"conjecture=dominating-edge n={g.n} holds={WORD[status]}"
+    return status, line, None if e is None else KModel((e,), 1)
+
+
+def _holds(name: str, g: Graph) -> bool:
+    # Below two vertices the conjectures' hypotheses fail; nothing to check.
+    return g.n < 2 or _decide(name, g, None)[0] == "found"
 
 
 def cmd_check(args, seed: int) -> int:
-    g = _read_input_graph(args)
-    name = args.conjecture
-    if name == "cdm":
-        got = connected_dominating_matching(g, budget=args.budget)
-        status = got.status
-        exhausted = " budget_exhausted=true" if status == "unknown" else ""
-        print(f"conjecture=cdm n={g.n} holds={WORD[status]}{exhausted}")
-        if status == "found":
-            if not is_cdm(g, got.witness.edges):
-                raise RuntimeError("CDM search returned a matching that fails verification")
-            model = KModel(got.witness.edges, got.witness.size)
-    elif name == "shc-half":
-        got = half_order_model_search(g, budget=args.budget)
-        status, model = got.status, got.witness
-        print(f"conjecture=shc-half n={g.n} target={(g.n + 1) // 2} holds={WORD[status]}")
-        if status == "found" and not verify_k_model(g, model):
-            raise RuntimeError("half-order model search returned a model that fails verification")
-    elif name == "4cm":
-        if not alpha_at_most_2(g):
-            raise CliError("4cm check requires independence number at most 2")
-        t = (g.n + 1) // 4
-        if t == 0:
-            print(f"conjecture=4cm n={g.n} target=0 holds=true")
-            return EXIT_OK
-        got = connected_matching_max(g, budget=args.budget)
-        cm = got.witness
-        if cm.size >= t:
-            status = "found"
-        else:
-            # An exact maximum below t refutes; a budgeted one decides nothing.
-            status = "refuted" if got.status == "found" else "unknown"
-        print(
-            f"conjecture=4cm n={g.n} target={t} cm={cm.size} "
-            f"exact={str(got.status == 'found').lower()} holds={WORD[status]}"
-        )
-        model = KModel(cm.edges, cm.size)
-    elif name == "dominating-edge":
-        e = dominating_edge(g)
-        status = "refuted" if e is None else "found"
-        print(f"conjecture=dominating-edge n={g.n} holds={WORD[status]}")
-        model = KModel((e,), 1) if e is not None else None
-    else:
-        _usage(f"unknown conjecture {name!r}")
-    if status == "found":
+    status, line, model = _decide(args.conjecture, _read_input_graph(args), args.budget)
+    print(line)
+    if model is not None:
         _emit(format_model(model), args.witness_out)
     return EXIT_CODE[status]
 
 
-# ---------------------------------------------------------------------------
-# enumerate
-
-
-def _check_cdm(g: Graph) -> bool:
-    if g.n < 2:
-        return True  # conjecture hypotheses not met; nothing to check
-    got = connected_dominating_matching(g)
-    return got.status == "found" and is_cdm(g, got.witness.edges)
-
-
-def _check_4cm(g: Graph) -> bool:
-    t = (g.n + 1) // 4
-    if t == 0:
-        return True
-    return connected_matching_max(g).witness.size >= t
-
-
-_ENUM_CHECKS = {"cdm": _check_cdm, "4cm": _check_4cm}
-
-
 def cmd_enumerate(args, seed: int) -> int:
-    if args.check not in _ENUM_CHECKS:
-        _usage(f"unknown check {args.check!r}")
-    check = _ENUM_CHECKS[args.check]
-    from .generation import MAX_DESK_N
-
+    if args.check not in ("cdm", "4cm"):
+        raise ValueError(f"unknown check {args.check!r}")
     if args.max_n > MAX_DESK_N:
-        raise CliError(f"enumeration is desk-scale only (max_n <= {MAX_DESK_N})")
+        raise ValueError(f"enumeration is desk-scale only (max_n <= {MAX_DESK_N})")
+    check = partial(_holds, args.check)
     levels = triangle_free_graphs(args.max_n)
     budget = args.budget
     total = 0
@@ -289,8 +262,8 @@ def cmd_enumerate(args, seed: int) -> int:
     try:
         for n in range(1, args.max_n + 1):
             batch = connected_alpha2_graphs(n, levels)
-            partial = budget is not None and total + len(batch) > budget
-            if partial:
+            cut = budget is not None and total + len(batch) > budget
+            if cut:
                 batch = batch[: max(budget - total, 0)]
             results = pool.map(check, batch) if pool else [check(g) for g in batch]
             violations = sum(1 for r in results if not r)
@@ -298,9 +271,9 @@ def cmd_enumerate(args, seed: int) -> int:
             bad_total += violations
             print(
                 f"n={n} checked={len(batch)} violations={violations}"
-                + (" partial=true" if partial else "")
+                + (" partial=true" if cut else "")
             )
-            if partial:
+            if cut:
                 print(f"total={total} violations_total={bad_total} budget_exhausted=true")
                 return EXIT_BUDGET
     finally:
@@ -317,21 +290,7 @@ def cmd_enumerate(args, seed: int) -> int:
 
 def cmd_certify(args, seed: int) -> int:
     kind = args.kind
-    if kind == "clebsch":
-        g = _read_input_graph(args) if args.infile else complement(clebsch())
-        cert = clebsch_certificate(g)
-    elif kind == "mesner":
-        sys_ = steiner_3_6_22()
-        g = _read_input_graph(args) if args.infile else complement(mesner(sys_))
-        cert = mesner_certificate(g, sys_)
-    elif kind == "kneser":
-        for p in ("n", "k", "t"):
-            if getattr(args, p) is None:
-                _usage(f"--{p} is required for kneser certificates")
-        r = args.r if args.r is not None else 0
-        g = generalized_kneser_geq(args.n, args.k, args.t)
-        cert = kneser_certificate(args.n, args.k, args.t, r)
-    elif kind == "cover4":
+    if kind == "cover4":
         g = _read_input_graph(args)
         got = four_cover_check(g)
         if got.status != "found":
@@ -342,8 +301,17 @@ def cmd_certify(args, seed: int) -> int:
         print(f"kind=cover4 found=true total={total} floor={g.n + 2}")
         _emit(format_cover4(cover), args.out)
         return EXIT_OK
+    if kind == "clebsch":
+        g = _read_input_graph(args) if args.infile else complement(clebsch())
+        cert = clebsch_certificate(g)
+    elif kind == "mesner":
+        sys_ = steiner_3_6_22()
+        g = _read_input_graph(args) if args.infile else complement(mesner(sys_))
+        cert = mesner_certificate(g, sys_)
     else:
-        _usage(f"unknown certificate kind {kind!r}")
+        _require(args, "n k t", "kneser certificates")
+        g = generalized_kneser_geq(args.n, args.k, args.t)
+        cert = kneser_certificate(args.n, args.k, args.t, args.r)
     if not verify_certificate(g, cert):
         print(f"kind={kind} verified=false")
         return EXIT_FAIL
@@ -358,11 +326,7 @@ def cmd_certify(args, seed: int) -> int:
 
 
 def cmd_screen(args, seed: int) -> int:
-    g = _read_input_graph(args)
-    try:
-        report = table1_screen(g)
-    except ValueError as exc:
-        raise CliError(str(exc))
+    report = table1_screen(_read_input_graph(args))
     for p in PROPERTIES:
         v = report.verdicts[p]
         detail = f" detail={v.detail!r}" if v.detail else ""
@@ -378,10 +342,6 @@ def cmd_screen(args, seed: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-
-
-def _usage(message: str):
-    raise CliError(message)
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -400,7 +360,7 @@ def _parser() -> argparse.ArgumentParser:
     b.add_argument("--t", type=int)
     b.add_argument("--d", type=int)
     b.add_argument("--p", type=int)
-    b.add_argument("--point", type=int)
+    b.add_argument("--point", type=int, default=21)
     b.add_argument("--orders")
     b.add_argument("--connection", help="semicolon-separated group elements, e.g. '1;4'")
     b.add_argument("--complement", action="store_true", help="emit the complement")
@@ -425,7 +385,7 @@ def _parser() -> argparse.ArgumentParser:
     f.add_argument("--n", type=int)
     f.add_argument("--k", type=int)
     f.add_argument("--t", type=int)
-    f.add_argument("--r", type=int)
+    f.add_argument("--r", type=int, default=0)
     f.add_argument("--out")
 
     s = sub.add_parser("screen", help="counterexample-profile screen of a graph6 input")
@@ -442,7 +402,8 @@ def main(argv: list[str] | None = None) -> int:
     seed = args.seed
     if seed is None:
         seed = int(os.environ.get("HADWIGER2_SEED", "0"))
-    _header(_sys.argv[1:] if argv is None else argv, seed)
+    flags = " ".join(_sys.argv[1:] if argv is None else argv)
+    print(f"# hadwiger2 version={__version__} seed={seed} args={flags!r}", file=_sys.stderr)
     handlers = {
         "build": cmd_build,
         "check": cmd_check,
@@ -452,9 +413,6 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args, seed)
-    except CliError as exc:
-        print(f"error: {exc}", file=_sys.stderr)
-        return EXIT_USAGE
     except (ValueError, ConstructionError, OSError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return EXIT_USAGE

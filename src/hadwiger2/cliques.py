@@ -6,10 +6,10 @@ in decreasing class index so the bound prunes whole suffixes.  For
 regular hosts whose complement is strongly regular or vertex-transitive
 a Hoffman ratio bound on the complement (least adjacency eigenvalue) is
 tried first, in exact rational arithmetic on a small quotient matrix;
-when the multi-start greedy incumbent meets it, optimality is certified
-without any search, which settles the large vertex-transitive instances
-(Kneser-type graphs, block-graph complements) where the colouring bound
-is far from tight.
+the multi-start greedy incumbent stops as soon as it meets the bound,
+and optimality is then certified without any search, which settles the
+large vertex-transitive instances (Kneser-type graphs, block-graph
+complements) where the colouring bound is far from tight.
 
 ``colour_classes`` is the one exact k-colouring kernel (DSATUR); the
 four-clique covers colour the complement with it.
@@ -45,13 +45,14 @@ def _greedy_clique(g: Graph, start: int, order_key) -> int:
     return mask
 
 
-def _initial_incumbent(g: Graph) -> int:
+def _initial_incumbent(g: Graph, upper: int | None) -> int:
     """Deterministic multi-start greedy clique, returned as a bitmask; it
-    stops at max degree + 1 vertices, as no clique is larger."""
+    stops at max degree + 1 vertices, or at ``upper`` if that is smaller,
+    as no clique is larger."""
     if g.n == 0:
         return 0
     degs = [g.degree(v) for v in range(g.n)]
-    top = max(degs) + 1
+    top = max(degs) + 1 if upper is None else min(max(degs) + 1, upper)
 
     def by_low(cand: int) -> int:
         return (cand & -cand).bit_length() - 1
@@ -128,12 +129,11 @@ def max_clique(g: Graph) -> tuple[int, ...]:
     if g.n == 0:
         return ()
     rows = g.rows()
-    best_mask = _initial_incumbent(g)
+    upper = _ratio_upper_bound(g) if g.n > 40 else None
+    best_mask = _initial_incumbent(g, upper)
     best = best_mask.bit_count()
-    if g.n > 40:
-        upper = _ratio_upper_bound(g)
-        if upper is not None and best >= upper:
-            return tuple(bits(best_mask))
+    if best == upper:
+        return tuple(bits(best_mask))
 
     def expand(r_size: int, r_mask: int, cand: int) -> None:
         nonlocal best, best_mask

@@ -613,22 +613,35 @@ def patterns_from_graph6_file(path: str) -> list[tuple[str, Graph]]:
 # Witness text format
 
 
-def format_model(model: KModel) -> str:
-    lines = [f"model {model.order}"]
-    for b in model.branch_sets:
-        lines.append("B " + " ".join(str(v) for v in b))
+def write_vertex_sets(header: str, tag: str, sets) -> str:
+    """The line ``header``, then one '<tag> v1 v2 ...' line per vertex set."""
+    lines = [header] + [f"{tag} " + " ".join(map(str, c)) for c in sets]
     return "\n".join(lines) + "\n"
 
 
-def parse_model(text: str) -> KModel:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("model "):
-        raise ValueError("model text must start with a 'model <order>' line")
-    order = int(lines[0].split()[1])
+def read_vertex_sets(
+    text: str, what: str, header: str, tag: str
+) -> tuple[str, tuple[tuple[int, ...], ...]]:
+    """The first line and the vertex sets of a ``write_vertex_sets`` text,
+    blank lines skipped.  The first line must be ``header``, or start with
+    it when it ends in a space."""
+    lines = [ln for ln in text.splitlines() if ln.strip()] or [""]
+    if not (lines[0].startswith(header) if header.endswith(" ") else lines[0] == header):
+        raise ValueError(f"{what} text must start with a '{header.strip()}' line")
     sets = []
     for ln in lines[1:]:
         parts = ln.split()
-        if parts[0] != "B":
-            raise ValueError(f"unexpected line in model text: {ln!r}")
+        if parts[0] != tag:
+            raise ValueError(f"unexpected {what} line: {ln!r}")
         sets.append(tuple(int(x) for x in parts[1:]))
-    return KModel(tuple(sets), order)
+    return lines[0], tuple(sets)
+
+
+def format_model(model: KModel) -> str:
+    """Text form: a 'model <order>' line, then one 'B v1 ...' per branch set."""
+    return write_vertex_sets(f"model {model.order}", "B", model.branch_sets)
+
+
+def parse_model(text: str) -> KModel:
+    first, sets = read_vertex_sets(text, "model", "model ", "B")
+    return KModel(sets, int(first.split()[1]))

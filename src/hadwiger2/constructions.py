@@ -17,6 +17,7 @@ from .graphs import (
     complement,
     diameter,
     girth,
+    independence_number_is_2,
     is_triangle_free,
 )
 from .rng import SplitMix64
@@ -252,29 +253,30 @@ def group_index(orders: tuple[int, ...], element: tuple[int, ...]) -> int:
     return idx
 
 
-def _normalize_connection(orders, connection) -> set[tuple[int, ...]]:
+def _connection_set(orders, connection) -> tuple[tuple[int, ...], set[tuple[int, ...]]]:
+    """The cyclic orders and the connection set reduced mod them, checked
+    to be a valid Cayley connection set: no identity, inverse-closed."""
+    orders = tuple(int(o) for o in orders)
+    if any(o < 1 for o in orders):
+        raise ValueError("cyclic orders must be positive")
     s = set()
     for e in connection:
         t = tuple(x % o for x, o in zip(e, orders))
         if len(t) != len(orders):
             raise ValueError("connection element arity mismatch")
         s.add(t)
-    return s
-
-
-def cayley_abelian(orders, connection) -> Graph:
-    """Cayley graph of a product of cyclic groups on an inverse-closed set."""
-    orders = tuple(int(o) for o in orders)
-    if any(o < 1 for o in orders):
-        raise ValueError("cyclic orders must be positive")
-    s = _normalize_connection(orders, connection)
-    zero = tuple(0 for _ in orders)
-    if zero in s:
+    if tuple(0 for _ in orders) in s:
         raise ValueError("connection set must not contain the identity")
     for e in s:
         inv = tuple((-x) % o for x, o in zip(e, orders))
         if inv not in s:
             raise ValueError(f"connection set not inverse-closed at {e}")
+    return orders, s
+
+
+def cayley_abelian(orders, connection) -> Graph:
+    """Cayley graph of a product of cyclic groups on an inverse-closed set."""
+    orders, s = _connection_set(orders, connection)
     elems = group_elements(orders)
     n = len(elems)
     rows = [0] * n
@@ -364,7 +366,6 @@ def triangle_free_process(n: int, seed: int) -> Graph:
         # Edge-maximality shows up on the complement side: alpha is exactly
         # 2 and no edge of the complement dominates it.
         from .conjectures import dominating_edge
-        from .graphs import independence_number_is_2
 
         _check(
             independence_number_is_2(gc),
@@ -379,14 +380,8 @@ def triangle_free_process(n: int, seed: int) -> Graph:
 
 def sum_free_checks(orders, connection) -> dict[str, bool]:
     """Direct definition checks for sum-free and sum-free-maximal sets."""
-    orders = tuple(int(o) for o in orders)
-    s = _normalize_connection(orders, connection)
+    orders, s = _connection_set(orders, connection)
     zero = tuple(0 for _ in orders)
-    if zero in s:
-        raise ValueError("set must not contain the identity")
-    for e in s:
-        if tuple((-x) % o for x, o in zip(e, orders)) not in s:
-            raise ValueError("set not inverse-closed")
 
     def add(a, b):
         return tuple((x + y) % o for x, y, o in zip(a, b, orders))

@@ -30,9 +30,6 @@ class SplitMix64:
             raise ValueError("randrange needs a positive bound")
         return self.next_u64() % n
 
-    def choice(self, seq):
-        return seq[self.randrange(len(seq))]
-
     def shuffle(self, seq: list) -> None:
         for i in range(len(seq) - 1, 0, -1):
             j = self.randrange(i + 1)

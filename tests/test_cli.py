@@ -1,10 +1,13 @@
 """Command line front end: commands, formats, exit codes."""
 
+import hashlib
 import io
 import os
 import pathlib
 import subprocess
 import sys
+
+import pytest
 
 from hadwiger2.cli import main
 from hadwiger2.certificates import parse_certificate
@@ -23,7 +26,40 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+# sha256 (first 16 hex digits) of the graph6 line then the --labels-out
+# file of ``--seed 3 build --family F ...``, recorded before the build
+# families were moved onto one table of required flags.
+GOLDEN_BUILDS = [
+    ("cycle", ["--n", "7"], "f2ec2c4b666ef4e4"),
+    ("complete", ["--n", "5"], "32b505c4704e842a"),
+    ("petersen", [], "ee62b67a3e70ecb4"),
+    ("hypercube", ["--d", "4"], "1f5cb1571cf8f1d5"),
+    ("clebsch", [], "f588fc9020c71672"),
+    ("kneser", ["--n", "7", "--k", "3"], "5b2d83dc6dfc746c"),
+    ("generalized-kneser-geq", ["--n", "7", "--k", "3", "--t", "2"], "a207305f124cc9f1"),
+    ("generalized-kneser-leq", ["--n", "7", "--k", "3", "--t", "1"], "0017a92432046903"),
+    ("andrasfai", ["--d", "4"], "f38e5a60467a0fb7"),
+    ("hoffman-singleton", [], "2fe634b201256193"),
+    ("mesner", [], "7af9ed7b21b741e1"),
+    ("gewirtz", ["--point", "3"], "a2b389f495466bb0"),
+    ("higman-sims", [], "03b733f4d180b6c0"),
+    ("eberhard", ["--p", "11"], "e41bdbc21c4bf2d1"),
+    ("cayley", ["--orders", "4,2", "--connection", "1,0;3,0;0,1"], "febf8b8d83fbb468"),
+    ("triangle-free-process", ["--n", "20"], "44f353543a12b5fc"),
+]
+
+
 class TestBuild:
+    @pytest.mark.parametrize("family,flags,digest", GOLDEN_BUILDS, ids=[f[0] for f in GOLDEN_BUILDS])
+    def test_golden_graph6_and_labels(self, capsys, tmp_path, family, flags, digest):
+        labels = tmp_path / "labels.txt"
+        code, out, _ = run(
+            capsys, "--seed", "3", "build", "--family", family, *flags, "--labels-out", str(labels)
+        )
+        assert code == 0
+        text = out + labels.read_text()
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+
     def test_kneser_petersen(self, capsys):
         code, out, err = run(capsys, "build", "--family", "kneser", "--n", "5", "--k", "2")
         assert code == 0
@@ -312,6 +348,14 @@ class TestWorkersAndComplement:
         code1, out1, _ = run(capsys, "enumerate", "--max-n", "6", "--check", "cdm")
         code2, out2, _ = run(
             capsys, "enumerate", "--max-n", "6", "--check", "cdm", "--workers", "2"
+        )
+        assert code1 == code2 == 0
+        assert out1 == out2
+
+    def test_parallel_4cm_matches_sequential(self, capsys):
+        code1, out1, _ = run(capsys, "enumerate", "--max-n", "6", "--check", "4cm")
+        code2, out2, _ = run(
+            capsys, "enumerate", "--max-n", "6", "--check", "4cm", "--workers", "2"
         )
         assert code1 == code2 == 0
         assert out1 == out2

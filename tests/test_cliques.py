@@ -28,6 +28,7 @@ from hadwiger2.constructions import (
     hoffman_singleton,
     hypercube,
     kneser,
+    kneser_labels,
     petersen,
     srg_parameters,
     triangle_free_process,
@@ -125,6 +126,20 @@ def test_exact_ratio_bound_matches_eigvalsh_off_srg():
     clique = max_clique(g)
     assert len(clique) == comb(7, 2) == cliques._ratio_upper_bound(g)
     assert is_clique(g, clique)
+
+
+def test_incumbent_stops_at_the_ratio_bound_on_kneser_complements():
+    # The greedy incumbent stops once it meets the exact ratio bound, which
+    # is far below max degree + 1 here; the returned clique is the one the
+    # full multi-start greedy returns.  Kneser(10, 5): the 5-sets avoiding
+    # 9, the first C(9, 5) in colex order; Kneser(10, 4): the star of 0.
+    g = complement(kneser(10, 5))
+    assert cliques._ratio_upper_bound(g) == 126 < max(map(g.degree, range(g.n))) + 1
+    assert max_clique(g) == tuple(range(126))
+    g = complement(kneser(10, 4))
+    star = tuple(i for i, c in enumerate(kneser_labels(10, 4)) if 0 in c)
+    assert len(star) == comb(9, 3) == cliques._ratio_upper_bound(g)
+    assert max_clique(g) == star
 
 
 def _k4s_and_cube(copies):

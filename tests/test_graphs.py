@@ -354,7 +354,7 @@ def _switch_edges(g: Graph, rng: SplitMix64) -> Graph:
     degree sequence stays, the isomorphism class usually does not."""
     edges = g.edges()
     for _ in range(20):
-        (a, b), (c, d) = rng.choice(edges), rng.choice(edges)
+        (a, b), (c, d) = edges[rng.randrange(len(edges))], edges[rng.randrange(len(edges))]
         if len({a, b, c, d}) == 4 and not g.has_edge(a, d) and not g.has_edge(c, b):
             rest = [e for e in edges if e not in ((a, b), (c, d))]
             return Graph(g.n, rest + [(a, d), (c, b)])
