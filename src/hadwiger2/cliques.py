@@ -86,7 +86,9 @@ def _ratio_upper_bound(g: Graph) -> int | None:
     h is; other h get None.  With S the edge counts between cells and D
     the diagonal of cell sizes, the floor is the largest q < n with
     s <= -qd/(n - q), that is, with (n - q)S + qdD not positive definite.
-    That is monotone in q and decided by the signs of exact pivots.
+    That is monotone in q and decided by the signs of exact pivots.  The
+    matrix can be large and sparse (h = C_n gives a tridiagonal one with
+    floor(n/2) + 1 cells), so the elimination keeps only non-zeros.
     """
     if not g.is_regular() or g.n < 3:
         return None
@@ -101,20 +103,30 @@ def _ratio_upper_bound(g: Graph) -> int | None:
     cell = _refine(nbrs, [min(v, 1) for v in range(n)], 2)
     k = max(cell) + 1
     size = [cell.count(c) for c in range(k)]
-    edges = [[0] * k for _ in range(k)]
+    edges: list[dict[int, int]] = [{} for _ in range(k)]
     for v, nb in enumerate(nbrs):
+        row = edges[cell[v]]
         for w in nb:
-            edges[cell[v]][cell[w]] += 1
+            row[cell[w]] = row.get(cell[w], 0) + 1
 
     def definite(q: int) -> bool:
-        a = [[Fraction((n - q) * e + (i == j) * q * d * size[i]) for j, e in enumerate(row)]
-             for i, row in enumerate(edges)]
-        for i in range(k):
-            if a[i][i] <= 0:
+        # Symmetric Gaussian elimination on rows kept as dicts of
+        # non-zeros: the rows that step i updates are the non-zero
+        # columns of row i, and zero multipliers are skipped.
+        a = [{j: Fraction((n - q) * e) for j, e in row.items()} for row in edges]
+        for i, row in enumerate(a):
+            row[i] = row.get(i, 0) + q * d * size[i]
+        for i, row in enumerate(a):
+            pivot = row[i]
+            if pivot <= 0:
                 return False
-            for r in range(i + 1, k):
-                f = a[r][i] / a[i][i]
-                a[r][i:] = [x - f * y for x, y in zip(a[r][i:], a[i][i:])]
+            for r, x in row.items():
+                if r > i and x:
+                    f = x / pivot
+                    target = a[r]
+                    for j, y in row.items():
+                        if j > i:
+                            target[j] = target.get(j, 0) - f * y
         return True
 
     lo, hi = 0, n - 1  # not definite at 0 as s < 0, definite at n - 1 as s >= -d

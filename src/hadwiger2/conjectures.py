@@ -426,7 +426,7 @@ def eberhard_model(p: int) -> KModel:
 
 def connected_perfect_matching_search(
     g: Graph,
-    budget: int = 500_000,
+    budget: int | None = 500_000,
     host_for_adjacency: Graph | None = None,
 ) -> Outcome:
     """A perfect matching whose edges are pairwise adjacent, as a KModel.
@@ -434,7 +434,7 @@ def connected_perfect_matching_search(
     ``_grow_matching`` with every vertex to be matched: matching edges are
     edges of g, pairwise adjacency is tested in ``host_for_adjacency`` (g
     itself by default).  Exact: "found", "refuted", or "unknown" when
-    ``budget`` nodes are spent.
+    ``budget`` nodes, if given, are spent.
     """
     if g.n % 2:
         raise ValueError("perfect matchings need an even number of vertices")
@@ -447,14 +447,15 @@ def connected_perfect_matching_search(
     return Outcome("found", KModel(got.witness, len(got.witness)))
 
 
-def half_order_model_search(g: Graph, budget: int = 500_000) -> Outcome:
+def half_order_model_search(g: Graph, budget: int | None = 500_000) -> Outcome:
     """A K_{ceil(n/2)} model with branch sets of size at most 2.
 
     Even order is a connected perfect matching.  Odd order tries each
     vertex s in turn as the singleton branch set: N[s] acts as one more
-    chosen reach, and all choices of s share the node ``budget``.  "found"
-    or "unknown", never "refuted": a model may use more singletons (two
-    disjoint triangles have no connected perfect matching but hold a K3).
+    chosen reach, and all choices of s share the node ``budget`` (None:
+    no limit).  "found" or "unknown", never "refuted": a model may use
+    more singletons (two disjoint triangles have no connected perfect
+    matching but hold a K3).
     """
     if g.n % 2 == 0:
         got = connected_perfect_matching_search(g, budget)
@@ -464,7 +465,8 @@ def half_order_model_search(g: Graph, budget: int = 500_000) -> Outcome:
     nodes = 0
     for s in range(g.n):
         got, spent = _grow_matching(
-            g, g.rows(), [g.row(s) | 1 << s], 1 << s, g.full_mask, budget - nodes
+            g, g.rows(), [g.row(s) | 1 << s], 1 << s, g.full_mask,
+            None if budget is None else budget - nodes,
         )
         nodes += spent
         if got.status == "found":

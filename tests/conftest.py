@@ -29,7 +29,7 @@ from hadwiger2.graphs import (
     is_connected,
     vertex_connectivity,
 )
-from hadwiger2.iso import Search, _orbit_closure, _refine, search
+from hadwiger2.iso import Search, _orbit_closure, search
 from hadwiger2.matching import _gallai_edmonds, is_factor_critical
 from hadwiger2.rng import SplitMix64
 from hadwiger2.screening import ScreeningReport, Verdict
@@ -428,6 +428,31 @@ def dsatur_reference(rows: list[int], k: int) -> list[int] | None:
     return classes
 
 
+def refine_reference(nbrs: list[list[int]], colors: list[int], ncolors: int) -> list[int]:
+    """``iso._refine`` as it stood before the ordered partition: full
+    signature rounds over every vertex until the colour count stops
+    growing.  Kept verbatim, as is ``search_rounds_reference`` below, so
+    the partition refinement can be checked to give the same ranks and
+    the same searches.
+
+    The coarsest stable colouring refining ``colors``, which has
+    ``ncolors`` distinct values; ``nbrs[v]`` lists v's neighbours.
+
+    Each round recolours a vertex by its colour and the multiset of its
+    neighbours' colours.  The result is given as ranks of the sorted
+    signatures, so it does not depend on the vertex labels, and, as a
+    signature starts with the old colour, ``colors[u] < colors[v]``
+    implies ``result[u] < result[v]``.
+    """
+    while True:
+        sigs = [(colors[v], tuple(sorted([colors[w] for w in nb]))) for v, nb in enumerate(nbrs)]
+        relabel = {s: i for i, s in enumerate(sorted(set(sigs)))}
+        colors = [relabel[s] for s in sigs]
+        if len(relabel) == ncolors:
+            return colors
+        ncolors = len(relabel)
+
+
 def search_reference(rows: Sequence[int]) -> Search:
     """``iso.search`` as it stood before backjumping: after a leaf with the
     best key adds its automorphism, the search carries on through the rest
@@ -459,7 +484,7 @@ def search_reference(rows: Sequence[int]) -> Search:
 
     def visit(colors: list[int], ncolors: int) -> None:
         nonlocal best, best_ranks
-        ranks = _refine(nbrs, colors, ncolors)
+        ranks = refine_reference(nbrs, colors, ncolors)
         size = [0] * n
         for c in ranks:
             size[c] += 1
@@ -504,6 +529,126 @@ def search_reference(rows: Sequence[int]) -> Search:
     visit(degrees, len(set(degrees)))
     return Search(tuple(best), tuple(best_ranks), tuple(find(v) for v in range(n)), generators)
 
+
+def search_rounds_reference(rows: Sequence[int]) -> Search:
+    """``iso.search`` as it stood before the ordered partition, on
+    ``refine_reference``.
+
+    Canonical form, canonical labelling and automorphisms of the graph
+    with adjacency bitsets ``rows``.
+
+    The key is the least relabelled row tuple over the leaves of an
+    individualisation-refinement tree (McKay & Piperno, "Practical graph
+    isomorphism, II", 2014): refine, take the non-singleton cell with the
+    least colour and individualise each of its vertices in turn.  A vertex
+    is skipped when it lies in the orbit of an already tried vertex under
+    the automorphisms found so far that preserve the node's colouring:
+    such an automorphism maps the tried child's subtree onto the skipped
+    one, leaf keys included, so the least key and the first least leaf
+    are still visited.  A twin of a tried vertex is the special case found
+    without search: swapping the two preserves the colouring.
+
+    Automorphisms come from two sources: each skipped twin's transposition,
+    and each leaf whose key equals the first leaf with the least key (the
+    two labellings differ by an automorphism).  After such a leaf the
+    search backjumps (McKay, "Practical graph isomorphism", 1981): it
+    returns to the deepest common ancestor of the two leaves and goes on
+    with that node's next child.  The automorphism fixes the ancestor's
+    individualised vertices, so it maps the ancestor's child on the way to
+    the first least leaf, whose subtree depth-first order has already
+    finished, onto the child being left: the rest of the left subtree
+    holds only images of nodes already accounted for, so no key and no
+    first least leaf is lost.
+    Together the automorphisms generate the group: every node of the
+    unpruned tree is the image of a visited node under the group they
+    generate, so every least leaf is the image of a visited least leaf,
+    and an automorphism is fixed by the leaf it maps the first least leaf
+    to.  Orbits are read off by union-find.
+
+    Contract: the labelling keeps the order of the root ranks.  If the
+    root refinement (``_refine`` from the degree colouring) ranks u below
+    v, then ``labelling[u] < labelling[v]``: refinement keeps the order of
+    colours, and individualisation maps colour c to 2c or 2c + 1.  Canonical
+    augmentation in ``generation`` settles ties on this, so a change here
+    must keep it.
+    """
+    n = len(rows)
+    nbrs = [list(bits(r)) for r in rows]
+    root = list(range(n))
+    generators: list[tuple[int, ...]] = []
+    best: list[int] | None = None
+    best_ranks: list[int] = []
+    best_path: tuple[int, ...] = ()
+
+    def find(v: int) -> int:
+        while root[v] != v:
+            root[v] = root[root[v]]
+            v = root[v]
+        return v
+
+    def add(perm: tuple[int, ...]) -> None:
+        generators.append(perm)
+        for v, w in enumerate(perm):
+            if v == w:
+                continue
+            a, b = find(v), find(w)
+            if a < b:
+                root[b] = a
+            elif b < a:
+                root[a] = b
+
+    def visit(colors: list[int], ncolors: int, path: tuple[int, ...]) -> int:
+        """Search below the node reached by individualising ``path``; return
+        the depth the search resumes at."""
+        nonlocal best, best_ranks, best_path
+        ranks = refine_reference(nbrs, colors, ncolors)
+        size = [0] * n
+        for c in ranks:
+            size[c] += 1
+        least = next((c for c in range(n) if size[c] > 1), None)
+        if least is None:
+            leaf = [0] * n
+            for v, nb in enumerate(nbrs):
+                leaf[ranks[v]] = sum(1 << ranks[w] for w in nb)
+            if best is None or leaf < best:
+                best, best_ranks, best_path = leaf, ranks, path
+            elif leaf == best:
+                vertex_of = [0] * n
+                for v, c in enumerate(ranks):
+                    vertex_of[c] = v
+                add(tuple(vertex_of[c] for c in best_ranks))
+                return next(k for k, (u, w) in enumerate(zip(path, best_path)) if u != w)
+            return len(path)
+        cells = len(set(ranks)) + 1
+        tried: list[int] = []
+        stabiliser: list[tuple[int, ...]] = []  # found generators preserving ranks
+        checked = 0  # generators[:checked] have been sorted into stabiliser
+        skip = 0  # the orbits of the tried vertices under stabiliser
+        for v in range(n):
+            if ranks[v] != least:
+                continue
+            if checked < len(generators):
+                stabiliser += [p for p in generators[checked:] if [ranks[w] for w in p] == ranks]
+                checked = len(generators)
+                skip = _orbit_closure(skip, stabiliser)
+            if skip >> v & 1:
+                continue
+            twin = next((u for u in tried if rows[u] & ~(1 << v) == rows[v] & ~(1 << u)), None)
+            if twin is not None:
+                perm = list(range(n))
+                perm[twin], perm[v] = v, twin
+                add(tuple(perm))
+                continue
+            tried.append(v)
+            skip = _orbit_closure(skip | 1 << v, stabiliser)
+            resume = visit([2 * c + (u != v) for u, c in enumerate(ranks)], cells, path + (v,))
+            if resume < len(path):
+                return resume
+        return len(path)
+
+    degrees = [len(nb) for nb in nbrs]
+    visit(degrees, len(set(degrees)), ())
+    return Search(tuple(best), tuple(best_ranks), tuple(find(v) for v in range(n)), generators)
 
 
 def least_key_children_reference(parent: Graph) -> list[tuple[int, list[int], int]]:

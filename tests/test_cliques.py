@@ -38,6 +38,7 @@ from hadwiger2.steiner import gewirtz, higman_sims, mesner
 from conftest import (
     brute_clique_number,
     brute_clique_number_simple,
+    deadline,
     dsatur_reference,
     random_graph,
 )
@@ -114,17 +115,31 @@ def test_exact_ratio_bound_matches_eigvalsh_on_srg_complements(steiner_system):
 
 def test_exact_ratio_bound_matches_eigvalsh_off_srg():
     # Vertex-transitive complements, all but the perfect matching Kneser(10, 5)
-    # not strongly regular: the one-vertex quotient has 3 to 11 cells here.
+    # not strongly regular: the one-vertex quotient has 3 to 11 cells on the
+    # first seven.
     # omega of the Kneser(8, 3) complement is alpha(K(8, 3)) = C(7, 2) = 21
     # (Erdos-Ko-Rado), which the bound meets.
     hosts = [kneser(8, 3), kneser(9, 4), kneser(10, 4), kneser(10, 5),
              hypercube(5), cycle(11), andrasfai(7)]
+    # Around a vertex of C_n the quotient is tridiagonal with floor(n/2) + 1
+    # cells; a one-off run found the bounds equal for every n from 41 to 301.
+    hosts += [cycle(n) for n in (41, 42, 64, 101, 150, 201, 256, 301)]
     for host in hosts:
         g = complement(host)
         assert cliques._ratio_upper_bound(g) == _eigvalsh_bound(g), host.n
     g = complement(kneser(8, 3))
     clique = max_clique(g)
     assert len(clique) == comb(7, 2) == cliques._ratio_upper_bound(g)
+    assert is_clique(g, clique)
+
+
+def test_long_cycle_complement_clique_in_seconds():
+    # With the dense Fraction elimination and a full signature round per
+    # refinement step this took about 10 s (Python 3.11, 2 cores).
+    g = complement(cycle(201))
+    with deadline(5, "max_clique of the C_201 complement"):
+        clique = max_clique(g)
+    assert len(clique) == 100
     assert is_clique(g, clique)
 
 

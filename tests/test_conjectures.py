@@ -303,6 +303,16 @@ class TestConnectedPerfectMatching:
             assert sum(spent) <= budget
             assert got.status == ("found" if budget == total else "unknown")
 
+    def test_half_order_model_without_a_budget(self):
+        # None means no limit, as for connected_dominating_matching and
+        # connected_matching_max: the search runs to the same model as an
+        # ample budget, on C5 and on the alpha = 2 complement of C7.
+        for g in (cycle(5), complement(cycle(7))):
+            got = half_order_model_search(g, budget=None)
+            assert got == half_order_model_search(g, budget=10**6)
+            assert got.status == "found" and got.witness.order == (g.n + 1) // 2
+            assert verify_k_model(g, got.witness)
+
 
 def _brute_connected_perfect(g: Graph, host: Graph) -> bool:
     """Whether some perfect matching of g is pairwise adjacent in host."""

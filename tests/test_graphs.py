@@ -37,7 +37,9 @@ from hadwiger2.steiner import gewirtz
 
 from conftest import (
     deadline,
+    refine_reference,
     search_reference,
+    search_rounds_reference,
     brute_orbits,
     brute_diameter,
     brute_girth,
@@ -492,6 +494,62 @@ class TestRefinementOrder:
                 for v in range(g.n):
                     if root[u] < root[v]:
                         assert labelling[u] < labelling[v], g.edges()
+
+
+class TestPartitionRefinement:
+    """The ordered-partition refinement gives exactly the ranks and the
+    searches of the full signature rounds it replaced (``refine_reference``
+    and ``search_rounds_reference``, frozen in conftest)."""
+
+    def test_refine_matches_reference_on_random_colourings(self):
+        for seed in (31, 37):
+            for g, rng in TestRefinementOrder()._graphs(seed):
+                nbrs = [g.neighbors(v) for v in range(g.n)]
+                for spread in (2, 3, 2 * g.n):
+                    colors = [rng.randrange(spread) for _ in range(g.n)]
+                    ncolors = len(set(colors))
+                    assert _refine(nbrs, colors, ncolors) == refine_reference(nbrs, colors, ncolors)
+
+    def test_refine_matches_reference_on_individualised_colourings(self):
+        # Down the first branch of the search tree: at each node, every
+        # vertex of the least non-singleton cell is individualised in turn.
+        for seed in (31, 37):
+            for g, _ in TestRefinementOrder()._graphs(seed):
+                nbrs = [g.neighbors(v) for v in range(g.n)]
+                degrees = [len(nb) for nb in nbrs]
+                ranks = refine_reference(nbrs, degrees, len(set(degrees)))
+                while len(set(ranks)) < g.n:
+                    least = min(c for c in ranks if ranks.count(c) > 1)
+                    cell = [v for v in range(g.n) if ranks[v] == least]
+                    for v in cell:
+                        colors = [2 * c + (u != v) for u, c in enumerate(ranks)]
+                        ncolors = len(set(ranks)) + 1
+                        want = refine_reference(nbrs, colors, ncolors)
+                        assert _refine(nbrs, colors, ncolors) == want, (g.edges(), v)
+                    colors = [2 * c + (u != cell[0]) for u, c in enumerate(ranks)]
+                    ranks = refine_reference(nbrs, colors, len(set(ranks)) + 1)
+
+    def test_search_matches_reference(self, tf_levels_8, steiner_system):
+        from hadwiger2.steiner import mesner
+
+        hosts = [clebsch(), andrasfai(6), kneser(7, 3), hoffman_singleton(),
+                 gewirtz(steiner_system), mesner(steiner_system)]
+        graphs = [g for level in tf_levels_8.values() for g in level]
+        graphs += hosts + [petersen()] + [cycle(n) for n in range(5, 61)]
+        rng = SplitMix64(43)
+        for _ in range(200):
+            graphs.append(random_graph(1 + rng.randrange(30), 5 + rng.randrange(90), rng))
+        graphs += [complement(g) for g in graphs]
+        for g in graphs:
+            assert search(g.rows()) == search_rounds_reference(g.rows()), (g.n, g.edges())
+
+    def test_long_cycle_in_seconds(self):
+        # With full signature rounds after each individualisation this took
+        # about 8.5 s (Python 3.11, 2 cores): C_n needs about n/2 rounds.
+        with deadline(5, "the search of C_1501"):
+            found = search(cycle(1501).rows())
+        assert set(found.orbits) == {0}
+        assert len(found.generators) == 2
 
 
 def _named_hosts_and_complements(steiner_system):
