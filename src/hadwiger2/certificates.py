@@ -244,10 +244,18 @@ def four_cover_check(g: Graph) -> Outcome:
     the complement must stay 4-colourable with closed twins of x and y
     added (two of x when x == y); twins of equal or adjacent vertices are
     adjacent.  "refuted" when 4 * omega < |V|+2, when the complement is not
-    4-colourable, or when no pair x <= y works; otherwise the first
-    colouring found, each twin mapped back to its original.  A witness
-    certifies that every proper inflation has a clique of at least a
-    quarter of its order plus a half, hence the half-order Hadwiger bound.
+    4-colourable, or when no pair x <= y works.
+
+    The witness comes from the complement's own colouring ``base`` when it
+    can: a colour is free at v when no vertex of N[v] has it, and the
+    first pair x <= y (in index order) whose twins fit free colours of
+    ``base`` - different ones when x == y or x, y are adjacent in the
+    complement - is added to the lowest fitting classes.  Only when no
+    pair fits does one exact search per pair colour the twin rows, and
+    the first colouring found, each twin mapped back to its original, is
+    the witness.  A witness certifies that every proper inflation has a
+    clique of at least a quarter of its order plus a half, hence the
+    half-order Hadwiger bound.
     """
     gc = complement(g)
     if not is_triangle_free(gc):
@@ -256,8 +264,20 @@ def four_cover_check(g: Graph) -> Outcome:
     if 4 * len(max_clique(g)) < n + 2:
         return Outcome("refuted")
     rows = list(gc.rows())
-    if colour_classes(rows, 4) is None:
+    base = colour_classes(rows, 4)
+    if base is None:
         return Outcome("refuted")
+    free = [sum(1 << c for c, m in enumerate(base) if not m & (r | 1 << v)) for v, r in enumerate(rows)]
+    for x in range(n):
+        if not free[x]:
+            continue
+        for y in range(x, n):
+            fit = _free_pair(free[x], free[y], x != y and not rows[x] >> y & 1)
+            if fit is not None:
+                classes = list(base)
+                classes[fit[0]] |= 1 << x
+                classes[fit[1]] |= 1 << y
+                return Outcome("found", tuple(tuple(bits(m)) for m in classes))
     for x in range(n):
         for y in range(x, n):
             # Vertices n and n + 1 are closed twins of x and y.
@@ -271,6 +291,16 @@ def four_cover_check(g: Graph) -> Outcome:
                     for m in classes
                 ))
     return Outcome("refuted")
+
+
+def _free_pair(fx: int, fy: int, apart: bool) -> tuple[int, int] | None:
+    """The lowest colours (cx, cy) in the free-colour masks fx and fy,
+    different unless ``apart`` (the twins are non-adjacent), or None."""
+    for cx in bits(fx):
+        rest = fy if apart else fy & ~(1 << cx)
+        if rest:
+            return cx, (rest & -rest).bit_length() - 1
+    return None
 
 
 def format_certificate(cert: CliqueFamilyCertificate) -> str:

@@ -78,21 +78,27 @@ def is_connected_matching(g: Graph, edges) -> bool:
     return True
 
 
-def is_dominating_matching(g: Graph, edges) -> bool:
-    m = Matching(tuple(edges))
-    if not m.is_matching_of(g):
+def is_cdm(g: Graph, edges) -> bool:
+    """True iff ``edges`` is a non-empty connected dominating matching of g.
+    Edges that share a vertex or are loops raise ``ValueError``."""
+    edges = tuple(edges)
+    covered = 0
+    for u, v in edges:
+        pair = 1 << u | 1 << v
+        if u == v or covered & pair:
+            raise ValueError("matching edges must be vertex-disjoint")
+        covered |= pair
+    if not edges or not all(g.has_edge(u, v) for u, v in edges):
         return False
-    uncovered = g.full_mask & ~m.covered()
-    for u, v in m.edges:
+    uncovered = g.full_mask & ~covered
+    for i, (u, v) in enumerate(edges):
         reach = g.row(u) | g.row(v)
         if uncovered & ~reach:
             return False
+        for x, y in edges[i + 1:]:
+            if not (reach >> x & 1 or reach >> y & 1):
+                return False
     return True
-
-
-def is_cdm(g: Graph, edges) -> bool:
-    edges = tuple(edges)
-    return bool(edges) and is_connected_matching(g, edges) and is_dominating_matching(g, edges)
 
 
 def _grow_matching(

@@ -58,20 +58,24 @@ from .iso import _refine, search
 MAX_DESK_N = 11
 
 
-def independent_set_masks(g: Graph) -> list[int]:
-    """All independent sets of g as bitmasks, the empty set included."""
+def independent_set_masks(g: Graph, most: int | None = None) -> list[int]:
+    """All independent sets of g as bitmasks, the empty set included, in
+    depth-first order; with ``most``, only those of at most ``most``
+    vertices, in the same order."""
     out = []
+    rows = g.rows()
 
-    def rec(chosen: int, avail: int) -> None:
+    def rec(chosen: int, avail: int, room: int) -> None:
         out.append(chosen)
+        if not room:
+            return
         a = avail
         while a:
             v = a & -a
             a &= ~v
-            vi = v.bit_length() - 1
-            rec(chosen | v, a & ~g.row(vi))
+            rec(chosen | v, a & ~rows[v.bit_length() - 1], room - 1)
 
-    rec(0, g.full_mask)
+    rec(0, g.full_mask, g.n if most is None else most)
     return out
 
 
@@ -91,7 +95,7 @@ def _least_key_children(parent: Graph) -> list[tuple[int, list[int], int]]:
         of_degree[dv] = of_degree.get(dv, 0) | 1 << v
     least = min(pdeg)
     out = []
-    for mask in independent_set_masks(parent):
+    for mask in independent_set_masks(parent, least + 1):
         d = mask.bit_count()
         # The least old degree is `least` unless mask covers every vertex of it.
         if d > (least if of_degree[least] & ~mask else least + 1):

@@ -206,8 +206,16 @@ def is_triangle_free(g: Graph) -> bool:
 
 
 def alpha_at_most_2(g: Graph) -> bool:
-    """True iff the independence number is at most 2 (complement triangle-free)."""
-    return is_triangle_free(complement(g))
+    """True iff the independence number is at most 2: no u < v < w are
+    pairwise non-adjacent."""
+    rows = g.rows()
+    full = g.full_mask
+    for u, ru in enumerate(rows):
+        above = full & ~ru & -(2 << u)  # the non-neighbours of u above u
+        for v in bits(above):
+            if (above & ~rows[v]) >> v + 1:
+                return False
+    return True
 
 
 def independence_number_is_2(g: Graph) -> bool:

@@ -18,8 +18,8 @@ from typing import Iterator, Sequence
 import numpy as np
 import pytest
 
-from hadwiger2.cliques import max_clique
-from hadwiger2.conjectures import connected_dominating_matching
+from hadwiger2.cliques import colour_classes, max_clique
+from hadwiger2.conjectures import Outcome, connected_dominating_matching
 from hadwiger2.generation import independent_set_masks
 from hadwiger2.graphs import (
     Graph,
@@ -27,10 +27,11 @@ from hadwiger2.graphs import (
     complement,
     independence_number_is_2,
     is_connected,
+    is_triangle_free,
     vertex_connectivity,
 )
 from hadwiger2.iso import Search, _orbit_closure, search
-from hadwiger2.matching import _gallai_edmonds, is_factor_critical
+from hadwiger2.matching import Matching, _gallai_edmonds, is_factor_critical
 from hadwiger2.rng import SplitMix64
 from hadwiger2.screening import ScreeningReport, Verdict
 
@@ -428,6 +429,34 @@ def dsatur_reference(rows: list[int], k: int) -> list[int] | None:
     return classes
 
 
+def four_cover_reference(g: Graph) -> Outcome:
+    """``certificates.four_cover_check`` as it stood before the base
+    colouring was reused: one twin-rows search per pair x <= y, in order.
+    Kept verbatim so the reuse can be checked to decide every host alike."""
+    gc = complement(g)
+    if not is_triangle_free(gc):
+        raise ValueError("four-clique covers are only used when alpha <= 2")
+    n = g.n
+    if 4 * len(max_clique(g)) < n + 2:
+        return Outcome("refuted")
+    rows = list(gc.rows())
+    if colour_classes(rows, 4) is None:
+        return Outcome("refuted")
+    for x in range(n):
+        for y in range(x, n):
+            # Vertices n and n + 1 are closed twins of x and y.
+            cx, cy = rows[x] | 1 << x, rows[y] | 1 << y
+            twins = [r | (cx >> v & 1) << n | (cy >> v & 1) << n + 1 for v, r in enumerate(rows)]
+            twins += [cx | (cx >> y & 1) << n + 1, cy | (cy >> x & 1) << n]
+            classes = colour_classes(twins, 4)
+            if classes is not None:
+                return Outcome("found", tuple(
+                    tuple(bits(m & g.full_mask | (m >> n & 1) << x | (m >> n + 1 & 1) << y))
+                    for m in classes
+                ))
+    return Outcome("refuted")
+
+
 def refine_reference(nbrs: list[list[int]], colors: list[int], ncolors: int) -> list[int]:
     """``iso._refine`` as it stood before the ordered partition: full
     signature rounds over every vertex until the colour count stops
@@ -734,6 +763,40 @@ def from_rows_reference(rows: Sequence[int]) -> Graph:
             if not g._rows[j] >> i & 1:
                 raise ValueError("adjacency not symmetric")
     return g
+
+
+def is_cdm_reference(g: Graph, edges) -> bool:
+    """``conjectures.is_cdm`` as it stood before the one-pass check, with
+    the connected and the dominating tests it called copied in verbatim:
+    each builds and checks its own matching."""
+    edges = tuple(edges)
+    return bool(edges) and _is_connected_matching(g, edges) and _is_dominating_matching(g, edges)
+
+
+def _is_connected_matching(g: Graph, edges) -> bool:
+    m = Matching(tuple(edges))
+    if not m.is_matching_of(g):
+        return False
+    es = m.edges
+    for i, (u, v) in enumerate(es):
+        reach = g.row(u) | g.row(v)
+        for x, y in es[i + 1:]:
+            if not (reach >> x & 1 or reach >> y & 1):
+                return False
+    return True
+
+
+def _is_dominating_matching(g: Graph, edges) -> bool:
+    m = Matching(tuple(edges))
+    if not m.is_matching_of(g):
+        return False
+    uncovered = g.full_mask & ~m.covered()
+    for u, v in m.edges:
+        reach = g.row(u) | g.row(v)
+        if uncovered & ~reach:
+            return False
+    return True
+
 
 def _nonadjacent_pairs(g: Graph):
     for x in range(g.n):

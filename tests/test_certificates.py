@@ -6,6 +6,7 @@ from itertools import combinations_with_replacement
 import networkx as nx
 import pytest
 
+from hadwiger2 import certificates
 from hadwiger2.certificates import (
     CliqueFamilyCertificate,
     aktf_bound,
@@ -30,16 +31,19 @@ from hadwiger2.constructions import (
     complete,
     cycle,
     generalized_kneser_geq,
+    hoffman_singleton,
+    hypercube,
     kneser_labels,
 )
 from hadwiger2.generation import connected_alpha2_graphs
 from hadwiger2.graphs import Graph, InflationSpec, complement, induced_subgraph, inflate
 from hadwiger2.rng import SplitMix64
-from hadwiger2.steiner import mesner
+from hadwiger2.steiner import gewirtz, higman_sims, mesner
 
 from conftest import (
     brute_clique_number,
     brute_max_t_intersecting,
+    four_cover_reference,
     milp_cover4,
     random_graph,
 )
@@ -358,6 +362,72 @@ class TestFourCover:
             assert got.status == ("found" if milp_cover4(g) else "refuted"), g.edges()
             if got.status == "found":
                 _assert_cover4(g, got.witness)
+
+    def test_fallback_when_the_base_colouring_fits_no_pair(self, monkeypatch):
+        # The fall colouring of Q3: vertex i gets (i1 ^ i3) + 2 (i2 ^ i3), so
+        # each vertex sees the other three colours and none is free.  No
+        # pair fits it, and only the per-pair searches find the cover.
+        fall = [0] * 4
+        for i in range(8):
+            i1, i2, i3 = i & 1, i >> 1 & 1, i >> 2 & 1
+            fall[(i1 ^ i3) + 2 * (i2 ^ i3)] |= 1 << i
+        q3 = hypercube(3)
+        for v in range(8):
+            assert [c for c, m in enumerate(fall) if m & (q3.row(v) | 1 << v)] == [0, 1, 2, 3]
+        real, calls = certificates.colour_classes, []
+
+        def fall_first(rows, k):
+            calls.append(len(rows))
+            return list(fall) if len(calls) == 1 else real(rows, k)
+
+        monkeypatch.setattr(certificates, "colour_classes", fall_first)
+        g = complement(q3)
+        got = four_cover_check(g)
+        assert got.status == "found"
+        _assert_cover4(g, got.witness)
+        assert calls[0] == 8 and calls[1:] and set(calls[1:]) == {10}
+
+    def test_fallback_on_a_random_host(self, monkeypatch):
+        # The 32nd host of this seed is the first of 400 random triangle-free
+        # complements (15 <= n <= 34) whose base colouring fits no pair;
+        # the searches refute (0, 0) and find (0, 1), as they did alone.
+        rng = SplitMix64(99)
+        for _ in range(32):
+            g = complement(_random_triangle_free(15 + rng.randrange(20), rng))
+        real, calls = certificates.colour_classes, []
+
+        def counted(rows, k):
+            calls.append(len(rows))
+            return real(rows, k)
+
+        monkeypatch.setattr(certificates, "colour_classes", counted)
+        got = four_cover_check(g)
+        assert g.n == 32 and calls == [32, 34, 34]
+        monkeypatch.setattr(certificates, "colour_classes", real)
+        assert got == four_cover_reference(g)
+        _assert_cover4(g, got.witness)
+
+    def test_statuses_match_reference(self, tf_levels_8, steiner_system):
+        for g in _four_cover_hosts(tf_levels_8, steiner_system):
+            got = four_cover_check(g)
+            assert got.status == four_cover_reference(g).status, (g.n, g.edges())
+            if got.status == "found":
+                _assert_cover4(g, got.witness)
+                assert sum(map(len, got.witness)) == g.n + 2
+
+
+def _four_cover_hosts(tf_levels_8, steiner_system) -> list[Graph]:
+    """The hosts of TestFourCover, then the Hoffman-Singleton, Gewirtz and
+    Mesner complements."""
+    m5 = Graph(23, list(nx.mycielski_graph(5).edges()))
+    hosts = [complete(6), cycle(5), complement(higman_sims(steiner_system)), complement(cycle(9))]
+    hosts += [g for n in range(1, 8) for g in connected_alpha2_graphs(n, tf_levels_8)]
+    hosts.append(complement(m5))
+    hosts += [complement(induced_subgraph(m5, [v for v in range(23) if v != d])) for d in range(23)]
+    rng = SplitMix64(2024)
+    hosts += [complement(_random_triangle_free(9 + rng.randrange(12), rng)) for _ in range(40)]
+    hosts += [complement(h) for h in (hoffman_singleton(), gewirtz(steiner_system), mesner(steiner_system))]
+    return hosts
 
 
 def _random_triangle_free(n: int, rng: SplitMix64) -> Graph:

@@ -1,6 +1,8 @@
 """Conjecture checkers: dominating edges, connected (dominating) matchings,
 small-branch-set models, seagulls, unavoidable scans."""
 
+from itertools import combinations
+
 import pytest
 
 from hadwiger2 import conjectures
@@ -41,7 +43,7 @@ from hadwiger2.generation import connected_alpha2_graphs
 from hadwiger2.graphs import Graph, InflationSpec, complement, inflate
 from hadwiger2.rng import SplitMix64
 
-from conftest import all_matchings, brute_connected_matching_number, random_graph
+from conftest import all_matchings, brute_connected_matching_number, is_cdm_reference, random_graph
 
 TWO_TRIANGLES = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
 
@@ -94,6 +96,27 @@ class TestCDM:
         assert not is_cdm(cycle(5), [(0, 1)])
         assert not is_cdm(cycle(5), iter([(0, 1)]))
         assert is_cdm(cycle(5), iter([(0, 1), (2, 3)]))
+
+    def test_is_cdm_matches_reference(self, tf_levels_8):
+        # Every alpha <= 2 graph on at most 7 vertices, and every set of one
+        # or two vertex pairs: non-edges, loops and overlaps included.
+        def answer(check, g, edges):
+            try:
+                return check(g, edges)
+            except ValueError:
+                return "ValueError"
+
+        seen = set()
+        for n in range(1, 8):
+            pairs = [(u, v) for u in range(n) for v in range(u, n)]
+            sets = [[p] for p in pairs] + [[p, q] for p, q in combinations(pairs, 2)]
+            sets += [[(v, u), (y, x)] for (u, v), (x, y) in combinations(pairs, 2)]
+            for g in map(complement, tf_levels_8[n]):
+                for edges in sets:
+                    want = answer(is_cdm_reference, g, edges)
+                    assert answer(is_cdm, g, edges) == want, (g.edges(), edges)
+                    seen.add(want)
+        assert seen == {True, False, "ValueError"}
 
     def test_disconnected_rejected(self):
         with pytest.raises(ValueError):

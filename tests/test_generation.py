@@ -92,6 +92,15 @@ def test_independent_set_masks():
     assert len(independent_set_masks(Graph(3))) == 8
 
 
+def test_capped_independent_set_masks_keep_the_order(tf_levels_8):
+    # _least_key_children caps the sets at the least degree plus one.
+    for level in tf_levels_8.values():
+        for parent in level:
+            most = min(parent.degree(v) for v in range(parent.n)) + 1
+            want = [m for m in independent_set_masks(parent) if m.bit_count() <= most]
+            assert independent_set_masks(parent, most) == want, parent.edges()
+
+
 def _classes(graphs) -> set[tuple[int, ...]]:
     return {canonical_form(g) for g in graphs}
 

@@ -11,12 +11,14 @@ from hadwiger2.graphs import (
     InflationSpec,
     _disjoint_paths,
     adjacent_twins,
+    alpha_at_most_2,
     blow_up,
     complement,
     diameter,
     girth,
     induced_subgraph,
     inflate,
+    is_triangle_free,
     odd_girth,
     twins,
     vertex_connectivity,
@@ -124,6 +126,22 @@ class TestFromRows:
             assert _built_or_error(Graph.from_rows, rows) == _built_or_error(from_rows_reference, rows)
             assert _built_or_error(Graph.from_rows, rows) == "adjacency rows out of range or with loops"
 
+
+def test_alpha_at_most_2_matches_triangle_free_complement(steiner_system):
+    from hadwiger2.steiner import mesner
+
+    graphs = [Graph(h.number_of_nodes(), h.edges()) for h in nx.graph_atlas_g()]
+    rng = SplitMix64(2025)
+    graphs += [random_graph(1 + rng.randrange(30), rng.randrange(101), rng) for _ in range(500)]
+    hosts = [clebsch(), andrasfai(6), kneser(7, 3), hoffman_singleton(),
+             gewirtz(steiner_system), mesner(steiner_system)]
+    graphs += hosts + [complement(h) for h in hosts]
+    answers = set()
+    for g in graphs:
+        want = is_triangle_free(complement(g))
+        assert alpha_at_most_2(g) == want, (g.n, g.edges())
+        answers.add(want)
+    assert answers == {False, True}
 
 class TestInducedSubgraph:
     def test_identity(self):
