@@ -194,7 +194,7 @@ def _decide(name: str, g: Graph, budget: int | None) -> tuple[str, str, KModel |
     """Decide conjecture ``name`` on g within ``budget`` search nodes (None,
     for cdm and 4cm: no limit): the status, the report line, and the
     witness as a model when the status is "found" (None for the empty 4cm
-    target).  CDM and half-order witnesses are verified before return."""
+    target).  CDM, half-order and 4cm witnesses are verified before return."""
     if name == "cdm":
         got = connected_dominating_matching(g, budget=budget)
         exhausted = " budget_exhausted=true" if got.status == "unknown" else ""
@@ -224,7 +224,12 @@ def _decide(name: str, g: Graph, budget: int | None) -> tuple[str, str, KModel |
             f"conjecture=4cm n={g.n} target={t} cm={cm.size} "
             f"exact={str(exact).lower()} holds={WORD[status]}"
         )
-        return status, line, KModel(cm.edges, cm.size) if status == "found" else None
+        if status != "found":
+            return status, line, None
+        model = KModel(cm.edges, cm.size)
+        if not verify_k_model(g, model):
+            raise RuntimeError("connected matching search returned a matching that fails verification")
+        return "found", line, model
     e = dominating_edge(g)
     status = "refuted" if e is None else "found"
     line = f"conjecture=dominating-edge n={g.n} holds={WORD[status]}"

@@ -9,7 +9,9 @@ for matchings with pairwise adjacent edges that must cover given vertices:
 connected dominating matchings, connected perfect matchings and
 half-order models.  ``_small_branch_sets`` is a branch and bound for the
 largest complete-graph model whose branch sets are edges, or edges and
-single vertices: the connected matching number and had2.
+single vertices: the connected matching number and had2.  Both loop over
+an explicit stack, so Python's recursion limit does not bound their depth,
+and both report the nodes they expand in ``Outcome.nodes``.
 
 All first-witness outputs break ties by vertex index, so results are
 deterministic.
@@ -17,7 +19,7 @@ deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Literal
 
 from .graphs import (
@@ -32,7 +34,7 @@ from .graphs import (
     induced_subgraph,
     vertex_connectivity,
 )
-from .iso import find_induced_c5, has_induced_subgraph, is_isomorphic
+from .iso import find_induced_c5, has_induced_subgraph
 from .matching import Matching, matching_number
 
 
@@ -42,11 +44,13 @@ class Outcome:
 
     ``status`` is "found" (``witness`` is the answer), "refuted" (proved
     there is none) or "unknown" (stopped undecided; ``witness`` is the best
-    partial answer, if there is one).
+    partial answer, if there is one).  ``nodes`` counts the search nodes
+    expanded (0 when no search ran); it takes no part in equality.
     """
 
     status: Literal["found", "refuted", "unknown"]
     witness: object = None
+    nodes: int = field(default=0, compare=False)
 
 
 # ---------------------------------------------------------------------------
@@ -63,19 +67,6 @@ def dominating_edge(g: Graph) -> tuple[int, int] | None:
             if ru | g.row(v) == full:
                 return (u, v)
     return None
-
-
-def is_connected_matching(g: Graph, edges) -> bool:
-    m = Matching(tuple(edges))
-    if not m.is_matching_of(g):
-        return False
-    es = m.edges
-    for i, (u, v) in enumerate(es):
-        reach = g.row(u) | g.row(v)
-        for x, y in es[i + 1:]:
-            if not (reach >> x & 1 or reach >> y & 1):
-                return False
-    return True
 
 
 def is_cdm(g: Graph, edges) -> bool:
@@ -101,72 +92,75 @@ def is_cdm(g: Graph, edges) -> bool:
     return True
 
 
-def _grow_matching(
-    g: Graph,
-    rows,
-    reaches: list[int],
-    used: int,
-    must: int,
-    budget: int | None,
-) -> tuple[Outcome, int]:
+def _grow_matching(g: Graph, roots, must: int, budget: int | None) -> Outcome:
     """Extend a matching whose edges are pairwise adjacent in g.
 
-    The chosen edges cover ``used`` and have the closed reach masks
-    N[a] | N[b] in ``reaches``; new edges join w to a partner in
-    ``rows[w]``.  A vertex must be matched when it lies in ``must`` or
-    outside some chosen reach; once none is left the new edges are the
-    "found" witness.  Each node branches on the vertex w that must be
-    matched with the fewest allowed partners (fail-first, Haralick &
-    Elliott 1980): unused vertices of rows[w] inside every reach that
-    misses w.  A count of 0 backtracks.  Partners are tried by the size of
-    the next must-match set, then by index.  "refuted" is exhaustive;
-    "unknown" when ``budget`` nodes, if given, are spent.  Returns the
-    outcome and the number of nodes expanded.
+    Each root ``(rows, reach, used, chosen)`` is a start: the branch sets
+    ``chosen`` cover ``used`` and have the closed reach ``reach`` (N[a] |
+    N[b] for an edge ab, N[s] for a singleton s, all of V for none), and
+    new edges join w to a partner in ``rows[w]``.  The roots are searched
+    in turn until one is "found".  A vertex must be matched when it lies
+    in ``must`` or outside some chosen reach; once none is left,
+    ``chosen`` plus the new edges is the witness.  Each node branches on
+    the vertex w that must be matched with the fewest allowed partners
+    (fail-first, Haralick & Elliott 1980): unused vertices of rows[w]
+    inside every reach that misses w.  A count of 0 backtracks.  Partners
+    are tried by the size of the next must-match set, then by index.
+    "refuted" is exhaustive over all roots; "unknown" once ``budget``
+    nodes, if given, are spent, counted over all roots.  The search runs
+    depth first on an explicit stack: a frame holds a node's sorted
+    options, and each child is built when its frame reaches it.
     """
     full = g.full_mask
-    chosen: list[tuple[int, int]] = []
     nodes = 0
-
-    def dfs(reaches: list[int], common: int, used: int) -> str:
-        nonlocal nodes
-        if budget is not None and nodes >= budget:
-            return "unknown"
-        nodes += 1
-        need = (must | full & ~common) & ~used
-        if not need:
-            return "found"
-        w, fewest, count = -1, 0, 0
-        for x in bits(need):
-            allowed = rows[x] & ~used
-            for r in reaches:
-                if not r >> x & 1:
-                    allowed &= r
-            c = allowed.bit_count()
-            if not c:
-                return "refuted"
-            if w < 0 or c < count:
-                w, fewest, count = x, allowed, c
-        rw = g.row(w) | 1 << w
-        options = []
-        for x in bits(fewest):
-            reach = rw | g.row(x) | 1 << x
-            now = used | 1 << w | 1 << x
-            left = (must | full & ~(common & reach)) & ~now
-            options.append((left.bit_count(), x, reach, now))
-        options.sort()
-        for _, x, reach, now in options:
+    for rows, reach, used, chosen in roots:
+        chosen = list(chosen)
+        base = len(chosen)
+        stack: list = []
+        node = ([reach], reach, used)
+        while True:
+            if node is not None:
+                if budget is not None and nodes >= budget:
+                    return Outcome("unknown", nodes=nodes)
+                nodes += 1
+                reaches, common, used = node
+                need = (must | full & ~common) & ~used
+                if not need:
+                    return Outcome("found", tuple(chosen), nodes)
+                w, fewest, count = -1, 0, 0
+                for x in bits(need):
+                    allowed = rows[x] & ~used
+                    for r in reaches:
+                        if not r >> x & 1:
+                            allowed &= r
+                    c = allowed.bit_count()
+                    if not c:
+                        break
+                    if w < 0 or c < count:
+                        w, fewest, count = x, allowed, c
+                else:
+                    rw = g.row(w) | 1 << w
+                    options = []
+                    for x in bits(fewest):
+                        reach = rw | g.row(x) | 1 << x
+                        now = used | 1 << w | 1 << x
+                        left = (must | full & ~(common & reach)) & ~now
+                        options.append((left.bit_count(), x, reach, now))
+                    options.sort()
+                    stack.append((iter(options), reaches, common, w))
+            if not stack:
+                break
+            pending, reaches, common, w = stack[-1]
+            option = next(pending, None)
+            if option is None:
+                stack.pop()
+                node = None
+                continue
+            _, x, reach, now = option
+            del chosen[base + len(stack) - 1:]
             chosen.append((min(w, x), max(w, x)))
-            got = dfs(reaches + [reach], common & reach, now)
-            if got != "refuted":
-                return got
-            chosen.pop()
-        return "refuted"
-
-    common = full
-    for r in reaches:
-        common &= r
-    status = dfs(reaches, common, used)
-    return Outcome(status, tuple(chosen) if status == "found" else None), nodes
+            node = (reaches + [reach], common & reach, now)
+    return Outcome("refuted", nodes=nodes)
 
 
 def connected_dominating_matching(g: Graph, budget: int | None = None) -> Outcome:
@@ -174,15 +168,15 @@ def connected_dominating_matching(g: Graph, budget: int | None = None) -> Outcom
 
     A dominating edge answers at once, whatever the budget: the first one
     (lexicographic) is the one-edge witness.  Otherwise each edge uv in
-    turn is fixed as the least edge of the matching and ``_grow_matching``
-    extends it with edges above u, so every CDM is reached from exactly
-    one first edge.  This is exhaustive; with a node ``budget``, shared by
-    all first edges, it stops with "unknown" instead.  A one-edge CDM is
-    a dominating edge, so the outcome is "found" with one edge exactly
-    when g has a dominating edge; callers may read that off the outcome.
-    Requires a connected host with independence number at most 2; a
-    complete host K_n is answered by its dominating edge (0, 1), or
-    refuted when n < 2.
+    turn is a root of ``_grow_matching``, fixed as the least edge of the
+    matching and extended with edges above u, so every CDM is reached from
+    exactly one first edge.  This is exhaustive; with a node ``budget``,
+    shared by all first edges, it stops with "unknown" instead.  A
+    one-edge CDM is a dominating edge, so the outcome is "found" with one
+    edge exactly when g has a dominating edge; callers may read that off
+    the outcome.  Requires a connected host with independence number at
+    most 2; a complete host K_n is answered by its dominating edge
+    (0, 1), or refuted when n < 2.
     """
     if not is_connected(g):
         raise ValueError("connected dominating matchings need a connected host")
@@ -191,22 +185,16 @@ def connected_dominating_matching(g: Graph, budget: int | None = None) -> Outcom
     e = dominating_edge(g)
     if e is not None:
         return Outcome("found", Matching((e,)))
-    full = g.full_mask
-    nodes = 0
-    for u in range(g.n):
-        above = full & -(2 << u)
-        rows = [r & above if w > u else 0 for w, r in enumerate(g.rows())]
-        for v in bits(g.row(u) & above):
-            reach = g.row(u) | g.row(v) | 1 << u | 1 << v
-            left = None if budget is None else budget - nodes
-            got, spent = _grow_matching(g, rows, [reach], 1 << u | 1 << v, 0, left)
-            nodes += spent
-            if got.status == "found":
-                edges = ((u, v),) + got.witness
-                return Outcome("found", Matching(edges))
-            if got.status == "unknown":
-                return got
-    return Outcome("refuted")
+    roots = (
+        (rows, g.row(u) | g.row(v) | 1 << u | 1 << v, 1 << u | 1 << v, ((u, v),))
+        for u in range(g.n)
+        for rows in [[r & -(2 << u) if w > u else 0 for w, r in enumerate(g.rows())]]
+        for v in bits(g.row(u) & -(2 << u))
+    )
+    got = _grow_matching(g, roots, 0, budget)
+    if got.status != "found":
+        return got
+    return Outcome("found", Matching(got.witness), got.nodes)
 
 
 def girth5_cdm_construct(spec: InflationSpec) -> Matching:
@@ -322,9 +310,7 @@ def verify_k_model(g: Graph, model: KModel) -> bool:
     return True
 
 
-def _small_branch_sets(
-    g: Graph, singletons: bool, budget: int | None = None
-) -> tuple[list[tuple[int, ...]], bool]:
+def _small_branch_sets(g: Graph, singletons: bool, budget: int | None = None) -> Outcome:
     """Most disjoint branch sets, pairwise joined by an edge, where each set
     is an edge of g or, with ``singletons``, may also be one vertex.
 
@@ -333,46 +319,59 @@ def _small_branch_sets(
     index order) or left out, and a set is taken only if it meets the
     neighbourhood of every chosen set.  A node is pruned when the chosen
     sets plus what the undecided vertices can still add (all of them, or
-    half without singletons) cannot beat the best.  Returns the best sets
-    and True, or the best so far and False once ``budget`` nodes, if given,
-    are expanded.
+    half without singletons) cannot beat the best.  The search runs depth
+    first on an explicit stack of frames, one per node whose options are
+    still open; leaving v out is a node's last child and takes its frame's
+    place.  "found" with the best sets, or "unknown" with the best so far
+    once ``budget`` nodes, if given, are expanded.  The witness is a
+    ``KModel`` with singletons, else a ``Matching``.
     """
     best: list[tuple[int, ...]] = []
+    chosen: list[tuple[int, ...]] = []
     nodes = 0
-
-    def dfs(avail: int, chosen: list, reaches: list) -> bool:
-        nonlocal best, nodes
-        if budget is not None and nodes >= budget:
-            return False
-        nodes += 1
-        if len(chosen) > len(best):
-            best = list(chosen)
-        left = avail.bit_count() if singletons else avail.bit_count() // 2
-        if len(chosen) + left <= len(best):
-            return True
-        v = avail & -avail
-        vi = v.bit_length() - 1
-        rest = avail & ~v
-        options = [(v, g.row(vi))] if singletons else []
-        options += [(v | 1 << w, g.row(vi) | g.row(w)) for w in bits(g.row(vi) & rest)]
-        for mask, reach in options:
+    status = "found"
+    stack: list = []
+    node = (g.full_mask, [])
+    while True:
+        if node is not None:
+            if budget is not None and nodes >= budget:
+                status = "unknown"
+                break
+            nodes += 1
+            avail, reaches = node
+            if len(chosen) > len(best):
+                best = chosen[:]
+            left = avail.bit_count() if singletons else avail.bit_count() // 2
+            if len(chosen) + left > len(best):
+                v = avail & -avail
+                vi = v.bit_length() - 1
+                # Partner vi itself stands for the singleton; it comes first.
+                partners = bits(g.row(vi) & avail | (v if singletons else 0))
+                stack.append((partners, avail, reaches, v, vi))
+        if not stack:
+            break
+        partners, avail, reaches, v, vi = stack[-1]
+        node = None
+        for w in partners:
+            mask = v | 1 << w
             if all(r & mask for r in reaches):
+                del chosen[len(stack) - 1:]
                 chosen.append(tuple(bits(mask)))
-                done = dfs(avail & ~mask, chosen, reaches + [reach])
-                chosen.pop()
-                if not done:
-                    return False
-        return dfs(rest, chosen, reaches)
-
-    done = dfs(g.full_mask, [], [])
-    return best, done
+                node = (avail & ~mask, reaches + [g.row(vi) | g.row(w)])
+                break
+        else:
+            stack.pop()
+            del chosen[len(stack):]
+            node = (avail & ~v, reaches)
+    sets = tuple(best)
+    witness = KModel(sets, len(sets)) if singletons else Matching(sets)
+    return Outcome(status, witness, nodes)
 
 
 def k_model_size2_max(g: Graph) -> KModel:
     """Largest complete-graph model with branch sets of size 1 or 2: the
     exhaustive ``_small_branch_sets`` search with singletons."""
-    sets, _ = _small_branch_sets(g, singletons=True)
-    return KModel(tuple(sets), len(sets))
+    return _small_branch_sets(g, singletons=True).witness
 
 
 def had2(g: Graph) -> int:
@@ -387,8 +386,7 @@ def connected_matching_max(g: Graph, budget: int | None = None) -> Outcome:
     with the maximum, or "unknown" with the best matching so far once
     ``budget`` nodes, if given, are expanded.
     """
-    sets, done = _small_branch_sets(g, singletons=False, budget=budget)
-    return Outcome("found" if done else "unknown", Matching(tuple(sets)))
+    return _small_branch_sets(g, singletons=False, budget=budget)
 
 
 def connected_matching_number(g: Graph) -> int:
@@ -447,10 +445,10 @@ def connected_perfect_matching_search(
     host = host_for_adjacency or g
     if not alpha_at_most_2(host):
         raise ValueError("search is intended for hosts with alpha <= 2")
-    got, _ = _grow_matching(host, g.rows(), [], 0, g.full_mask, budget)
+    got = _grow_matching(host, [(g.rows(), g.full_mask, 0, ())], g.full_mask, budget)
     if got.status != "found":
         return got
-    return Outcome("found", KModel(got.witness, len(got.witness)))
+    return Outcome("found", KModel(got.witness, len(got.witness)), got.nodes)
 
 
 def half_order_model_search(g: Graph, budget: int | None = 500_000) -> Outcome:
@@ -465,22 +463,16 @@ def half_order_model_search(g: Graph, budget: int | None = 500_000) -> Outcome:
     """
     if g.n % 2 == 0:
         got = connected_perfect_matching_search(g, budget)
-        return got if got.status == "found" else Outcome("unknown")
+        return got if got.status == "found" else Outcome("unknown", nodes=got.nodes)
     if not alpha_at_most_2(g):
         raise ValueError("search is intended for hosts with alpha <= 2")
-    nodes = 0
-    for s in range(g.n):
-        got, spent = _grow_matching(
-            g, g.rows(), [g.row(s) | 1 << s], 1 << s, g.full_mask,
-            None if budget is None else budget - nodes,
-        )
-        nodes += spent
-        if got.status == "found":
-            sets = got.witness + ((s,),)
-            return Outcome("found", KModel(sets, len(sets)))
-        if got.status == "unknown":
-            break
-    return Outcome("unknown")
+    roots = ((g.rows(), g.row(s) | 1 << s, 1 << s, ((s,),)) for s in range(g.n))
+    got = _grow_matching(g, roots, g.full_mask, budget)
+    if got.status != "found":
+        return Outcome("unknown", nodes=got.nodes)
+    # The witness starts with the singleton root; the model lists it last.
+    sets = got.witness[1:] + got.witness[:1]
+    return Outcome("found", KModel(sets, len(sets)), got.nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -600,21 +592,6 @@ def unavoidable_scan(
     """Induced-subgraph test for each pattern (built-ins by default)."""
     pats = patterns if patterns is not None else builtin_patterns()
     return {name: has_induced_subgraph(g, pat) for name, pat in pats}
-
-
-def is_w5(g: Graph) -> bool:
-    from .constructions import wheel5
-
-    return g.n == 6 and is_isomorphic(g, wheel5())
-
-
-def patterns_from_graph6_file(path: str) -> list[tuple[str, Graph]]:
-    """Load extra scan patterns (one graph6 per line), named by line number."""
-    from .graph6 import read_graph6_file
-
-    return [
-        (f"{path}:{i + 1}", g) for i, g in enumerate(read_graph6_file(path))
-    ]
 
 
 # ---------------------------------------------------------------------------

@@ -189,14 +189,6 @@ def _extend(
         yield Graph._trusted(rows), found.generators if found else None
 
 
-def _next_level(parents: list[Graph]) -> list[Graph]:
-    """The accepted children of each parent in turn.  Precondition: the
-    parents are pairwise non-isomorphic; then no two outputs are
-    isomorphic, and if the parents cover every class of their level, the
-    outputs cover every class of the next."""
-    return [child for parent in parents for child, _ in _extend(parent)]
-
-
 def triangle_free_graphs(max_n: int) -> dict[int, list[Graph]]:
     """All unlabelled triangle-free graphs on 1..max_n vertices."""
     if max_n < 1:

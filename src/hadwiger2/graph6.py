@@ -86,13 +86,3 @@ def read_graph6(text: str) -> Graph:
     # Each bit sets both rows[row_i] and rows[col], row_i < col < n.
     return Graph._trusted(rows)
 
-
-def read_graph6_file(path: str) -> list[Graph]:
-    """Read one graph per non-empty line."""
-    out = []
-    with open(path, "r", encoding="ascii") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                out.append(read_graph6(line))
-    return out

@@ -211,10 +211,6 @@ def find_induced_c5(g: Graph) -> tuple[int, ...] | None:
     return None
 
 
-def is_c5_free(g: Graph) -> bool:
-    return find_induced_c5(g) is None
-
-
 class Search(NamedTuple):
     """What one individualisation-refinement search finds.
 

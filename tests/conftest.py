@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from hadwiger2.cliques import colour_classes, max_clique
-from hadwiger2.conjectures import Outcome, connected_dominating_matching
+from hadwiger2.conjectures import KModel, Outcome, connected_dominating_matching
 from hadwiger2.generation import independent_set_masks
 from hadwiger2.graphs import (
     Graph,
@@ -773,6 +773,159 @@ def is_cdm_reference(g: Graph, edges) -> bool:
     return bool(edges) and _is_connected_matching(g, edges) and _is_dominating_matching(g, edges)
 
 
+def _dominating_edge_reference(g: Graph) -> tuple[int, int] | None:
+    """``conjectures.dominating_edge``, copied so the search references
+    below run no code under test."""
+    full = g.full_mask
+    for u in range(g.n):
+        ru = g.row(u)
+        for v in bits(ru >> (u + 1)):
+            v += u + 1
+            if ru | g.row(v) == full:
+                return (u, v)
+    return None
+
+
+def grow_matching_reference(g: Graph, rows, reaches, used, must, budget):
+    """``conjectures._grow_matching`` as it stood before the explicit
+    stack: one recursive search from one start.  Returns the status, the
+    new edges when "found" (else None) and the number of nodes expanded."""
+    full = g.full_mask
+    chosen: list[tuple[int, int]] = []
+    nodes = 0
+
+    def dfs(reaches: list[int], common: int, used: int) -> str:
+        nonlocal nodes
+        if budget is not None and nodes >= budget:
+            return "unknown"
+        nodes += 1
+        need = (must | full & ~common) & ~used
+        if not need:
+            return "found"
+        w, fewest, count = -1, 0, 0
+        for x in bits(need):
+            allowed = rows[x] & ~used
+            for r in reaches:
+                if not r >> x & 1:
+                    allowed &= r
+            c = allowed.bit_count()
+            if not c:
+                return "refuted"
+            if w < 0 or c < count:
+                w, fewest, count = x, allowed, c
+        rw = g.row(w) | 1 << w
+        options = []
+        for x in bits(fewest):
+            reach = rw | g.row(x) | 1 << x
+            now = used | 1 << w | 1 << x
+            left = (must | full & ~(common & reach)) & ~now
+            options.append((left.bit_count(), x, reach, now))
+        options.sort()
+        for _, x, reach, now in options:
+            chosen.append((min(w, x), max(w, x)))
+            got = dfs(reaches + [reach], common & reach, now)
+            if got != "refuted":
+                return got
+            chosen.pop()
+        return "refuted"
+
+    common = full
+    for r in reaches:
+        common &= r
+    status = dfs(reaches, common, used)
+    return status, tuple(chosen) if status == "found" else None, nodes
+
+
+def cdm_reference(g: Graph, budget=None):
+    """``conjectures.connected_dominating_matching`` as it stood before the
+    explicit stack, host checks left out: one recursive search per first
+    edge, the budget passed on as what is left.  Returns (status, witness,
+    nodes)."""
+    e = _dominating_edge_reference(g)
+    if e is not None:
+        return "found", Matching((e,)), 0
+    full = g.full_mask
+    nodes = 0
+    for u in range(g.n):
+        above = full & -(2 << u)
+        rows = [r & above if w > u else 0 for w, r in enumerate(g.rows())]
+        for v in bits(g.row(u) & above):
+            reach = g.row(u) | g.row(v) | 1 << u | 1 << v
+            left = None if budget is None else budget - nodes
+            status, edges, spent = grow_matching_reference(g, rows, [reach], 1 << u | 1 << v, 0, left)
+            nodes += spent
+            if status == "found":
+                return "found", Matching(((u, v),) + edges), nodes
+            if status == "unknown":
+                return "unknown", None, nodes
+    return "refuted", None, nodes
+
+
+def connected_perfect_matching_reference(g: Graph, budget=500_000):
+    """``conjectures.connected_perfect_matching_search`` before the explicit
+    stack (g its own adjacency host, host checks left out): (status,
+    witness, nodes)."""
+    status, edges, nodes = grow_matching_reference(g, g.rows(), [], 0, g.full_mask, budget)
+    return status, KModel(edges, len(edges)) if status == "found" else None, nodes
+
+
+def half_order_reference(g: Graph, budget=500_000):
+    """``conjectures.half_order_model_search`` before the explicit stack,
+    host checks left out: (status, witness, nodes)."""
+    if g.n % 2 == 0:
+        status, model, nodes = connected_perfect_matching_reference(g, budget)
+        return (status, model, nodes) if status == "found" else ("unknown", None, nodes)
+    nodes = 0
+    for s in range(g.n):
+        status, edges, spent = grow_matching_reference(
+            g, g.rows(), [g.row(s) | 1 << s], 1 << s, g.full_mask,
+            None if budget is None else budget - nodes,
+        )
+        nodes += spent
+        if status == "found":
+            sets = edges + ((s,),)
+            return "found", KModel(sets, len(sets)), nodes
+        if status == "unknown":
+            break
+    return "unknown", None, nodes
+
+
+def small_branch_sets_reference(g: Graph, singletons: bool, budget=None):
+    """``conjectures._small_branch_sets`` as it stood before the explicit
+    stack: recursive, one call per decided vertex or pair.  Returns the
+    best sets, whether the search ran to the end, and the number of nodes
+    expanded."""
+    best: list[tuple[int, ...]] = []
+    nodes = 0
+
+    def dfs(avail: int, chosen: list, reaches: list) -> bool:
+        nonlocal best, nodes
+        if budget is not None and nodes >= budget:
+            return False
+        nodes += 1
+        if len(chosen) > len(best):
+            best = list(chosen)
+        left = avail.bit_count() if singletons else avail.bit_count() // 2
+        if len(chosen) + left <= len(best):
+            return True
+        v = avail & -avail
+        vi = v.bit_length() - 1
+        rest = avail & ~v
+        options = [(v, g.row(vi))] if singletons else []
+        options += [(v | 1 << w, g.row(vi) | g.row(w)) for w in bits(g.row(vi) & rest)]
+        for mask, reach in options:
+            if all(r & mask for r in reaches):
+                chosen.append(tuple(bits(mask)))
+                done = dfs(avail & ~mask, chosen, reaches + [reach])
+                chosen.pop()
+                if not done:
+                    return False
+        return dfs(rest, chosen, reaches)
+
+    done = dfs(g.full_mask, [], [])
+    return best, done, nodes
+
+
 def _is_connected_matching(g: Graph, edges) -> bool:
     m = Matching(tuple(edges))
     if not m.is_matching_of(g):
@@ -1032,6 +1185,6 @@ def tf_levels_8():
 
 @pytest.fixture(scope="session")
 def tf_levels_9(tf_levels_8):
-    from hadwiger2.generation import _next_level
+    from hadwiger2.generation import _extend
 
-    return {**tf_levels_8, 9: _next_level(tf_levels_8[8])}
+    return {**tf_levels_8, 9: [c for p in tf_levels_8[8] for c, _ in _extend(p)]}

@@ -29,7 +29,6 @@ from hadwiger2.conjectures import (
     eberhard_model,
     girth5_cdm_construct,
     is_cdm,
-    is_w5,
     seagull_conditions,
     seagull_pack_exact,
     verify_k_model,
@@ -43,6 +42,7 @@ from hadwiger2.constructions import (
     petersen,
     srg_parameters,
     SrgParams,
+    wheel5,
 )
 from hadwiger2.generation import connected_alpha2_graphs
 from hadwiger2.graphs import (
@@ -54,6 +54,7 @@ from hadwiger2.graphs import (
     inflate,
     odd_girth,
 )
+from hadwiger2.iso import is_isomorphic
 from hadwiger2.matching import chromatic_number_alpha2
 from hadwiger2.rng import SplitMix64
 from hadwiger2.screening import PROPERTIES, table1_screen
@@ -255,7 +256,7 @@ def test_c9_seagull_equivalence(tf_levels_9):
     checked = 0
     graphs = [g for n in range(2, 10) for g in connected_alpha2_graphs(n, tf_levels_9)]
     for g in graphs:
-        if not independence_number_is_2(g) or is_w5(g):
+        if not independence_number_is_2(g) or (g.n == 6 and is_isomorphic(g, wheel5())):
             continue
         for k in range(1, 4):
             rep = seagull_conditions(g, k)

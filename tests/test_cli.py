@@ -167,6 +167,17 @@ class TestCheck:
         assert code == 0
         assert out.startswith("conjecture=4cm n=16 target=4 cm=8 exact=true holds=true\n")
 
+    def test_4cm_witness_is_verified(self, monkeypatch):
+        # 01 is no edge of the complement of C7, so its branch set is not connected.
+        from hadwiger2 import cli
+        from hadwiger2.conjectures import Outcome
+        from hadwiger2.matching import Matching
+
+        bad = Outcome("found", Matching(((0, 1), (2, 4))))
+        monkeypatch.setattr(cli, "connected_matching_max", lambda g, budget: bad)
+        with pytest.raises(RuntimeError, match="fails verification"):
+            cli._decide("4cm", complement(cycle(7)), None)
+
     def test_dominating_edge_not_found(self, capsys, monkeypatch):
         feed(monkeypatch, write_graph6(cycle(5)))
         code, out, _ = run(capsys, "check", "--conjecture", "dominating-edge")

@@ -1,6 +1,8 @@
 """Conjecture checkers: dominating edges, connected (dominating) matchings,
 small-branch-set models, seagulls, unavoidable scans."""
 
+import sys
+from contextlib import contextmanager
 from itertools import combinations
 
 import pytest
@@ -21,7 +23,6 @@ from hadwiger2.conjectures import (
     had2,
     half_order_model_search,
     is_cdm,
-    is_connected_matching,
     k_model_size2_max,
     parse_model,
     seagull_conditions,
@@ -30,20 +31,35 @@ from hadwiger2.conjectures import (
     verify_k_model,
 )
 from hadwiger2.constructions import (
+    andrasfai,
     clebsch,
     complete,
     cycle,
     eberhard,
     hoffman_singleton,
+    kneser,
     petersen,
     triangle_free_process,
     wheel5,
 )
 from hadwiger2.generation import connected_alpha2_graphs
 from hadwiger2.graphs import Graph, InflationSpec, complement, inflate
+from hadwiger2.matching import Matching
 from hadwiger2.rng import SplitMix64
+from hadwiger2.steiner import gewirtz, mesner
 
-from conftest import all_matchings, brute_connected_matching_number, is_cdm_reference, random_graph
+from conftest import (
+    _is_connected_matching,
+    all_matchings,
+    brute_connected_matching_number,
+    cdm_reference,
+    connected_perfect_matching_reference,
+    deadline,
+    half_order_reference,
+    is_cdm_reference,
+    random_graph,
+    small_branch_sets_reference,
+)
 
 TWO_TRIANGLES = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
 
@@ -70,19 +86,19 @@ class TestConnectedMatching:
         graphs += [g for n in range(2, 9) for g in connected_alpha2_graphs(n, tf_levels_8)]
         for g in graphs:
             got = connected_matching_max(g)
-            assert got.status == "found" and is_connected_matching(g, got.witness.edges)
+            assert got.status == "found" and _is_connected_matching(g, got.witness.edges)
             assert got.witness.size == brute_connected_matching_number(g), g.edges()
 
     def test_budget_flag(self):
         got = connected_matching_max(complete(8), budget=3)
         assert got.status == "unknown"
-        assert is_connected_matching(complete(8), got.witness.edges)
+        assert _is_connected_matching(complete(8), got.witness.edges)
 
     def test_clebsch_complement_is_exact(self):
         # A perfect connected matching: the bound closes the search at once.
         got = connected_matching_max(complement(clebsch()), budget=500_000)
         assert got.status == "found" and got.witness.size == 8
-        assert is_connected_matching(complement(clebsch()), got.witness.edges)
+        assert _is_connected_matching(complement(clebsch()), got.witness.edges)
 
 
 class TestCDM:
@@ -300,7 +316,7 @@ class TestConnectedPerfectMatching:
         assert half_order_model_search(cycle(5), budget=2) == Outcome("unknown")
         assert half_order_model_search(cycle(5), budget=3).status == "found"
 
-    def test_half_order_model_shares_one_budget(self, monkeypatch):
+    def test_half_order_model_shares_one_budget(self):
         # Singletons 0 to 3 of this alpha = 2 graph leave no connected
         # perfect matching, so four refuted choices spend nodes before 4.
         g = Graph(
@@ -308,22 +324,12 @@ class TestConnectedPerfectMatching:
             [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (2, 4)]
             + [(2, 6), (3, 4), (3, 5), (4, 5), (4, 6), (5, 6)],
         )
-        spent = []
-        kernel = conjectures._grow_matching
-
-        def counted(*args):
-            got, nodes = kernel(*args)
-            spent.append(nodes)
-            return got, nodes
-
-        monkeypatch.setattr(conjectures, "_grow_matching", counted)
-        assert half_order_model_search(g).status == "found"
-        total = sum(spent)
-        assert len(spent) == 5
+        got = half_order_model_search(g)
+        assert got.status == "found" and got.witness.branch_sets[-1] == (4,)
+        total = got.nodes
         for budget in range(total + 1):
-            spent.clear()
             got = half_order_model_search(g, budget=budget)
-            assert sum(spent) <= budget
+            assert got.nodes <= budget
             assert got.status == ("found" if budget == total else "unknown")
 
     def test_half_order_model_without_a_budget(self):
@@ -340,7 +346,7 @@ class TestConnectedPerfectMatching:
 def _brute_connected_perfect(g: Graph, host: Graph) -> bool:
     """Whether some perfect matching of g is pairwise adjacent in host."""
     return any(
-        2 * len(m) == g.n and is_connected_matching(host, m) for m in all_matchings(g)
+        2 * len(m) == g.n and _is_connected_matching(host, m) for m in all_matchings(g)
     )
 
 
@@ -404,13 +410,90 @@ class TestModelText:
             parse_model("nonsense")
 
 
-def test_patterns_from_graph6_file(tmp_path):
-    from hadwiger2.conjectures import patterns_from_graph6_file
-    from hadwiger2.graph6 import write_graph6
 
-    path = tmp_path / "patterns.g6"
-    path.write_text(write_graph6(cycle(4)) + "\n" + write_graph6(cycle(5)) + "\n")
-    pats = patterns_from_graph6_file(str(path))
-    assert len(pats) == 2
-    res = unavoidable_scan(petersen(), pats)
-    assert list(res.values()) == [False, True]
+BUDGETS = (0, 1, 2, 3, 5, 8, 13, None)
+
+
+def _agree_with_recursion(g: Graph, had2_budgets) -> None:
+    """Status, witness and node count of every search on g match the
+    recursive kernels at each budget; had2's search runs at
+    ``had2_budgets``."""
+
+    def seen(got: Outcome):
+        return got.status, got.witness, got.nodes
+
+    for budget in BUDGETS:
+        assert seen(connected_dominating_matching(g, budget)) == cdm_reference(g, budget)
+        if g.n % 2 == 0:
+            got = connected_perfect_matching_search(g, budget)
+            assert seen(got) == connected_perfect_matching_reference(g, budget)
+        assert seen(half_order_model_search(g, budget)) == half_order_reference(g, budget)
+        sets, done, nodes = small_branch_sets_reference(g, False, budget)
+        want = ("found" if done else "unknown", Matching(tuple(sets)), nodes)
+        assert seen(connected_matching_max(g, budget)) == want
+    for budget in had2_budgets:
+        sets, done, nodes = small_branch_sets_reference(g, True, budget)
+        want = ("found" if done else "unknown", KModel(tuple(sets), len(sets)), nodes)
+        assert seen(conjectures._small_branch_sets(g, True, budget)) == want
+        if budget is None:
+            assert had2(g) == len(sets)
+
+
+class TestStackKernelsMatchRecursion:
+    def test_every_connected_alpha2_graph_to_8(self, tf_levels_8):
+        for n in range(1, 9):
+            for g in connected_alpha2_graphs(n, tf_levels_8):
+                _agree_with_recursion(g, BUDGETS)
+
+    def test_screen_hosts_and_process_complements(self, steiner_system):
+        hosts = [clebsch(), andrasfai(6), kneser(7, 3), hoffman_singleton()]
+        hosts += [gewirtz(steiner_system), mesner(steiner_system)]
+        hosts += [triangle_free_process(101, s) for s in range(3)]
+        for h in hosts:
+            # had2 runs to the end only on small hosts: finite budgets here.
+            _agree_with_recursion(complement(h), BUDGETS[:-1] + (2000,))
+
+
+@contextmanager
+def _recursion_headroom(frames: int):
+    """Set the recursion limit to the current depth plus ``frames``."""
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + frames)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(old)
+
+
+class TestDeepSearches:
+    # Each search goes 200 to 400 branch sets deep, far below the
+    # interpreter's default limit but past 100 frames of headroom.
+
+    def test_connected_perfect_matching_of_k400(self):
+        with _recursion_headroom(100):
+            got = connected_perfect_matching_search(complete(400))
+        assert got.status == "found" and verify_k_model(complete(400), got.witness)
+
+    def test_half_order_model_of_k401(self):
+        with _recursion_headroom(100):
+            got = half_order_model_search(complete(401))
+        assert got.status == "found" and verify_k_model(complete(401), got.witness)
+
+    def test_connected_matching_of_c400_complement(self):
+        g = complement(cycle(400))
+        with _recursion_headroom(100):
+            got = connected_matching_max(g)
+        assert got.witness.size == 200 and _is_connected_matching(g, got.witness.edges)
+
+    def test_had2_of_k400(self):
+        with _recursion_headroom(100):
+            assert had2(complete(400)) == 400
+
+    def test_budgeted_connected_matching_of_c2500_complement(self):
+        g = complement(cycle(2500))
+        with deadline(30, "connected_matching_max on the complement of C2500"):
+            got = connected_matching_max(g, budget=2000)
+        assert got.status == "unknown" and got.witness.size == 1250

@@ -10,8 +10,8 @@ import networkx as nx
 
 from hadwiger2 import generation
 from hadwiger2.generation import (
+    _extend,
     _least_key_children,
-    _next_level,
     _settle,
     _siblings,
     connected_alpha2_graphs,
@@ -147,7 +147,7 @@ def test_next_level_ignores_parent_labels(tf_levels_8):
         perm = list(range(7))
         rng.shuffle(perm)
         relabelled.append(Graph(7, [(perm[u], perm[v]) for u, v in g.edges()]))
-    assert _classes(_next_level(relabelled)) == _classes(tf_levels_8[8])
+    assert _classes([c for p in relabelled for c, _ in _extend(p)]) == _classes(tf_levels_8[8])
 
 
 def test_siblings_are_one_per_child_class(tf_levels_8):
