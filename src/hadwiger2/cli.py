@@ -7,7 +7,9 @@ certify (clique-cover certificates), screen (counterexample profile).
 ``check`` and ``enumerate`` share one decision per conjecture
 (``_decide``): the same search, the same target and the same witness
 verification, whether the answer is printed for one graph or counted
-over a sweep.
+over a sweep.  ``check`` first tests that its input meets the
+conjecture's hypotheses (``_admit``); the hosts of ``enumerate`` are
+connected with alpha <= 2 by construction and are not tested again.
 
 Exit codes: 0 holds/found, 1 fails/not found, 2 usage or input error
 (every input error is a ``ValueError`` and prints one ``error:`` line),
@@ -39,7 +41,8 @@ from .certificates import (
 )
 from .conjectures import (
     KModel,
-    connected_dominating_matching,
+    _cdm,
+    _check_cdm_host,
     connected_matching_max,
     dominating_edge,
     format_model,
@@ -190,13 +193,24 @@ def cmd_build(args, seed: int) -> int:
 # check and enumerate
 
 
-def _decide(name: str, g: Graph, budget: int | None) -> tuple[str, str, KModel | None]:
-    """Decide conjecture ``name`` on g within ``budget`` search nodes (None,
-    for cdm and 4cm: no limit): the status, the report line, and the
-    witness as a model when the status is "found" (None for the empty 4cm
-    target).  CDM, half-order and 4cm witnesses are verified before return."""
+def _admit(name: str, g: Graph) -> None:
+    """Raise ``ValueError`` unless g meets what ``_decide`` assumes of the
+    hosts of conjecture ``name``: connected with alpha <= 2 for cdm, alpha
+    <= 2 for 4cm.  The half-order search tests its own hosts."""
     if name == "cdm":
-        got = connected_dominating_matching(g, budget=budget)
+        _check_cdm_host(g)
+    elif name == "4cm" and not alpha_at_most_2(g):
+        raise ValueError("4cm check requires independence number at most 2")
+
+
+def _decide(name: str, g: Graph, budget: int | None) -> tuple[str, str, KModel | None]:
+    """Decide conjecture ``name`` on g, a host that ``_admit`` accepts,
+    within ``budget`` search nodes (None, for cdm and 4cm: no limit): the
+    status, the report line, and the witness as a model when the status
+    is "found" (None for the empty 4cm target).  CDM, half-order and 4cm
+    witnesses are verified before return."""
+    if name == "cdm":
+        got = _cdm(g, budget)
         exhausted = " budget_exhausted=true" if got.status == "unknown" else ""
         line = f"conjecture=cdm n={g.n} holds={WORD[got.status]}{exhausted}"
         if got.status != "found":
@@ -211,8 +225,6 @@ def _decide(name: str, g: Graph, budget: int | None) -> tuple[str, str, KModel |
         line = f"conjecture=shc-half n={g.n} target={(g.n + 1) // 2} holds={WORD[got.status]}"
         return got.status, line, got.witness
     if name == "4cm":
-        if not alpha_at_most_2(g):
-            raise ValueError("4cm check requires independence number at most 2")
         t = (g.n + 1) // 4
         if t == 0:
             return "found", f"conjecture=4cm n={g.n} target=0 holds=true", None
@@ -242,7 +254,9 @@ def _holds(name: str, g: Graph) -> bool:
 
 
 def cmd_check(args, seed: int) -> int:
-    status, line, model = _decide(args.conjecture, _read_input_graph(args), args.budget)
+    g = _read_input_graph(args)
+    _admit(args.conjecture, g)
+    status, line, model = _decide(args.conjecture, g, args.budget)
     print(line)
     if model is not None:
         _emit(format_model(model), args.witness_out)
@@ -398,17 +412,20 @@ def _parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _env_seed() -> int:
+    text = os.environ.get("HADWIGER2_SEED", "0")
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"HADWIGER2_SEED must be an integer, not {text!r}") from None
+
+
 def main(argv: list[str] | None = None) -> int:
     ap = _parser()
     try:
         args = ap.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
-    seed = args.seed
-    if seed is None:
-        seed = int(os.environ.get("HADWIGER2_SEED", "0"))
-    flags = " ".join(_sys.argv[1:] if argv is None else argv)
-    print(f"# hadwiger2 version={__version__} seed={seed} args={flags!r}", file=_sys.stderr)
     handlers = {
         "build": cmd_build,
         "check": cmd_check,
@@ -417,6 +434,11 @@ def main(argv: list[str] | None = None) -> int:
         "screen": cmd_screen,
     }
     try:
+        seed = args.seed
+        if seed is None:
+            seed = _env_seed()
+        flags = " ".join(_sys.argv[1:] if argv is None else argv)
+        print(f"# hadwiger2 version={__version__} seed={seed} args={flags!r}", file=_sys.stderr)
         return handlers[args.command](args, seed)
     except (ValueError, ConstructionError, OSError) as exc:
         print(f"error: {exc}", file=_sys.stderr)

@@ -58,14 +58,20 @@ class Outcome:
 
 
 def dominating_edge(g: Graph) -> tuple[int, int] | None:
-    """First edge (lexicographic) whose endpoint neighbourhoods cover V."""
-    full = g.full_mask
-    for u in range(g.n):
-        ru = g.row(u)
-        for v in bits(ru >> (u + 1)):
-            v += u + 1
-            if ru | g.row(v) == full:
-                return (u, v)
+    """First edge (lexicographic) whose endpoint neighbourhoods cover V.
+
+    uv covers V exactly when v is a neighbour of u and of every vertex
+    outside N[u], so the candidates for v are N(u) above u, cut by one
+    row per such vertex."""
+    rows = g.rows()
+    for u, ru in enumerate(rows):
+        cand = ru & -(2 << u)
+        for x in bits(g.full_mask & ~ru & ~(1 << u)):
+            if not cand:
+                break
+            cand &= rows[x]
+        if cand:
+            return (u, (cand & -cand).bit_length() - 1)
     return None
 
 
@@ -178,10 +184,22 @@ def connected_dominating_matching(g: Graph, budget: int | None = None) -> Outcom
     most 2; a complete host K_n is answered by its dominating edge
     (0, 1), or refuted when n < 2.
     """
+    _check_cdm_host(g)
+    return _cdm(g, budget)
+
+
+def _check_cdm_host(g: Graph) -> None:
+    """Raise ``ValueError`` unless g is connected with independence number
+    at most 2, the hosts of ``connected_dominating_matching``."""
     if not is_connected(g):
         raise ValueError("connected dominating matchings need a connected host")
     if not alpha_at_most_2(g):
         raise ValueError("host must have independence number at most 2")
+
+
+def _cdm(g: Graph, budget: int | None) -> Outcome:
+    """``connected_dominating_matching`` on a host known to meet
+    ``_check_cdm_host``, without testing it again."""
     e = dominating_edge(g)
     if e is not None:
         return Outcome("found", Matching((e,)))

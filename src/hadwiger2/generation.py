@@ -14,25 +14,31 @@ steps per parent:
 2. Sibling orbits.  Of the passing independent sets, one per orbit of
    Aut(parent) is kept; sets in one orbit give isomorphic children.
    Aut(parent) is the group carried from the parent's own acceptance
-   when that ran ``iso.search``, and is searched for otherwise.
+   when that ran a search.  Otherwise the parent is refined once from
+   its degree colouring; automorphisms keep the root colours, so when
+   no two sets have the same multiset of root colours, each set is its
+   own orbit.  Only when two do is the parent searched, from that root.
 3. Canonical orbit.  A child is accepted when k lies in the automorphism
    orbit of m, the vertex of least key with the least canonical label.
    If k's key is strictly least, m = k.  Otherwise three tests decide
    in turn, and only the last one searches:
    - if every tied vertex is a twin of k, accept: swapping twins is an
      automorphism;
-   - refine the child once from its degree colouring (the root of the
-     search); ``iso._refine`` orders new colours first by old ones, and
-     individualisation keeps that order, so canonical labels order the
-     vertices of different root ranks as the root does, m has the least
-     root rank among the ties, and automorphisms keep root ranks.
-     Reject if k's rank is not that least rank; accept if every other
-     tie at that rank is a twin of k;
-   - otherwise ``iso.search`` the child.  Its generators go with the
-     accepted child, for step 2 when it becomes a parent.
-   So each labelled graph is searched at most once: 758 searches make
-   the levels up to n = 9, against 1,730 when every tie and every parent
-   with two children or more was searched.
+   - refine the child once from its degree colouring (``iso._root``, the
+     root of the search); refinement orders new colours first by old
+     ones, and individualisation keeps that order, so canonical labels
+     order the vertices of different root colours as the root does, m
+     has the least root colour among the ties, and automorphisms keep
+     root colours.  Reject if k's colour is not that least colour;
+     accept if every other tie of that colour is a twin of k;
+   - otherwise search the child from that root (``iso._search``).  Its
+     generators go with the accepted child, for step 2 when it becomes
+     a parent.
+   So each labelled graph is searched at most once, from the root that
+   step 2 or 3 refined for it: 586 searches make the levels up to n = 9,
+   against 758 when every parent with two children or more whose group
+   was not carried was searched, and 1,730 when every tie was searched
+   too.
 
 Exactly once, given one parent per class on the level below.  At least
 once: take a triangle-free G and its vertex m.  G - m is isomorphic to a
@@ -53,7 +59,7 @@ from __future__ import annotations
 from typing import Iterator
 
 from .graphs import Graph, bits, complement, is_connected
-from .iso import _refine, search
+from .iso import _root, _search
 
 MAX_DESK_N = 11
 
@@ -122,13 +128,21 @@ def _siblings(
 ) -> list[tuple[int, list[int], int]]:
     """The first of ``_least_key_children(parent)`` in each orbit of
     Aut(parent) on independent sets.  ``generators``, when given, generate
-    Aut(parent); otherwise parent is searched if it has two children or
-    more."""
+    Aut(parent).  Otherwise, if parent has two children or more, it is
+    refined once: when no two children's sets have the same multiset of
+    root colours, each is its own orbit, and else parent is searched from
+    that root (module docstring, step 2)."""
     children = _least_key_children(parent)
     if len(children) < 2:
         return children
     if generators is None:
-        generators = search(parent.rows()).generators
+        rows = parent.rows()
+        root = _root(rows)
+        color = root[2][1]
+        shapes = {tuple(sorted(color[v] for v in bits(mask))) for mask, _, _ in children}
+        if len(shapes) == len(children):
+            return children
+        generators = _search(rows, *root).generators
     seen: set[int] = set()
     out = []
     for child in children:
@@ -147,24 +161,25 @@ def _siblings(
     return out
 
 
-def _settle(rows: list[int], ties: int) -> bool | None:
+def _settle(rows: list[int], ties: int) -> tuple[bool | None, tuple | None]:
     """Accept (True) or reject (False) the child ``rows``, whose new vertex
     k = len(rows) - 1 ties on the least key with the vertices of ``ties``,
     when twins or the root refinement decide; None when only a search
-    can (module docstring, step 3)."""
+    can (module docstring, step 3).  Returned with the root, as
+    ``iso._root(rows)``, when the refinement ran, else None."""
     k = len(rows) - 1
     twins = [v for v in bits(ties) if rows[v] & ~(1 << k) == rows[k] & ~(1 << v)]
     if len(twins) == ties.bit_count():
-        return True
-    nbrs = [list(bits(r)) for r in rows]
-    degrees = [len(nb) for nb in nbrs]
-    ranks = _refine(nbrs, degrees, len(set(degrees)))
-    least = min(ranks[v] for v in bits(ties))
-    if ranks[k] != least:
-        return False
-    if all(ranks[v] != least for v in bits(ties) if v not in twins):
-        return True
-    return None
+        return True, None
+    root = _root(rows)
+    # Colours are the starts of the root's cells, so they order vertices as its ranks do.
+    color = root[2][1]
+    least = min(color[v] for v in bits(ties))
+    if color[k] != least:
+        return False, root
+    if all(color[v] != least for v in bits(ties) if v not in twins):
+        return True, root
+    return None, root
 
 
 def _extend(
@@ -179,9 +194,9 @@ def _extend(
     for _, rows, ties in _siblings(parent, generators):
         found = None
         if ties != 1 << k:
-            accept = _settle(rows, ties)
+            accept, root = _settle(rows, ties)
             if accept is None:
-                found = search(rows)
+                found = _search(rows, *root)
                 first = min(bits(ties), key=found.labelling.__getitem__)
                 accept = found.orbits[first] == found.orbits[k]
             if not accept:

@@ -285,10 +285,27 @@ def search(rows: Sequence[int]) -> Search:
     colours, and individualisation splits a cell into v and the rest, in
     place.  Canonical augmentation in ``generation`` settles ties on this,
     so a change here must keep it.
+
+    The search itself is ``_search``, which starts from a given root,
+    ``_root(rows)``; ``generation`` refines the root once and hands it on.
     """
-    n = len(rows)
+    return _search(rows, *_root(rows))
+
+
+def _root(rows: Sequence[int]) -> tuple[list[list[int]], list, tuple]:
+    """``(nbrs, gathers, partition)`` of the graph with adjacency bitsets
+    ``rows``: its neighbour lists, their ``_gathers``, and the root of
+    ``search``, the ``_partition`` refining the degree colouring."""
     nbrs = [list(bits(r)) for r in rows]
     gathers = _gathers(nbrs)
+    degrees = [len(nb) for nb in nbrs]
+    return nbrs, gathers, _partition(nbrs, gathers, degrees, len(set(degrees)))
+
+
+def _search(rows: Sequence[int], nbrs: list[list[int]], gathers: list, partition: tuple) -> Search:
+    """``search(rows)`` from its root, given as ``_root(rows)``: for callers
+    that have refined the root already.  The root's lists are not changed."""
+    n = len(rows)
     root = list(range(n))
     generators: list[tuple[int, ...]] = []
     best: list[int] | None = None
@@ -364,8 +381,7 @@ def search(rows: Sequence[int]) -> Search:
                 return resume
         return len(path)
 
-    degrees = [len(nb) for nb in nbrs]
-    visit(*_partition(nbrs, gathers, degrees, len(set(degrees))), ())
+    visit(*partition, ())
     return Search(tuple(best), tuple(best_ranks), tuple(find(v) for v in range(n)), generators)
 
 

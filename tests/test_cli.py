@@ -73,6 +73,12 @@ class TestBuild:
         assert code == 0 and out == write_graph6(cycle(5)) + "\n"
         assert "args='build --family cycle --n 5'" in err
 
+    def test_bad_seed_variable_is_an_input_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("HADWIGER2_SEED", "abc")
+        code, out, err = run(capsys, "build", "--family", "petersen")
+        assert code == 2 and out == ""
+        assert err == "error: HADWIGER2_SEED must be an integer, not 'abc'\n"
+
     def test_cycle_graph6_string(self, capsys):
         code, out, _ = run(capsys, "build", "--family", "cycle", "--n", "5")
         assert code == 0
@@ -121,6 +127,10 @@ class TestBuild:
         assert code1 == code2 == 0 and out1 == out2
 
 
+TWO_TRIANGLES = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+C7 = cycle(7)
+
+
 def feed(monkeypatch, text):
     monkeypatch.setattr("sys.stdin", io.StringIO(text))
 
@@ -141,6 +151,29 @@ class TestCheck:
         code, _, err = run(capsys, "check", "--conjecture", "cdm")
         assert code == 2
         assert "connected" in err
+
+    # stdout, the stderr lines after the header, and the exit code of
+    # check on two disjoint triangles (disconnected, alpha 2) and on C7
+    # (connected, alpha 3), recorded before check tested its input's
+    # hypotheses itself.
+    @pytest.mark.parametrize(
+        "conjecture, host, want_out, want_err, want_code",
+        [
+            ("cdm", TWO_TRIANGLES, "", "error: connected dominating matchings need a connected host", 2),
+            ("cdm", C7, "", "error: host must have independence number at most 2", 2),
+            ("4cm", TWO_TRIANGLES, "conjecture=4cm n=6 target=1 cm=1 exact=true holds=true\nmodel 1\nB 0 1\n", "", 0),
+            ("4cm", C7, "", "error: 4cm check requires independence number at most 2", 2),
+            ("shc-half", TWO_TRIANGLES, "conjecture=shc-half n=6 target=3 holds=unknown\n", "", 3),
+            ("shc-half", C7, "", "error: search is intended for hosts with alpha <= 2", 2),
+        ],
+        ids=["cdm-2K3", "cdm-C7", "4cm-2K3", "4cm-C7", "shc-half-2K3", "shc-half-C7"],
+    )
+    def test_hypotheses_of_the_input(
+        self, capsys, monkeypatch, conjecture, host, want_out, want_err, want_code
+    ):
+        feed(monkeypatch, write_graph6(host))
+        code, out, err = run(capsys, "check", "--conjecture", conjecture)
+        assert (out, err.splitlines()[1:], code) == (want_out, [want_err] if want_err else [], want_code)
 
     def test_shc_half_on_complete(self, capsys, monkeypatch):
         feed(monkeypatch, write_graph6(Graph(6, [(u, v) for u in range(6) for v in range(u + 1, 6)])))

@@ -5,6 +5,7 @@ import sys
 from contextlib import contextmanager
 from itertools import combinations
 
+import networkx as nx
 import pytest
 
 from hadwiger2 import conjectures
@@ -49,6 +50,7 @@ from hadwiger2.rng import SplitMix64
 from hadwiger2.steiner import gewirtz, mesner
 
 from conftest import (
+    _dominating_edge_reference,
     _is_connected_matching,
     all_matchings,
     brute_connected_matching_number,
@@ -70,6 +72,25 @@ class TestDominatingEdge:
         assert dominating_edge(cycle(5)) is None
         star = Graph(5, [(0, 1), (0, 2), (0, 3), (0, 4)])
         assert dominating_edge(star) == (0, 1)
+
+    def test_matches_the_edge_scan(self, steiner_system):
+        # The first edge by non-neighbourhood cuts equals the first edge of
+        # the per-edge scan it replaced, on every small graph, on random
+        # graphs of every density and on the screen's hosts.
+        graphs = [Graph(h.number_of_nodes(), h.edges()) for h in nx.graph_atlas_g()]
+        assert len(graphs) == 1253
+        rng = SplitMix64(2026)
+        graphs += [random_graph(1 + rng.randrange(24), rng.randrange(101), rng) for _ in range(500)]
+        hosts = [clebsch(), andrasfai(6), kneser(7, 3), hoffman_singleton()]
+        hosts += [gewirtz(steiner_system), mesner(steiner_system)]
+        graphs += [complement(h) for h in hosts]
+        found = 0
+        for g in graphs:
+            want = _dominating_edge_reference(g)
+            assert dominating_edge(g) == want, g.edges()
+            found += want is not None
+        # Both answers occur often.
+        assert 300 < found < len(graphs) - 300, found
 
 
 class TestConnectedMatching:

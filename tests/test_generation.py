@@ -20,9 +20,9 @@ from hadwiger2.generation import (
 )
 from hadwiger2.graphs import Graph, bits, complement, is_connected, is_triangle_free
 from hadwiger2.constructions import complete, cycle
-from hadwiger2.iso import canonical_form, is_isomorphic, search
+from hadwiger2.iso import _search, canonical_form, is_isomorphic, search
 
-from conftest import extend_reference
+from conftest import extend_reference, siblings_reference
 
 FIXTURE = pathlib.Path(__file__).parent / "fixtures" / "triangle_free_counts.json"
 
@@ -76,8 +76,10 @@ def test_c5_appears_at_n5():
     assert any(is_isomorphic(g, cycle(5)) for g in connected_alpha2_graphs(5))
 
 
-def test_connected_alpha2_counts(tf_levels_8):
-    graphs = {n: connected_alpha2_graphs(n, tf_levels_8) for n in range(1, 7)}
+def test_connected_alpha2_counts(tf_levels_9):
+    # The enumerate command checks these hosts without testing again that
+    # they are connected with alpha <= 2.
+    graphs = {n: connected_alpha2_graphs(n, tf_levels_9) for n in range(1, 10)}
     assert len(graphs[3]) == 2
     assert graphs[6] == connected_alpha2_graphs(6)
     for n, level in graphs.items():
@@ -190,7 +192,7 @@ def test_settle_agrees_with_the_orbit_test(tf_levels_8):
                 found = search(rows)
                 first = min(bits(ties), key=found.labelling.__getitem__)
                 accepted = found.orbits[first] == found.orbits[k]
-                settled = _settle(rows, ties)
+                settled, _ = _settle(rows, ties)
                 assert settled in (None, accepted), (parent.edges(), bin(ties))
                 twins = all(rows[v] & ~(1 << k) == rows[k] & ~(1 << v) for v in bits(ties))
                 outcomes["twin accept" if twins else settled] += 1
@@ -201,13 +203,36 @@ def test_settle_agrees_with_the_orbit_test(tf_levels_8):
 def test_each_labelled_graph_searched_at_most_once(monkeypatch):
     searched: list[tuple[int, ...]] = []
 
-    def counting(rows):
+    def counting(rows, *root):
         searched.append(tuple(rows))
-        return search(rows)
+        return _search(rows, *root)
 
-    monkeypatch.setattr(generation, "search", counting)
+    monkeypatch.setattr(generation, "_search", counting)
     triangle_free_graphs(9)
     # Searching every tied child and every parent with two children or
-    # more took 1,730 searches.
-    assert len(searched) == 758
+    # more took 1,730 searches, and every parent with two children or
+    # more whose group was not carried, 758.
+    assert len(searched) == 586
     assert len(set(searched)) == len(searched)
+
+
+def test_siblings_equal_reference(tf_levels_9, monkeypatch):
+    # Without carried generators a parent is searched only when two of its
+    # children's sets have the same multiset of root colours; the kept
+    # children are still those of a search of every parent.
+    searched: list[int] = []
+
+    def counting(rows, *root):
+        searched.append(len(rows))
+        return _search(rows, *root)
+
+    monkeypatch.setattr(generation, "_search", counting)
+    paths: Counter = Counter()
+    for n in range(1, 9):
+        for parent in tf_levels_9[n]:
+            before = len(searched)
+            kept = _siblings(parent)
+            assert kept == siblings_reference(parent), parent.edges()
+            if len(_least_key_children(parent)) > 1:
+                paths["searched" if len(searched) > before else "unsearched"] += 1
+    assert paths["searched"] and paths["unsearched"], paths
