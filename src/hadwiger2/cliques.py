@@ -12,7 +12,10 @@ large vertex-transitive instances (Kneser-type graphs, block-graph
 complements) where the colouring bound is far from tight.
 
 ``colour_classes`` is the one exact k-colouring kernel (DSATUR); the
-four-clique covers colour the complement with it.
+four-clique covers colour the complement with it.  It keeps one mask
+per colour of the vertices where that colour is forbidden, so colouring
+a vertex or undoing it updates all its neighbours with a few whole-word
+operations instead of a loop over them.
 """
 
 from __future__ import annotations
@@ -191,56 +194,73 @@ def colour_classes(rows: list[int], k: int) -> list[int] | None:
     Exact DSATUR (Brelaz 1979): colour next the uncoloured vertex with the
     most forbidden colours, ties to the most uncoloured neighbours, then
     to the lowest index, and try only one colour that no vertex has yet
-    (first-use symmetry breaking).  A colour is forbidden at the
-    neighbours that lacked it and restored on backtrack.  The uncoloured
+    (first-use symmetry breaking).  Colour c is forbidden at the uncoloured
+    vertices of ``has[c]``, one mask per colour.  Colouring v with c
+    forbids it at ``rows[v] & uncoloured & ~has[c]``, one mask that is set
+    in ``has[c]`` and xored out again on backtrack.  The uncoloured
     vertices sit in saturation buckets, ``level[s]`` holding those with s
-    forbidden colours as a bitmask; each forbidden bit set or undone
-    moves its vertex one bucket, so a step looks only at the highest
-    non-empty bucket.  An explicit stack keeps deep searches off the
-    recursion limit.
+    forbidden colours as a bitmask, so a step looks only at the highest
+    non-empty bucket.  The newly forbidden mask moves up one bucket by k
+    masked moves from the top bucket down, and back by k moves from the
+    bottom up, never vertex by vertex.  Nothing is forbidden or freed at
+    a coloured vertex, so on backtrack it returns to the bucket its frame
+    took it from.  An explicit stack keeps deep searches off the recursion
+    limit.
     """
-    forbidden = [0] * len(rows)
+    has = [0] * k
     classes = [0] * k
     uncoloured = (1 << len(rows)) - 1
     level = [uncoloured] + [0] * k
-    stack = []  # [vertex, untried colours, colour, neighbours it newly forbade]
+    up = range(k - 1, -1, -1)
+    down = range(1, k + 1)
+    stack = []  # [vertex, untried colours, colour, vertices it newly forbade, bucket]
     while uncoloured:
         s = k
         while not level[s]:
             s -= 1
+        rest = level[s]
         most = -1
-        for w in bits(level[s]):
+        while rest:
+            low = rest & -rest
+            w = low.bit_length() - 1
             d = (rows[w] & uncoloured).bit_count()
             if d > most:
                 most, v = d, w
+            rest ^= low
         level[s] ^= 1 << v
-        used = sum(1 for m in classes if m)
-        stack.append([v, ((1 << min(used + 1, k)) - 1) & ~forbidden[v], -1, ()])
+        used = k - classes.count(0)
+        options = 0
+        for c in range(min(used + 1, k)):
+            if not has[c] >> v & 1:
+                options |= 1 << c
+        stack.append([v, options, -1, 0, s])
         uncoloured ^= 1 << v
         while stack:
             frame = stack[-1]
-            v, options, c, changed = frame
+            v, options, c, changed, s = frame
             if c >= 0:
                 classes[c] ^= 1 << v
-                for w in changed:
-                    forbidden[w] ^= 1 << c
-                    s = forbidden[w].bit_count()
-                    level[s + 1] ^= 1 << w
-                    level[s] |= 1 << w
+                if changed:
+                    has[c] ^= changed
+                    for t in down:
+                        moving = level[t] & changed
+                        level[t] ^= moving
+                        level[t - 1] |= moving
             if options:
                 c = (options & -options).bit_length() - 1
-                changed = [w for w in bits(rows[v] & uncoloured) if not forbidden[w] >> c & 1]
-                for w in changed:
-                    s = forbidden[w].bit_count()
-                    forbidden[w] |= 1 << c
-                    level[s] ^= 1 << w
-                    level[s + 1] |= 1 << w
+                changed = rows[v] & uncoloured & ~has[c]
+                if changed:
+                    has[c] |= changed
+                    for t in up:
+                        moving = level[t] & changed
+                        level[t] ^= moving
+                        level[t + 1] |= moving
                 classes[c] |= 1 << v
-                frame[1:] = options & (options - 1), c, changed
+                frame[1:4] = options & (options - 1), c, changed
                 break
             stack.pop()
             uncoloured |= 1 << v
-            level[forbidden[v].bit_count()] |= 1 << v
+            level[s] |= 1 << v
         else:
             return None
     return classes

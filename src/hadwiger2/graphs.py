@@ -33,9 +33,9 @@ def _repeat(pattern: int, width: int, total: int) -> int:
     return pattern
 
 
-def _is_symmetric(rows: Sequence[int]) -> bool:
-    """Whether the bit matrix with rows ``rows``, each below
-    ``2 ** len(rows)``, equals its transpose.
+def _transpose(rows: Sequence[int]) -> list[int]:
+    """The transpose of the bit matrix with rows ``rows``, each below
+    ``2 ** len(rows)``: bit i of row j is bit j of row i.
 
     The rows are packed into one int, row i from bit ``i * side``, where
     ``side`` is the least power of two that is at least 8 and ``len(rows)``.
@@ -48,8 +48,8 @@ def _is_symmetric(rows: Sequence[int]) -> bool:
     side = 8
     while side < len(rows):
         side *= 2
-    packed = int.from_bytes(b"".join(r.to_bytes(side // 8, "little") for r in rows), "little")
-    t = packed
+    width = side // 8
+    t = int.from_bytes(b"".join(r.to_bytes(width, "little") for r in rows), "little")
     s = side // 2
     while s:
         columns = _repeat(((1 << s) - 1) << s, 2 * s, side)
@@ -58,7 +58,14 @@ def _is_symmetric(rows: Sequence[int]) -> bool:
         swap = ((t >> shift) ^ t) & mask
         t ^= swap ^ (swap << shift)
         s //= 2
-    return t == packed
+    packed = t.to_bytes(width * side, "little")
+    return [int.from_bytes(packed[i * width:(i + 1) * width], "little") for i in range(len(rows))]
+
+
+def _is_symmetric(rows: Sequence[int]) -> bool:
+    """Whether the bit matrix with rows ``rows``, each below
+    ``2 ** len(rows)``, equals its transpose."""
+    return _transpose(rows) == list(rows)
 
 
 class Graph:

@@ -21,6 +21,7 @@ import pytest
 from hadwiger2.cliques import colour_classes, max_clique
 from hadwiger2.conjectures import KModel, Outcome, connected_dominating_matching
 from hadwiger2.generation import independent_set_masks
+from hadwiger2.graph6 import _HEADER, _encode_n
 from hadwiger2.graphs import (
     Graph,
     bits,
@@ -455,6 +456,71 @@ def four_cover_reference(g: Graph) -> Outcome:
                     for m in classes
                 ))
     return Outcome("refuted")
+
+
+def write_graph6_reference(g: Graph) -> str:
+    """``graph6.write_graph6`` as it stood before column encoding: one
+    Python step per bit.  Kept verbatim so the column writer can be checked
+    to give the same strings."""
+    out = [_encode_n(g.n)]
+    bit_buffer = 0
+    nbits = 0
+    for col in range(1, g.n):
+        for row_i in range(col):
+            bit_buffer = (bit_buffer << 1) | (g.row(row_i) >> col & 1)
+            nbits += 1
+            if nbits == 6:
+                out.append(chr(bit_buffer + 63))
+                bit_buffer = 0
+                nbits = 0
+    if nbits:
+        bit_buffer <<= 6 - nbits
+        out.append(chr(bit_buffer + 63))
+    return "".join(out)
+
+
+def read_graph6_reference(text: str) -> Graph:
+    """``graph6.read_graph6`` as it stood before column decoding: one
+    Python step per bit.  Kept verbatim (truncated extended headers
+    included, which it reads as the empty graph) so the column reader can
+    be checked to give the same graphs and the same errors."""
+    s = text.strip()
+    if s.startswith(_HEADER):
+        s = s[len(_HEADER):]
+    if not s:
+        raise ValueError("empty graph6 string")
+    data = [ord(c) - 63 for c in s]
+    if any(b < 0 or b > 63 for b in data):
+        raise ValueError("invalid graph6 character")
+    if data[0] == 63:
+        if len(data) >= 2 and data[1] == 63:
+            n = 0
+            for b in data[2:8]:
+                n = n << 6 | b
+            body = data[8:]
+        else:
+            n = 0
+            for b in data[1:4]:
+                n = n << 6 | b
+            body = data[4:]
+    else:
+        n = data[0]
+        body = data[1:]
+    nbits = n * (n - 1) // 2
+    if len(body) != (nbits + 5) // 6:
+        raise ValueError("graph6 body has wrong length")
+    rows = [0] * n
+    idx = 0
+    for col in range(1, n):
+        for row_i in range(col):
+            byte = body[idx // 6]
+            bit = byte >> (5 - idx % 6) & 1
+            if bit:
+                rows[row_i] |= 1 << col
+                rows[col] |= 1 << row_i
+            idx += 1
+    # Each bit sets both rows[row_i] and rows[col], row_i < col < n.
+    return Graph._trusted(rows)
 
 
 def refine_reference(nbrs: list[list[int]], colors: list[int], ncolors: int) -> list[int]:

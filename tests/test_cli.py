@@ -303,6 +303,17 @@ class TestCertify:
         assert out.splitlines() == ["kind=cover4 found=false"]
         assert not milp_four_colourable(mesner(steiner_system))
 
+    @pytest.mark.parametrize("command", [["certify", "--kind", "cover4"], ["screen"]])
+    def test_truncated_graph6_header_is_an_input_error(self, capsys, monkeypatch, command):
+        # "~" once decoded as the empty graph: cover4 printed found=false
+        # and the screen blamed the independence number.
+        feed(monkeypatch, "~\n")
+        code, out, err = run(capsys, *command)
+        assert code == 2 and out == ""
+        assert [line for line in err.splitlines() if line.startswith("error:")] == [
+            "error: truncated graph6 header"
+        ]
+
 
 class TestScreen:
     def test_c5(self, capsys, monkeypatch):

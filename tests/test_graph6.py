@@ -9,7 +9,7 @@ from hadwiger2.graphs import Graph
 from hadwiger2.constructions import complete, cycle, petersen
 from hadwiger2.rng import SplitMix64
 
-from conftest import random_graph
+from conftest import random_graph, read_graph6_reference, write_graph6_reference
 from test_graphs import graphs_strategy
 
 
@@ -70,3 +70,40 @@ def test_large_n_header():
 def test_petersen_roundtrip():
     assert read_graph6(write_graph6(petersen())) == petersen()
     assert read_graph6(write_graph6(cycle(5))) == cycle(5)
+
+
+@pytest.mark.parametrize("text", ["~", "~?", "~??", "~~", "~~?????"])
+def test_truncated_extended_header_raises(text):
+    # "~" needs 3 more header characters and "~~" 6 more; these once read
+    # as the empty graph.
+    with pytest.raises(ValueError, match="truncated graph6 header"):
+        read_graph6(text)
+
+
+def _assert_matches_reference(g):
+    text = write_graph6(g)
+    assert text == write_graph6_reference(g)
+    assert read_graph6(text) == read_graph6_reference(text) == g
+
+
+def test_matches_reference_around_the_header_boundary():
+    # n = 62 is the last one-character header, n = 63 the first "~" one.
+    rng = SplitMix64(20261019)
+    for n in (0, 1, 2, 5, 62, 63, 64, 101, 300):
+        for p in (0, 3, 50, 97, 100):
+            _assert_matches_reference(random_graph(n, p, rng))
+
+
+def test_matches_reference_on_random_graphs():
+    rng = SplitMix64(42)
+    for _ in range(500):
+        _assert_matches_reference(random_graph(rng.randrange(41), rng.randrange(101), rng))
+
+
+@pytest.mark.parametrize("text", ["", "  \n", ">>graph6<<", "A" + chr(200), "B w", "A", "Bww", "~??~", "~~????@?"])
+def test_errors_match_reference(text):
+    with pytest.raises(ValueError) as want:
+        read_graph6_reference(text)
+    with pytest.raises(ValueError) as got:
+        read_graph6(text)
+    assert str(got.value) == str(want.value)
