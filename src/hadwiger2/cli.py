@@ -439,6 +439,10 @@ def main(argv: list[str] | None = None) -> int:
             seed = _env_seed()
         flags = " ".join(_sys.argv[1:] if argv is None else argv)
         print(f"# hadwiger2 version={__version__} seed={seed} args={flags!r}", file=_sys.stderr)
+        if getattr(args, "budget", None) is not None and args.budget < 0:
+            raise ValueError(f"--budget must be non-negative, not {args.budget}")
+        if getattr(args, "workers", 1) < 1:
+            raise ValueError(f"--workers must be at least 1, not {args.workers}")
         return handlers[args.command](args, seed)
     except (ValueError, ConstructionError, OSError) as exc:
         print(f"error: {exc}", file=_sys.stderr)

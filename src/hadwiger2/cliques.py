@@ -284,17 +284,3 @@ def maximal_cliques(g: Graph) -> Iterator[int]:
 
     if g.n:
         yield from bk(0, g.full_mask, 0)
-
-
-def all_cliques(g: Graph) -> Iterator[int]:
-    """Every clique of g as a bitmask, including the empty clique."""
-    rows = g.rows()
-
-    def grow(r: int, cand: int) -> Iterator[int]:
-        yield r
-        while cand:
-            v = (cand & -cand).bit_length() - 1
-            cand &= ~(1 << v)
-            yield from grow(r | (1 << v), cand & rows[v])
-
-    yield from grow(0, g.full_mask)

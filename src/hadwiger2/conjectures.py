@@ -22,6 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Literal
 
+from .cliques import maximal_cliques
+from .generation import independent_set_masks
 from .graphs import (
     Graph,
     InflationSpec,
@@ -242,33 +244,17 @@ def girth5_cdm_construct(spec: InflationSpec) -> Matching:
             raise RuntimeError("C5-free support must yield a dominating edge")
         result = Matching((e,))
     else:
-        cyc = [support[i] for i in c5]
+        ring = [support[i] for i in c5]
         mult = spec.mult
-
-        def orientations(c):
-            a, b, cc, d, e = c
-            out = []
-            ring = [a, b, cc, d, e]
-            for shift in range(5):
-                rot = ring[shift:] + ring[:shift]
-                out.append(tuple(rot))
-                out.append(tuple([rot[0]] + list(reversed(rot[1:]))))
-            return out
-
-        candidates = [
-            o
-            for o in orientations(cyc)
-            if mult[o[0]] == min(mult[x] for x in cyc)
-            and mult[o[2]] <= mult[o[3]]
-        ]
-        a, b, c, d, e = min(candidates)
-        ca = list(bits(spec.block(a)))
-        ce = list(bits(spec.block(e)))
-        cc = list(bits(spec.block(c)))
-        cd = list(bits(spec.block(d)))
-        m1 = list(zip(ca, ce))
-        m2 = list(zip(cc, cd))
-        result = Matching(tuple(m1 + m2))
+        least = min(mult[x] for x in ring)
+        # The five rotations of the cycle, then each read backwards from its start.
+        turns = [ring[i:] + ring[:i] for i in range(5)]
+        turns += [t[:1] + t[:0:-1] for t in turns]
+        a, _, c, d, e = min(t for t in turns if mult[t[0]] == least and mult[t[2]] <= mult[t[3]])
+        block = spec.block
+        result = Matching(
+            tuple(zip(bits(block(a)), bits(block(e)))) + tuple(zip(bits(block(c)), bits(block(d))))
+        )
     if not is_cdm(g, result.edges):
         raise RuntimeError("constructed matching failed CDM verification")
     return result
@@ -529,10 +515,9 @@ def seagull_conditions(g: Graph, k: int) -> SeagullReport:
     n = g.n
     size_ok = n >= 3 * k
     connectivity_ok = n >= 2 and vertex_connectivity(g, at_least=k) >= k
-    from .cliques import all_cliques, maximal_cliques
-
     exact = n <= 16
-    clique_source = all_cliques(g) if exact else maximal_cliques(g)
+    # The independent sets of the complement are the cliques of g.
+    clique_source = independent_set_masks(complement(g)) if exact else maximal_cliques(g)
     clique_ok = True
     for cmask in clique_source:
         outside = g.full_mask & ~cmask

@@ -91,10 +91,6 @@ def complete(n: int) -> Graph:
     return Graph(n, combinations(range(n), 2))
 
 
-def empty(n: int) -> Graph:
-    return Graph(n)
-
-
 def petersen() -> Graph:
     """Outer 5-cycle, inner pentagram, spokes."""
     edges = [(i, (i + 1) % 5) for i in range(5)]

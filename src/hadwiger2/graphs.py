@@ -226,13 +226,8 @@ def alpha_at_most_2(g: Graph) -> bool:
 
 
 def independence_number_is_2(g: Graph) -> bool:
-    """True iff alpha(g) is exactly 2."""
-    if not alpha_at_most_2(g):
-        return False
-    # alpha >= 2 iff some non-adjacent pair exists.
-    return any(
-        g.row(v) | (1 << v) != g.full_mask for v in range(g.n)
-    ) and g.n >= 2
+    """True iff alpha(g) is exactly 2: at most 2, and g is not complete."""
+    return alpha_at_most_2(g) and g.edge_count < g.n * (g.n - 1) // 2
 
 
 @dataclass(frozen=True)
@@ -299,19 +294,10 @@ def inflate(spec: InflationSpec) -> Graph:
 
 
 def blow_up(spec: InflationSpec) -> Graph:
-    """Expanded graph of a blow-up: independent sets joined along base edges."""
-    n = spec.expanded_n
-    proj = spec.projection
-    base = spec.base
-    block = [spec.block(x) for x in range(base.n)]
-    rows = []
-    for v in range(n):
-        x = proj[v]
-        r = 0
-        for y in bits(base.row(x)):
-            r |= block[y]
-        rows.append(r)
-    return Graph.from_rows(tuple(rows))
+    """Expanded graph of a blow-up: independent sets joined along base
+    edges, that is, the inflation minus the edges inside its blocks."""
+    rows = inflate(spec).rows()
+    return Graph._trusted([r & ~spec.block(x) for r, x in zip(rows, spec.projection)])
 
 
 def _layers(g: Graph, root: int) -> Iterator[tuple[int, int, int]]:

@@ -186,29 +186,18 @@ def induced_embeddings(pattern: Graph, host: Graph) -> Iterator[tuple[int, ...]]
     yield from search(0)
 
 
+_C5 = Graph(5, [(i, (i + 1) % 5) for i in range(5)])
+
+
 def has_induced_subgraph(host: Graph, pattern: Graph) -> bool:
     return next(induced_embeddings(pattern, host), None) is not None
 
 
 def find_induced_c5(g: Graph) -> tuple[int, ...] | None:
-    """First induced 5-cycle (a,b,c,d,e) in lexicographic order, or None."""
-    n = g.n
-    for a in range(n):
-        ra = g.row(a)
-        for b in bits(ra):
-            if b == a:
-                continue
-            rb = g.row(b)
-            # c adjacent to b, not to a
-            for c in bits(rb & ~ra & ~(1 << a)):
-                rc = g.row(c)
-                # d adjacent to c, not to a or b
-                for d in bits(rc & ~ra & ~rb & ~(1 << a) & ~(1 << b)):
-                    rd = g.row(d)
-                    # e adjacent to d and a, not to b or c
-                    for e in bits(rd & ra & ~rb & ~rc):
-                        return (a, b, c, d, e)
-    return None
+    """First induced 5-cycle (a,b,c,d,e) in lexicographic order, or None:
+    ``induced_embeddings`` places the cycle's vertices in the order 0..4,
+    each at the least free host vertex first."""
+    return next(induced_embeddings(_C5, g), None)
 
 
 class Search(NamedTuple):

@@ -117,18 +117,61 @@ def table1_screen(g: Graph) -> ScreeningReport:
     put("P2", is_connected(gc), "complement connected iff not decomposable")
     put("P3", n == 2 * chi - 1, f"n={n}, 2chi-1={2 * chi - 1}")
 
-    # g - x - y inherits alpha <= 2, so both matching shortcuts run on gc
-    # inside the mask of the remaining vertices.  Each starts from the host
-    # matching minus x, y and their partners, at most two augmentations
+    # One scan of the non-adjacent pairs decides P4, P13-P16 and P21: each
+    # property is tested until it fails, and the scan stops once all have.
+    # P4: g - x - y inherits alpha <= 2, so both matching shortcuts run on
+    # gc inside the mask of the remaining vertices.  Each starts from the
+    # host matching minus x, y and their partners, at most two augmentations
     # short of maximum; mu and D do not depend on the matching found.
-    p4_ok = True
+    # A = N(x) - N[y], B = N(x) & N(y), C = N(y) - N[x].  An empty B fails
+    # P13, P14 and P16, and P15 is not scored on it.  P14 fails iff some b
+    # in B is adjacent to all of A or to all of C.  P15 asks, for every a in
+    # A and c in C, that a ~ c iff some b in B misses both; for fixed a that
+    # is C & N(a) equal to the part of C outside the common neighbourhood of
+    # B - N(a).
+    p4 = p13 = p14 = p15 = p16 = p21 = True
     for x, y in _pairs(g, False, found):
-        rest = g.full_mask & ~(1 << x) & ~(1 << y)
-        mu_rest, d_rest, _ = _gallai_edmonds(gc, rest, host)
-        if n - 2 - mu_rest != chi - 1 or d_rest != rest:
-            p4_ok = False
+        rx, ry = g.row(x), g.row(y)
+        b_mask = rx & ry
+        a_mask = rx & ~ry & ~(1 << y)
+        c_mask = ry & ~rx & ~(1 << x)
+        if p4:
+            rest = g.full_mask & ~(1 << x) & ~(1 << y)
+            mu_rest, d_rest, _ = _gallai_edmonds(gc, rest, host)
+            p4 = n - 2 - mu_rest == chi - 1 and d_rest == rest
+        if p21:
+            p21 = (2 <= a_mask.bit_count() <= chi - 4 and 2 <= c_mask.bit_count() <= chi - 4
+                   and 5 <= b_mask.bit_count() <= 2 * chi - 7)
+        if not b_mask:
+            p13 = p14 = p16 = False
+        if p14:
+            common_a = common_c = g.full_mask
+            for a in bits(a_mask):
+                common_a &= g.row(a)
+            for c in bits(c_mask):
+                common_c &= g.row(c)
+            if b_mask & (common_a | common_c):
+                p14 = False
+        if p15 and b_mask:
+            for a in bits(a_mask):
+                ra = g.row(a)
+                common = c_mask
+                for b in bits(b_mask & ~ra):
+                    common &= g.row(b)
+                if c_mask & ra != c_mask & ~common:
+                    p15 = False
+                    break
+        if p16:
+            for b in bits(b_mask):
+                rb = g.row(b)
+                c_off_b = c_mask & ~rb
+                if any(g.row(a) & c_off_b for a in bits(a_mask & ~rb)):
+                    break
+            else:
+                p16 = False
+        if not (p4 or p13 or p14 or p15 or p16 or p21):
             break
-    put("P4", p4_ok, "pair deletion leaves a (chi-1)-critical graph")
+    put("P4", p4, "pair deletion leaves a (chi-1)-critical graph")
 
     put(
         "P5",
@@ -168,50 +211,6 @@ def table1_screen(g: Graph) -> ScreeningReport:
     put("P11", is_factor_critical(g))
     put("P12", p7)
 
-    # For each non-adjacent pair: A = N(x) - N[y], B = N(x) & N(y),
-    # C = N(y) - N[x].  P14 fails iff some b in B is adjacent to all of A
-    # or to all of C.  P15 asks, for every a in A and c in C, that a ~ c
-    # iff some b in B misses both; for fixed a that is C & N(a) equal to
-    # the part of C outside the common neighbourhood of B - N(a).  Each
-    # property stops being scanned once it has failed.
-    p13 = p14 = p15 = p16 = True
-    for x, y in _pairs(g, False, found):
-        rx, ry = g.row(x), g.row(y)
-        b_mask = rx & ry
-        a_mask = rx & ~ry & ~(1 << y)
-        c_mask = ry & ~rx & ~(1 << x)
-        if not b_mask:
-            p13 = p14 = p16 = False
-            if not p15:
-                break
-            continue
-        if p14:
-            common_a = common_c = g.full_mask
-            for a in bits(a_mask):
-                common_a &= g.row(a)
-            for c in bits(c_mask):
-                common_c &= g.row(c)
-            if b_mask & (common_a | common_c):
-                p14 = False
-        if p15:
-            for a in bits(a_mask):
-                ra = g.row(a)
-                common = c_mask
-                for b in bits(b_mask & ~ra):
-                    common &= g.row(b)
-                if c_mask & ra != c_mask & ~common:
-                    p15 = False
-                    break
-        if p16:
-            for b in bits(b_mask):
-                rb = g.row(b)
-                c_off_b = c_mask & ~rb
-                if any(g.row(a) & c_off_b for a in bits(a_mask & ~rb)):
-                    break
-            else:
-                p16 = False
-        if not (p13 or p14 or p15 or p16):
-            break
     put("P13", p13)
     put("P14", p14)
     put("P15", p15)
@@ -222,15 +221,6 @@ def table1_screen(g: Graph) -> ScreeningReport:
     put("P19", omega <= chi - 3, f"omega={omega}, chi={chi}")
     put("P20", delta >= chi + 1, f"delta={delta}, chi={chi}")
 
-    p21 = True
-    for x, y in _pairs(g, False, found):
-        rx, ry = g.row(x), g.row(y)
-        a = (rx & ~ry & ~(1 << y)).bit_count()
-        c = (ry & ~rx & ~(1 << x)).bit_count()
-        b = (rx & ry).bit_count()
-        if not (2 <= a <= chi - 4 and 2 <= c <= chi - 4 and 5 <= b <= 2 * chi - 7):
-            p21 = False
-            break
     put("P21", p21, "A/B/C size windows")
 
     # A (chi - 1)-colouring of g - uv puts u and v in one class (else it

@@ -27,10 +27,6 @@ _F4_MUL = (
 )
 
 
-def _f4_mul(a: int, b: int) -> int:
-    return _F4_MUL[a][b]
-
-
 def _pg24_points() -> list[tuple[int, int, int]]:
     """Projective points over F4, normalised to leading coordinate 1."""
     return (
@@ -47,7 +43,7 @@ def _pg24_lines(points) -> list[int]:
         a, b, c = coeff
         mask = 0
         for i, (x, y, z) in enumerate(points):
-            if _f4_mul(a, x) ^ _f4_mul(b, y) ^ _f4_mul(c, z) == 0:
+            if _F4_MUL[a][x] ^ _F4_MUL[b][y] ^ _F4_MUL[c][z] == 0:
                 mask |= 1 << i
         assert mask.bit_count() == 5
         lines.append(mask)
@@ -147,19 +143,10 @@ def steiner_3_6_22() -> SteinerSystem:
     return SteinerSystem(tuple(blocks))
 
 
-def _disjoint_pairs(masks: list[int]) -> list[tuple[int, int]]:
-    """The pairs i < j of blocks with no common point."""
-    return [
-        (i, j)
-        for i in range(len(masks))
-        for j in range(i + 1, len(masks))
-        if masks[i] & masks[j] == 0
-    ]
-
-
 def mesner(sys: SteinerSystem) -> Graph:
     """Blocks of S(3,6,22), adjacent iff disjoint: srg(77,16,0,4)."""
-    g = Graph(77, _disjoint_pairs(sys.block_masks()))
+    masks = sys.block_masks()
+    g = Graph(77, [(i, j) for i, m in enumerate(masks) for j in range(i) if not m & masks[j]])
     verify_srg(g, 77, 16, 0, 4, "mesner")
     return g
 
@@ -182,9 +169,8 @@ def higman_sims(sys: SteinerSystem) -> Graph:
     apex adjacent to the 22 point-vertices.  A point-vertex is adjacent to
     the blocks containing it.
     """
-    masks = sys.block_masks()
-    edges = _disjoint_pairs(masks)
-    for i, m in enumerate(masks):
+    edges = mesner(sys).edges()
+    for i, m in enumerate(sys.block_masks()):
         for x in bits(m):
             edges.append((i, 77 + x))
     for x in range(22):

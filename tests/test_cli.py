@@ -49,6 +49,64 @@ GOLDEN_BUILDS = [
 ]
 
 
+# sha256 (first 16 hex digits) of stdout, and the exit code, of every
+# ``screen`` and ``certify`` job of ``perfbench/run.py`` (its seed-1 host
+# files), recorded before the second copies in src/ were deleted.  Host
+# names stand for the graph6 files that ``benchmark_hosts`` writes.
+GOLDEN_BENCHMARK_JOBS = [
+    (["screen", "--in", "clebsch"], 0, "0e03d19d0366879d"),
+    (["screen", "--in", "andrasfai6"], 0, "31ee567d1753843b"),
+    (["screen", "--in", "kneser7_3"], 0, "d28e8d48a691a0ff"),
+    (["screen", "--in", "hoffman_singleton"], 0, "9851addc02184616"),
+    (["screen", "--in", "gewirtz"], 0, "0e7cfc7a3722cb3a"),
+    (["screen", "--in", "mesner"], 0, "c35f480fe0865a68"),
+    (["certify", "--kind", "cover4", "--in", "hoffman_singleton"], 0, "051ca9b0bd1bbb94"),
+    (["certify", "--kind", "cover4", "--in", "gewirtz"], 0, "6210f6cb396a4141"),
+    (["certify", "--kind", "cover4", "--in", "mesner"], 1, "085ca18284024e1c"),
+    (["certify", "--kind", "clebsch", "--in", "clebsch"], 0, "3e2c4f05e1f86c06"),
+    (["certify", "--kind", "mesner", "--in", "mesner"], 0, "0f536ea6177f4b55"),
+    (["certify", "--kind", "kneser", "--n", "7", "--k", "3", "--t", "1"], 0, "2094b9c3f8f437bf"),
+    (["certify", "--kind", "kneser", "--n", "9", "--k", "4", "--t", "2"], 0, "a2ad5be44d5bcc97"),
+    (["certify", "--kind", "kneser", "--n", "10", "--k", "4", "--t", "1"], 0, "3f73544f10261eec"),
+    (["check", "--conjecture", "4cm", "--in", "clebsch"], 0, "5c68285e926f9778"),
+    (["check", "--conjecture", "shc-half", "--in", "tfp"], 0, "3371400e108adf5e"),
+    (["check", "--conjecture", "cdm", "--budget", "20000", "--in", "tfp"], 0, "6d7b110a0421a611"),
+]
+
+
+@pytest.fixture(scope="module")
+def benchmark_hosts(tmp_path_factory):
+    """The benchmark's host files, built with the public constructors."""
+    import hadwiger2 as h
+
+    s = h.steiner_3_6_22()
+    graphs = {
+        "clebsch": h.complement(h.clebsch()),
+        "andrasfai6": h.complement(h.andrasfai(6)),
+        "kneser7_3": h.complement(h.kneser(7, 3)),
+        "hoffman_singleton": h.complement(h.hoffman_singleton()),
+        "gewirtz": h.complement(h.gewirtz(s)),
+        "mesner": h.complement(h.mesner(s)),
+        "tfp": h.complement(h.triangle_free_process(101, 1)),
+    }
+    hostdir = tmp_path_factory.mktemp("hosts")
+    for name, g in graphs.items():
+        (hostdir / f"{name}.g6").write_text(write_graph6(g) + "\n", encoding="ascii")
+    return hostdir
+
+
+@pytest.mark.parametrize(
+    "argv,code,digest",
+    GOLDEN_BENCHMARK_JOBS,
+    ids=["_".join(a.lstrip("-") for a in j[0]) for j in GOLDEN_BENCHMARK_JOBS],
+)
+def test_golden_benchmark_stdout(capsys, benchmark_hosts, argv, code, digest):
+    if argv[-2] == "--in":
+        argv = argv[:-1] + [str(benchmark_hosts / f"{argv[-1]}.g6")]
+    got, out, _ = run(capsys, *argv)
+    assert (got, hashlib.sha256(out.encode()).hexdigest()[:16]) == (code, digest)
+
+
 class TestBuild:
     @pytest.mark.parametrize("family,flags,digest", GOLDEN_BUILDS, ids=[f[0] for f in GOLDEN_BUILDS])
     def test_golden_graph6_and_labels(self, capsys, tmp_path, family, flags, digest):
@@ -194,6 +252,12 @@ class TestCheck:
         assert code == 3
         assert out == "conjecture=4cm n=8 target=2 cm=0 exact=false holds=unknown\n"
 
+    def test_negative_budget_is_an_input_error(self, capsys, monkeypatch):
+        feed(monkeypatch, write_graph6(complement(cycle(7))))
+        code, out, err = run(capsys, "check", "--conjecture", "4cm", "--budget", "-1")
+        assert code == 2 and out == ""
+        assert err.splitlines()[1:] == ["error: --budget must be non-negative, not -1"]
+
     def test_4cm_clebsch_complement_is_exact(self, capsys, monkeypatch):
         feed(monkeypatch, write_graph6(complement(clebsch())))
         code, out, _ = run(capsys, "check", "--conjecture", "4cm")
@@ -254,6 +318,17 @@ class TestEnumerate:
     def test_desk_cap(self, capsys):
         code, _, err = run(capsys, "enumerate", "--max-n", "12", "--check", "cdm")
         assert code == 2
+
+    def test_negative_budget_is_an_input_error(self, capsys):
+        code, out, err = run(capsys, "enumerate", "--max-n", "3", "--check", "cdm", "--budget", "-1")
+        assert code == 2 and out == ""
+        assert err.splitlines()[1:] == ["error: --budget must be non-negative, not -1"]
+
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_workers_below_one_is_an_input_error(self, capsys, workers):
+        code, out, err = run(capsys, "enumerate", "--max-n", "3", "--check", "cdm", "--workers", workers)
+        assert code == 2 and out == ""
+        assert err.splitlines()[1:] == [f"error: --workers must be at least 1, not {workers}"]
 
 
 class TestCertify:

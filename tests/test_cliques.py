@@ -9,13 +9,13 @@ from hypothesis import given, settings
 from hadwiger2 import certificates, cliques
 from hadwiger2.certificates import four_cover_check
 from hadwiger2.cliques import (
-    all_cliques,
     clique_number,
     colour_classes,
     is_clique,
     max_clique,
     maximal_cliques,
 )
+from hadwiger2.generation import independent_set_masks
 from hadwiger2.graphs import Graph, bits, complement
 from hadwiger2.rng import SplitMix64
 from hadwiger2.constructions import (
@@ -36,6 +36,7 @@ from hadwiger2.constructions import (
 from hadwiger2.steiner import gewirtz, higman_sims, mesner
 
 from conftest import (
+    all_cliques_reference,
     brute_clique_number,
     brute_clique_number_simple,
     deadline,
@@ -212,10 +213,17 @@ def test_maximal_cliques_of_c5():
 
 
 def test_all_cliques_counts():
+    # The cliques of g are the independent sets of its complement.
     # C5: empty + 5 vertices + 5 edges
-    assert sum(1 for _ in all_cliques(cycle(5))) == 11
+    assert len(independent_set_masks(complement(cycle(5)))) == 11
     # K4: all subsets
-    assert sum(1 for _ in all_cliques(complete(4))) == 16
+    assert len(independent_set_masks(complement(complete(4)))) == 16
+
+
+def test_clique_masks_match_all_cliques_reference(differential_graphs):
+    # Same masks in the same depth-first order, the empty clique first.
+    for g in differential_graphs:
+        assert independent_set_masks(complement(g)) == list(all_cliques_reference(g)), g.edges()
 
 
 @given(graphs_strategy(max_n=7))

@@ -57,6 +57,7 @@ from conftest import (
     cdm_reference,
     connected_perfect_matching_reference,
     deadline,
+    girth5_cdm_construct_reference,
     half_order_reference,
     is_cdm_reference,
     random_graph,
@@ -227,6 +228,27 @@ class TestGirth5Construct:
     def test_rejects_low_girth_base(self):
         with pytest.raises(ValueError):
             girth5_cdm_construct(InflationSpec(complement(complete(3)), (1, 1, 1)))
+
+    def test_matches_reference(self):
+        # Multiplicities 0-3 reach all three outcomes: an induced C5 in the
+        # support, a C5-free support (a dominating edge), and an expanded
+        # graph the construction rejects.
+        def outcome(construct, spec):
+            try:
+                return construct(spec)
+            except ValueError as exc:
+                return str(exc)
+
+        rng = SplitMix64(20261027)
+        kinds = set()
+        for h in (petersen(), cycle(5), cycle(7), cycle(11), hoffman_singleton()):
+            base = complement(h)
+            for _ in range(15):
+                spec = InflationSpec(base, tuple(rng.randrange(4) for _ in range(base.n)))
+                got = outcome(girth5_cdm_construct, spec)
+                assert got == outcome(girth5_cdm_construct_reference, spec), (h.n, spec.mult)
+                kinds.add(got.size > 1 if isinstance(got, Matching) else got)
+        assert {True, False} <= kinds and len(kinds) > 2
 
 
 class TestKModels:

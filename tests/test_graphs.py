@@ -16,6 +16,7 @@ from hadwiger2.graphs import (
     complement,
     diameter,
     girth,
+    independence_number_is_2,
     induced_subgraph,
     inflate,
     is_triangle_free,
@@ -33,12 +34,22 @@ from hadwiger2.constructions import (
     petersen,
 )
 from hadwiger2.matching import chromatic_number_alpha2
-from hadwiger2.iso import _refine, canonical_form, is_isomorphic, has_induced_subgraph, search
+from hadwiger2.iso import (
+    _refine,
+    canonical_form,
+    find_induced_c5,
+    has_induced_subgraph,
+    is_isomorphic,
+    search,
+)
 from hadwiger2.rng import SplitMix64
 from hadwiger2.steiner import gewirtz
 
 from conftest import (
+    blow_up_reference,
     deadline,
+    find_induced_c5_reference,
+    independence_number_is_2_reference,
     refine_reference,
     search_reference,
     search_rounds_reference,
@@ -143,6 +154,24 @@ def test_alpha_at_most_2_matches_triangle_free_complement(steiner_system):
         answers.add(want)
     assert answers == {False, True}
 
+def test_independence_number_is_2_matches_reference(differential_graphs):
+    yes = 0
+    for g in differential_graphs:
+        got = independence_number_is_2(g)
+        assert got == independence_number_is_2_reference(g), g.edges()
+        yes += got
+    assert 0 < yes < len(differential_graphs)
+
+
+def test_find_induced_c5_matches_reference(differential_graphs):
+    found = 0
+    for g in differential_graphs:
+        c5 = find_induced_c5(g)
+        assert c5 == find_induced_c5_reference(g), g.edges()
+        found += c5 is not None
+    assert 0 < found < len(differential_graphs)
+
+
 class TestInducedSubgraph:
     def test_identity(self):
         g = cycle(5)
@@ -205,6 +234,14 @@ class TestInflation:
             spec_g = InflationSpec(g, mult)
             spec_gc = InflationSpec(complement(g), mult)
             assert complement(blow_up(spec_gc)) == inflate(spec_g)
+
+    def test_blow_up_matches_reference(self):
+        rng = SplitMix64(20261027)
+        for _ in range(300):
+            n = rng.randrange(9)
+            base = random_graph(n, rng.randrange(101), rng)
+            spec = InflationSpec(base, tuple(rng.randrange(4) for _ in range(n)))
+            assert blow_up(spec) == blow_up_reference(spec), (base.edges(), spec.mult)
 
     def test_proper_inflation_preserves_alpha_and_complement_diameter(self):
         # Diameter preservation needs the base complement to be non-complete:
