@@ -311,8 +311,10 @@ def format_certificate(cert: CliqueFamilyCertificate) -> str:
 
 def parse_certificate(text: str) -> CliqueFamilyCertificate:
     first, cliques = read_vertex_sets(text, "certificate", "theta_f ", "X")
-    num, den = first.split()[1].split("/")
-    return CliqueFamilyCertificate(cliques, Fraction(int(num), int(den)))
+    num, den = (int(x) for x in first.split()[1].split("/"))
+    if not den:
+        raise ValueError("certificate bound needs a non-zero denominator")
+    return CliqueFamilyCertificate(cliques, Fraction(num, den))
 
 
 def format_cover4(cover) -> str:

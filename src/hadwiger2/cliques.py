@@ -52,8 +52,6 @@ def _initial_incumbent(g: Graph, upper: int | None) -> int:
     """Deterministic multi-start greedy clique, returned as a bitmask; it
     stops at max degree + 1 vertices, or at ``upper`` if that is smaller,
     as no clique is larger."""
-    if g.n == 0:
-        return 0
     degs = [g.degree(v) for v in range(g.n)]
     top = max(degs) + 1 if upper is None else min(max(degs) + 1, upper)
 
@@ -172,12 +170,9 @@ def max_clique(g: Graph) -> tuple[int, ...]:
             if r_size + 1 + new_cand.bit_count() > best:
                 if new_cand:
                     expand(r_size + 1, r_mask | (1 << v), new_cand)
-                elif r_size + 1 > best:
+                else:
                     best = r_size + 1
                     best_mask = r_mask | (1 << v)
-            elif r_size + 1 > best:
-                best = r_size + 1
-                best_mask = r_mask | (1 << v)
             cand &= ~(1 << v)
 
     expand(0, 0, g.full_mask)

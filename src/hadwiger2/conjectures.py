@@ -321,14 +321,15 @@ def _small_branch_sets(g: Graph, singletons: bool, budget: int | None = None) ->
     Branch and bound over vertices in increasing order: the least undecided
     vertex v is kept as a singleton, paired with an undecided neighbour (in
     index order) or left out, and a set is taken only if it meets the
-    neighbourhood of every chosen set.  A node is pruned when the chosen
-    sets plus what the undecided vertices can still add (all of them, or
-    half without singletons) cannot beat the best.  The search runs depth
-    first on an explicit stack of frames, one per node whose options are
-    still open; leaving v out is a node's last child and takes its frame's
-    place.  "found" with the best sets, or "unknown" with the best so far
-    once ``budget`` nodes, if given, are expanded.  The witness is a
-    ``KModel`` with singletons, else a ``Matching``.
+    neighbourhood of every chosen set: as in ``_grow_matching``, the
+    partner lies in every chosen reach that misses v.  A node is pruned
+    when the chosen sets plus what the undecided vertices can still add
+    (all of them, or half without singletons) cannot beat the best.  The
+    search runs depth first on an explicit stack of frames, one per node
+    whose options are still open; leaving v out is a node's last child and
+    takes its frame's place.  "found" with the best sets, or "unknown" with
+    the best so far once ``budget`` nodes, if given, are expanded.  The
+    witness is a ``KModel`` with singletons, else a ``Matching``.
     """
     best: list[tuple[int, ...]] = []
     chosen: list[tuple[int, ...]] = []
@@ -349,24 +350,26 @@ def _small_branch_sets(g: Graph, singletons: bool, budget: int | None = None) ->
             if len(chosen) + left > len(best):
                 v = avail & -avail
                 vi = v.bit_length() - 1
+                fit = g.full_mask
+                for r in reaches:
+                    if not r & v:
+                        fit &= r
                 # Partner vi itself stands for the singleton; it comes first.
-                partners = bits(g.row(vi) & avail | (v if singletons else 0))
+                partners = bits((g.row(vi) & avail | (v if singletons else 0)) & fit)
                 stack.append((partners, avail, reaches, v, vi))
         if not stack:
             break
         partners, avail, reaches, v, vi = stack[-1]
-        node = None
-        for w in partners:
-            mask = v | 1 << w
-            if all(r & mask for r in reaches):
-                del chosen[len(stack) - 1:]
-                chosen.append(tuple(bits(mask)))
-                node = (avail & ~mask, reaches + [g.row(vi) | g.row(w)])
-                break
-        else:
+        w = next(partners, None)
+        if w is None:
             stack.pop()
             del chosen[len(stack):]
             node = (avail & ~v, reaches)
+        else:
+            mask = v | 1 << w
+            del chosen[len(stack) - 1:]
+            chosen.append(tuple(bits(mask)))
+            node = (avail & ~mask, reaches + [g.row(vi) | g.row(w)])
     sets = tuple(best)
     witness = KModel(sets, len(sets)) if singletons else Matching(sets)
     return Outcome(status, witness, nodes)
@@ -458,24 +461,25 @@ def connected_perfect_matching_search(
 def half_order_model_search(g: Graph, budget: int | None = 500_000) -> Outcome:
     """A K_{ceil(n/2)} model with branch sets of size at most 2.
 
-    Even order is a connected perfect matching.  Odd order tries each
-    vertex s in turn as the singleton branch set: N[s] acts as one more
-    chosen reach, and all choices of s share the node ``budget`` (None:
-    no limit).  "found" or "unknown", never "refuted": a model may use
-    more singletons (two disjoint triangles have no connected perfect
-    matching but hold a K3).
+    Even order is a connected perfect matching, grown from one root with
+    nothing chosen.  Odd order tries each vertex s in turn as the
+    singleton branch set: N[s] acts as one more chosen reach, and all
+    choices of s share the node ``budget`` (None: no limit).  "found" or
+    "unknown", never "refuted": a model may use more singletons (two
+    disjoint triangles have no connected perfect matching but hold a K3).
     """
-    if g.n % 2 == 0:
-        got = connected_perfect_matching_search(g, budget)
-        return got if got.status == "found" else Outcome("unknown", nodes=got.nodes)
     if not alpha_at_most_2(g):
         raise ValueError("search is intended for hosts with alpha <= 2")
-    roots = ((g.rows(), g.row(s) | 1 << s, 1 << s, ((s,),)) for s in range(g.n))
+    odd = g.n % 2
+    if odd:
+        roots = ((g.rows(), g.row(s) | 1 << s, 1 << s, ((s,),)) for s in range(g.n))
+    else:
+        roots = [(g.rows(), g.full_mask, 0, ())]
     got = _grow_matching(g, roots, g.full_mask, budget)
     if got.status != "found":
         return Outcome("unknown", nodes=got.nodes)
-    # The witness starts with the singleton root; the model lists it last.
-    sets = got.witness[1:] + got.witness[:1]
+    # An odd witness starts with the singleton root; the model lists it last.
+    sets = got.witness[odd:] + got.witness[:odd]
     return Outcome("found", KModel(sets, len(sets)), got.nodes)
 
 
@@ -612,9 +616,10 @@ def read_vertex_sets(
 ) -> tuple[str, tuple[tuple[int, ...], ...]]:
     """The first line and the vertex sets of a ``write_vertex_sets`` text,
     blank lines skipped.  The first line must be ``header``, or start with
-    it when it ends in a space."""
+    it and go on when it ends in a space."""
     lines = [ln for ln in text.splitlines() if ln.strip()] or [""]
-    if not (lines[0].startswith(header) if header.endswith(" ") else lines[0] == header):
+    if not (lines[0].startswith(header) and lines[0][len(header):].strip()
+            if header.endswith(" ") else lines[0] == header):
         raise ValueError(f"{what} text must start with a '{header.strip()}' line")
     sets = []
     for ln in lines[1:]:

@@ -66,11 +66,7 @@ def srg_parameters(g: Graph) -> SrgParams | None:
                     mu = common
                 elif mu != common:
                     return None
-    if lam is None:
-        lam = 0
-    if mu is None:
-        mu = 0
-    return SrgParams(g.n, k, lam, mu)
+    return SrgParams(g.n, k, lam or 0, mu or 0)
 
 
 def verify_srg(g: Graph, n: int, k: int, lam: int, mu: int, name: str) -> None:

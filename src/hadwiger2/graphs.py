@@ -62,12 +62,6 @@ def _transpose(rows: Sequence[int]) -> list[int]:
     return [int.from_bytes(packed[i * width:(i + 1) * width], "little") for i in range(len(rows))]
 
 
-def _is_symmetric(rows: Sequence[int]) -> bool:
-    """Whether the bit matrix with rows ``rows``, each below
-    ``2 ** len(rows)``, equals its transpose."""
-    return _transpose(rows) == list(rows)
-
-
 class Graph:
     """A finite simple loop-free undirected graph.
 
@@ -75,7 +69,7 @@ class Graph:
     the adjacency relation (same n, same edges, same labels).
     """
 
-    __slots__ = ("n", "_rows", "_hash")
+    __slots__ = ("n", "_rows")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
@@ -90,7 +84,6 @@ class Graph:
             rows[v] |= 1 << u
         self.n = n
         self._rows = tuple(rows)
-        self._hash = hash((n, self._rows))
 
     @classmethod
     def from_rows(cls, rows: Sequence[int]) -> "Graph":
@@ -100,7 +93,7 @@ class Graph:
         for i, row in enumerate(g._rows):
             if row & ~full or row >> i & 1:
                 raise ValueError("adjacency rows out of range or with loops")
-        if not _is_symmetric(g._rows):
+        if _transpose(g._rows) != list(g._rows):
             raise ValueError("adjacency not symmetric")
         return g
 
@@ -111,7 +104,6 @@ class Graph:
         g = object.__new__(cls)
         g.n = len(rows)
         g._rows = tuple(rows)
-        g._hash = hash((g.n, g._rows))
         return g
 
     def row(self, v: int) -> int:
@@ -160,7 +152,7 @@ class Graph:
         )
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash((self.n, self._rows))
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.edge_count})"
@@ -340,20 +332,7 @@ def girth(g: Graph) -> int | float:
     neighbours in layer d one of length at most 2d + 2.  A shortest cycle
     is isometric, so from any of its vertices the bound is its length.
     """
-    best: int | float = INFINITE
-    for root in range(g.n):
-        for d, (layer, reach, twice) in enumerate(_layers(g, root)):
-            if 2 * d + 1 >= best:
-                break
-            if reach & layer:
-                best = 2 * d + 1
-                break
-            if twice:
-                best = 2 * d + 2
-                break
-        if best == 3:
-            break
-    return best
+    return _shortest_cycle(g, True)
 
 
 def odd_girth(g: Graph) -> int | float:
@@ -363,13 +342,22 @@ def odd_girth(g: Graph) -> int | float:
     2d+1, and a shortest odd cycle shows up this way from any of its
     vertices.
     """
+    return _shortest_cycle(g, False)
+
+
+def _shortest_cycle(g: Graph, even: bool) -> int | float:
+    """Shortest cycle seen in the BFS layers of every root, counting the
+    even closures only when ``even``: ``girth`` and ``odd_girth``."""
     best: int | float = INFINITE
     for root in range(g.n):
-        for d, (layer, reach, _) in enumerate(_layers(g, root)):
+        for d, (layer, reach, twice) in enumerate(_layers(g, root)):
             if 2 * d + 1 >= best:
                 break
             if reach & layer:
                 best = 2 * d + 1
+                break
+            if even and twice:
+                best = 2 * d + 2
                 break
         if best == 3:
             break
@@ -480,9 +468,6 @@ def vertex_connectivity(g: Graph, *, at_least: int | None = None) -> int:
     n = g.n
     if n < 2:
         raise ValueError("vertex connectivity needs at least 2 vertices")
-    if all(g.degree(v) == n - 1 for v in range(n)):
-        k = n - 1
-        return min(k, at_least) if at_least is not None else k
     if not is_connected(g):
         return 0
     cap = min(g.degree(v) for v in range(n))

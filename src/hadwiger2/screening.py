@@ -59,15 +59,16 @@ class ScreeningReport:
         )
 
 
-def _pairs(g: Graph, adjacent: bool, found: Search):
-    """Pairs {x, y} of ``g``, adjacent or not as asked: for each orbit
-    representative x of ``found``, the least y of each orbit of the
-    generators fixing x, except a representative y below x."""
+def _pairs(g: Graph, found: Search):
+    """Pairs {x, y} of ``g``: for each orbit representative x of ``found``,
+    the least y of each orbit of the generators fixing x, except a
+    representative y below x.  Those generators keep adjacency to x, so
+    no orbit of y mixes neighbours of x with non-neighbours."""
     for x, rep in enumerate(found.orbits):
         if x != rep:
             continue
         fixing = [p for p in found.generators if p[x] == x]
-        ys = (g.row(x) if adjacent else ~g.row(x)) & g.full_mask & ~(1 << x)
+        ys = g.full_mask & ~(1 << x)
         while ys:
             y = (ys & -ys).bit_length() - 1
             ys &= ~_orbit_closure(1 << y, fixing)
@@ -82,10 +83,10 @@ def table1_screen(g: Graph) -> ScreeningReport:
     the literal pair-deletion criticality (chromatic drop by one and the
     remainder vertex-critical); P10 is read off the vertex connectivity;
     P22 is a matching test per edge at every order.  The pair properties
-    P4, P13-P16, P21 and P22 are checked on one pair per orbit of the
-    stabiliser of each orbit representative (see ``_pairs``), from one
-    ``iso.search`` of the complement; on an asymmetric host that is every
-    pair.  P6 can stop undecided when its search budget runs out.
+    P4, P13-P16, P21 and P22 are checked in one scan, on one pair per orbit
+    of the stabiliser of each orbit representative (see ``_pairs``), from
+    one ``iso.search`` of the complement; on an asymmetric host that is
+    every pair.  P6 can stop undecided when its search budget runs out.
     """
     if not is_connected(g):
         raise ValueError("screening requires a connected host")
@@ -117,8 +118,9 @@ def table1_screen(g: Graph) -> ScreeningReport:
     put("P2", is_connected(gc), "complement connected iff not decomposable")
     put("P3", n == 2 * chi - 1, f"n={n}, 2chi-1={2 * chi - 1}")
 
-    # One scan of the non-adjacent pairs decides P4, P13-P16 and P21: each
-    # property is tested until it fails, and the scan stops once all have.
+    # One scan of the pairs decides P4, P13-P16 and P21 on the non-adjacent
+    # pairs and P22 on the edges: each property is tested until it fails,
+    # and the scan stops once all have.
     # P4: g - x - y inherits alpha <= 2, so both matching shortcuts run on
     # gc inside the mask of the remaining vertices.  Each starts from the
     # host matching minus x, y and their partners, at most two augmentations
@@ -129,14 +131,29 @@ def table1_screen(g: Graph) -> ScreeningReport:
     # A and c in C, that a ~ c iff some b in B misses both; for fixed a that
     # is C & N(a) equal to the part of C outside the common neighbourhood of
     # B - N(a).
-    p4 = p13 = p14 = p15 = p16 = p21 = True
-    for x, y in _pairs(g, False, found):
+    p4 = p13 = p14 = p15 = p16 = p21 = p22 = True
+    for x, y in _pairs(g, found):
+        if not (p4 or p13 or p14 or p15 or p16 or p21 or p22):
+            break
         rx, ry = g.row(x), g.row(y)
+        rest = g.full_mask & ~(1 << x) & ~(1 << y)
+        if rx >> y & 1:
+            # P22: a (chi - 1)-colouring of g - xy puts x and y in one class
+            # (else it colours g), and alpha = 2 leaves room there for at
+            # most one w, a common neighbour of x and y in gc.  The pair
+            # class needs mu(gc - x - y) = mu; a triple class needs
+            # mu(gc - x - y - w) = mu - 1, i.e. mu(gc - x - y) = mu - 1 and
+            # w in D(gc - x - y), whose search can stop once it meets the
+            # common neighbourhood.
+            if p22:
+                common = gc.row(x) & gc.row(y)
+                mu_rest, d_rest, _ = _gallai_edmonds(gc, rest, host, common)
+                p22 = mu_rest == mu or mu_rest == mu - 1 and bool(d_rest & common)
+            continue
         b_mask = rx & ry
         a_mask = rx & ~ry & ~(1 << y)
         c_mask = ry & ~rx & ~(1 << x)
         if p4:
-            rest = g.full_mask & ~(1 << x) & ~(1 << y)
             mu_rest, d_rest, _ = _gallai_edmonds(gc, rest, host)
             p4 = n - 2 - mu_rest == chi - 1 and d_rest == rest
         if p21:
@@ -169,8 +186,6 @@ def table1_screen(g: Graph) -> ScreeningReport:
                     break
             else:
                 p16 = False
-        if not (p4 or p13 or p14 or p15 or p16 or p21):
-            break
     put("P4", p4, "pair deletion leaves a (chi-1)-critical graph")
 
     put(
@@ -223,20 +238,6 @@ def table1_screen(g: Graph) -> ScreeningReport:
 
     put("P21", p21, "A/B/C size windows")
 
-    # A (chi - 1)-colouring of g - uv puts u and v in one class (else it
-    # colours g), and alpha = 2 leaves room there for at most one w, a
-    # common neighbour of u and v in gc.  The pair class needs
-    # mu(gc - u - v) = mu; a triple class needs mu(gc - u - v - w) = mu - 1,
-    # i.e. mu(gc - u - v) = mu - 1 and w in D(gc - u - v), whose search
-    # can stop once it meets the common neighbourhood.
-    p22 = True
-    for u, v in _pairs(g, True, found):
-        rest = g.full_mask & ~(1 << u) & ~(1 << v)
-        common = gc.row(u) & gc.row(v)
-        mu_rest, d_rest, _ = _gallai_edmonds(gc, rest, host, common)
-        if mu_rest != mu and not (mu_rest == mu - 1 and d_rest & common):
-            p22 = False
-            break
     put("P22", p22, "edge-criticality (advisory for minimal profiles)")
 
     return ScreeningReport(verdicts)

@@ -1028,6 +1028,22 @@ def _is_dominating_matching(g: Graph, edges) -> bool:
     return True
 
 
+def pairs_reference(g: Graph, adjacent: bool, found: Search):
+    """Pairs {x, y} of ``g``, adjacent or not as asked: for each orbit
+    representative x of ``found``, the least y of each orbit of the
+    generators fixing x, except a representative y below x."""
+    for x, rep in enumerate(found.orbits):
+        if x != rep:
+            continue
+        fixing = [p for p in found.generators if p[x] == x]
+        ys = (g.row(x) if adjacent else ~g.row(x)) & g.full_mask & ~(1 << x)
+        while ys:
+            y = (ys & -ys).bit_length() - 1
+            ys &= ~_orbit_closure(1 << y, fixing)
+            if y > x or found.orbits[y] != y:
+                yield x, y
+
+
 def _nonadjacent_pairs(g: Graph):
     for x in range(g.n):
         rx = g.row(x)

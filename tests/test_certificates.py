@@ -529,3 +529,15 @@ class TestTextFormat:
 
         with pytest.raises(ValueError):
             parse_certificate("junk")
+
+    def test_parse_rejects_a_header_without_a_bound(self):
+        from hadwiger2.certificates import parse_certificate
+
+        with pytest.raises(ValueError, match="'theta_f' line"):
+            parse_certificate("theta_f \nX 0\n")
+
+    def test_parse_rejects_a_zero_denominator(self):
+        from hadwiger2.certificates import parse_certificate
+
+        with pytest.raises(ValueError, match="non-zero denominator"):
+            parse_certificate("theta_f 1/0\nX 0\n")

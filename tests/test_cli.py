@@ -107,6 +107,43 @@ def test_golden_benchmark_stdout(capsys, benchmark_hosts, argv, code, digest):
     assert (got, hashlib.sha256(out.encode()).hexdigest()[:16]) == (code, digest)
 
 
+# sha256 (first 16 hex digits) of stdout and of the --witness-out file, and
+# the exit code, of the three ``check`` jobs of the benchmark and of every
+# conjecture with a model witness on the even-order Clebsch and Petersen
+# complements, recorded before the half-order search called its kernel
+# directly.
+GOLDEN_CHECK_WITNESSES = [
+    (["check", "--conjecture", "4cm", "--in", "clebsch"], 0, "f8aa3e89737f14f2", "3e8e128eea6a6770"),
+    (["check", "--conjecture", "shc-half", "--in", "tfp"], 0, "77ed4a8d2ca8c382", "7898ab6e796d8ba9"),
+    (["check", "--conjecture", "cdm", "--budget", "20000", "--in", "tfp"], 0, "d886f9b604b6cec4", "a72be397d835d64e"),
+    (["check", "--conjecture", "cdm", "--in", "clebsch"], 0, "37f08d487bd1804a", "044666f70bb77ad4"),
+    (["check", "--conjecture", "shc-half", "--in", "clebsch"], 0, "98be12d92723a972", "dd63857a1343efd5"),
+    (["check", "--conjecture", "cdm", "--in", "petersen"], 0, "6672e40b06cd8ad3", "dcdf989a1812633b"),
+    (["check", "--conjecture", "shc-half", "--in", "petersen"], 0, "858cc19f97dea97f", "4c6fcbae70545b44"),
+    (["check", "--conjecture", "4cm", "--in", "petersen"], 0, "f35d1ea93eebdc2e", "83c239621c33d96d"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,code,out_digest,witness_digest",
+    GOLDEN_CHECK_WITNESSES,
+    ids=["_".join(a.lstrip("-") for a in j[0]) for j in GOLDEN_CHECK_WITNESSES],
+)
+def test_golden_check_witnesses(capsys, benchmark_hosts, tmp_path, argv, code, out_digest, witness_digest):
+    name = argv[-1]
+    host = benchmark_hosts / f"{name}.g6"
+    if name == "petersen":
+        host = tmp_path / "petersen.g6"
+        host.write_text(write_graph6(complement(petersen())) + "\n", encoding="ascii")
+    witness = tmp_path / "witness.txt"
+    got, out, _ = run(capsys, *argv[:-1], str(host), "--witness-out", str(witness))
+
+    def digest(text):
+        return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+    assert (got, digest(out), digest(witness.read_text())) == (code, out_digest, witness_digest)
+
+
 class TestBuild:
     @pytest.mark.parametrize("family,flags,digest", GOLDEN_BUILDS, ids=[f[0] for f in GOLDEN_BUILDS])
     def test_golden_graph6_and_labels(self, capsys, tmp_path, family, flags, digest):

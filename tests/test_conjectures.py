@@ -452,6 +452,10 @@ class TestModelText:
         with pytest.raises(ValueError):
             parse_model("nonsense")
 
+    def test_parse_rejects_a_header_without_an_order(self):
+        with pytest.raises(ValueError, match="'model' line"):
+            parse_model("model \nB 0 1\n")
+
 
 
 BUDGETS = (0, 1, 2, 3, 5, 8, 13, None)
@@ -540,3 +544,9 @@ class TestDeepSearches:
         with deadline(30, "connected_matching_max on the complement of C2500"):
             got = connected_matching_max(g, budget=2000)
         assert got.status == "unknown" and got.witness.size == 1250
+
+    def test_had2_of_k1000_is_not_cubic(self):
+        # Testing each partner against every chosen reach is cubic here and
+        # takes about 15 s; one mask per node keeps it well under the bound.
+        with deadline(8, "had2 of K1000"):
+            assert had2(complete(1000)) == 1000

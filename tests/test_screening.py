@@ -19,8 +19,9 @@ from hadwiger2.graphs import (
     is_connected,
     is_triangle_free,
 )
+from hadwiger2.iso import search
 from hadwiger2.rng import SplitMix64
-from hadwiger2.screening import BLOCKS, PROPERTIES, table1_screen
+from hadwiger2.screening import BLOCKS, PROPERTIES, _pairs, table1_screen
 
 import conftest
 from conftest import (
@@ -28,6 +29,7 @@ from conftest import (
     brute_chromatic_number,
     brute_is_hamiltonian,
     brute_matching_number,
+    pairs_reference,
     table1_screen_reference,
 )
 
@@ -472,3 +474,40 @@ class TestOrbitScreen:
             rng.shuffle(perm)
             relabelled = Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
             assert table1_screen(relabelled).verdicts == table1_screen(g).verdicts, g.edges()
+
+
+class TestOnePairScan:
+    """The screen's one pair scan, split by adjacency, gives the
+    non-adjacent and the adjacent pairs that its two scans took from
+    ``pairs_reference``, each in the same order, on the hosts of
+    ``TestOrbitScreen``."""
+
+    @staticmethod
+    def _agree(hosts) -> None:
+        for g in hosts:
+            found = search(complement(g).rows())
+            got = list(_pairs(g, found))
+            for adjacent in (False, True):
+                want = list(pairs_reference(g, adjacent, found))
+                assert [(x, y) for x, y in got if g.has_edge(x, y) == adjacent] == want, g.edges()
+
+    def test_small_alpha2_graphs(self, tf_levels_9):
+        hosts = [
+            g
+            for n in range(3, 10)
+            for g in connected_alpha2_graphs(n, tf_levels_9)
+            if independence_number_is_2(g)
+        ]
+        self._agree(hosts)
+
+    def test_random_hosts(self):
+        self._agree(_random_alpha2_hosts(320, 20261019))
+
+    def test_paper_hosts_and_asymmetric_process_hosts(self, steiner_system):
+        from hadwiger2.constructions import hoffman_singleton, kneser, triangle_free_process
+        from hadwiger2.steiner import gewirtz, higman_sims, mesner
+
+        hosts = [clebsch(), andrasfai(6), kneser(7, 3), hoffman_singleton(), gewirtz(steiner_system),
+                 mesner(steiner_system), higman_sims(steiner_system)]
+        hosts += [triangle_free_process(101, seed) for seed in (0, 1)]
+        self._agree([complement(h) for h in hosts])
