@@ -311,7 +311,10 @@ def format_certificate(cert: CliqueFamilyCertificate) -> str:
 
 def parse_certificate(text: str) -> CliqueFamilyCertificate:
     first, cliques = read_vertex_sets(text, "certificate", "theta_f ", "X")
-    num, den = (int(x) for x in first.split()[1].split("/"))
+    try:
+        num, den = (int(x) for x in first.split()[1].split("/"))
+    except ValueError:
+        raise ValueError(f"certificate bound must be 'num/den': {first!r}") from None
     if not den:
         raise ValueError("certificate bound needs a non-zero denominator")
     return CliqueFamilyCertificate(cliques, Fraction(num, den))

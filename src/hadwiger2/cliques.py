@@ -5,11 +5,12 @@ greedily partitioned into independent classes, and branches are explored
 in decreasing class index so the bound prunes whole suffixes.  For
 regular hosts whose complement is strongly regular or vertex-transitive
 a Hoffman ratio bound on the complement (least adjacency eigenvalue) is
-tried first, in exact rational arithmetic on a small quotient matrix;
-the multi-start greedy incumbent stops as soon as it meets the bound,
-and optimality is then certified without any search, which settles the
-large vertex-transitive instances (Kneser-type graphs, block-graph
-complements) where the colouring bound is far from tight.
+computed first, in exact rational arithmetic on a small quotient matrix;
+the search stops as soon as its incumbent meets the bound, which settles
+the large vertex-transitive instances (Kneser-type graphs, block-graph
+complements) where the colouring bound is far from tight.  The first
+descent supplies the incumbent; it and Bron-Kerbosch go omega deep, so
+both searches keep their nodes on an explicit stack.
 
 ``colour_classes`` is the one exact k-colouring kernel (DSATUR); the
 four-clique covers colour the complement with it.  It keeps one mask
@@ -36,44 +37,6 @@ def is_clique(g: Graph, vertices) -> bool:
     if len(set(vs)) != len(vs):
         return False
     return all(g.row(v) & mask == mask & ~(1 << v) for v in vs)
-
-
-def _greedy_clique(g: Graph, start: int, order_key) -> int:
-    mask = 1 << start
-    cand = g.row(start)
-    while cand:
-        v = order_key(cand)
-        mask |= 1 << v
-        cand &= g.row(v)
-    return mask
-
-
-def _initial_incumbent(g: Graph, upper: int | None) -> int:
-    """Deterministic multi-start greedy clique, returned as a bitmask; it
-    stops at max degree + 1 vertices, or at ``upper`` if that is smaller,
-    as no clique is larger."""
-    degs = [g.degree(v) for v in range(g.n)]
-    top = max(degs) + 1 if upper is None else min(max(degs) + 1, upper)
-
-    def by_low(cand: int) -> int:
-        return (cand & -cand).bit_length() - 1
-
-    def by_degree(cand: int) -> int:
-        return max(bits(cand), key=lambda v: (degs[v], -v))
-
-    def by_local_degree(cand: int) -> int:
-        return max(bits(cand), key=lambda v: ((g.row(v) & cand).bit_count(), -v))
-
-    best = 0
-    starts = sorted(range(g.n), key=lambda v: -degs[v])[: max(4, g.n // 16)]
-    for start in starts:
-        for key in (by_low, by_degree, by_local_degree):
-            mask = _greedy_clique(g, start, key)
-            if mask.bit_count() > best.bit_count():
-                best = mask
-                if best.bit_count() == top:
-                    return best
-    return best
 
 
 def _ratio_upper_bound(g: Graph) -> int | None:
@@ -138,20 +101,13 @@ def _ratio_upper_bound(g: Graph) -> int | None:
 
 
 def max_clique(g: Graph) -> tuple[int, ...]:
-    """An exact maximum clique, as a sorted vertex tuple."""
-    if g.n == 0:
-        return ()
+    """The first maximum clique the search meets, as a sorted vertex tuple."""
     rows = g.rows()
     upper = _ratio_upper_bound(g) if g.n > 40 else None
-    best_mask = _initial_incumbent(g, upper)
-    best = best_mask.bit_count()
-    if best == upper:
-        return tuple(bits(best_mask))
 
-    def expand(r_size: int, r_mask: int, cand: int) -> None:
-        nonlocal best, best_mask
+    def node(size: int, mask: int, cand: int) -> list:
         # Greedy colouring: peel independent classes, recording each
-        # vertex's class number; process high classes first.
+        # vertex's class number; the last one peeled is tried first.
         ordered: list[tuple[int, int]] = []
         color = 0
         rest = cand
@@ -163,19 +119,26 @@ def max_clique(g: Graph) -> tuple[int, ...]:
                 ordered.append((v, color))
                 rest &= ~(1 << v)
                 q &= ~rows[v] & rest
-        for v, c in reversed(ordered):
-            if r_size + c <= best:
-                return
-            new_cand = cand & rows[v]
-            if r_size + 1 + new_cand.bit_count() > best:
-                if new_cand:
-                    expand(r_size + 1, r_mask | (1 << v), new_cand)
-                else:
-                    best = r_size + 1
-                    best_mask = r_mask | (1 << v)
-            cand &= ~(1 << v)
+        return [size, mask, cand, ordered]
 
-    expand(0, 0, g.full_mask)
+    best = best_mask = 0
+    stack = [node(0, 0, g.full_mask)]
+    while stack:
+        frame = stack[-1]
+        size, mask, cand, ordered = frame
+        if not ordered or size + ordered[-1][1] <= best:
+            stack.pop()
+            continue
+        v = ordered.pop()[0]
+        frame[2] = cand & ~(1 << v)
+        new_cand = cand & rows[v]
+        if size + 1 + new_cand.bit_count() > best:
+            if new_cand:
+                stack.append(node(size + 1, mask | 1 << v, new_cand))
+            else:
+                best, best_mask = size + 1, mask | 1 << v
+                if best == upper:
+                    break
     return tuple(bits(best_mask))
 
 
@@ -265,17 +228,23 @@ def maximal_cliques(g: Graph) -> Iterator[int]:
     """All maximal cliques as bitmasks (Bron-Kerbosch with pivoting)."""
     rows = g.rows()
 
-    def bk(r: int, p: int, x: int) -> Iterator[int]:
-        if not p and not x:
-            yield r
-            return
+    def node(r: int, p: int, x: int) -> list[int]:
         # Pivot on the vertex of p|x covering most of p.
         pivot = max(bits(p | x), key=lambda u: (rows[u] & p).bit_count())
-        for v in bits(p & ~rows[pivot]):
-            vb = 1 << v
-            yield from bk(r | vb, p & rows[v], x & rows[v])
-            p &= ~vb
-            x |= vb
+        return [r, p, x, p & ~rows[pivot]]
 
-    if g.n:
-        yield from bk(0, g.full_mask, 0)
+    stack = [node(0, g.full_mask, 0)] if g.n else []
+    while stack:
+        frame = stack[-1]
+        r, p, x, branch = frame
+        if not branch:
+            stack.pop()
+            continue
+        vb = branch & -branch
+        v = vb.bit_length() - 1
+        frame[1:] = p & ~vb, x | vb, branch ^ vb
+        p, x = p & rows[v], x & rows[v]
+        if p:
+            stack.append(node(r | vb, p, x))
+        elif not x:
+            yield r | vb

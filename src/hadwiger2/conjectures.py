@@ -624,9 +624,12 @@ def read_vertex_sets(
     sets = []
     for ln in lines[1:]:
         parts = ln.split()
-        if parts[0] != tag:
-            raise ValueError(f"unexpected {what} line: {ln!r}")
-        sets.append(tuple(int(x) for x in parts[1:]))
+        try:
+            if parts[0] != tag:
+                raise ValueError
+            sets.append(tuple(int(x) for x in parts[1:]))
+        except ValueError:
+            raise ValueError(f"unexpected {what} line: {ln!r}") from None
     return lines[0], tuple(sets)
 
 
@@ -637,4 +640,8 @@ def format_model(model: KModel) -> str:
 
 def parse_model(text: str) -> KModel:
     first, sets = read_vertex_sets(text, "model", "model ", "B")
-    return KModel(sets, int(first.split()[1]))
+    try:
+        order = int(first.split()[1])
+    except ValueError:
+        raise ValueError(f"model order must be an integer: {first!r}") from None
+    return KModel(sets, order)

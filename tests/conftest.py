@@ -11,6 +11,7 @@ kept so the new kernel can be checked to give exactly the old answers.
 from __future__ import annotations
 
 import signal
+import sys
 from contextlib import contextmanager
 from itertools import combinations, permutations
 from typing import Iterator, Sequence
@@ -18,7 +19,7 @@ from typing import Iterator, Sequence
 import numpy as np
 import pytest
 
-from hadwiger2.cliques import colour_classes, max_clique
+from hadwiger2.cliques import _ratio_upper_bound, colour_classes, max_clique
 from hadwiger2.conjectures import (
     KModel,
     Outcome,
@@ -401,6 +402,87 @@ def milp_cover4(g: Graph) -> bool:
     lb.append(g.n + 2.0)
     ub.append(4.0 * g.n)
     return _milp_feasible(4 * g.n, rows, lb, ub)
+
+
+def _greedy_clique_reference(g: Graph, start: int, order_key) -> int:
+    mask = 1 << start
+    cand = g.row(start)
+    while cand:
+        v = order_key(cand)
+        mask |= 1 << v
+        cand &= g.row(v)
+    return mask
+
+
+def _initial_incumbent_reference(g: Graph, upper: int | None) -> int:
+    """Deterministic multi-start greedy clique, returned as a bitmask; it
+    stops at max degree + 1 vertices, or at ``upper`` if that is smaller,
+    as no clique is larger."""
+    degs = [g.degree(v) for v in range(g.n)]
+    top = max(degs) + 1 if upper is None else min(max(degs) + 1, upper)
+
+    def by_low(cand: int) -> int:
+        return (cand & -cand).bit_length() - 1
+
+    def by_degree(cand: int) -> int:
+        return max(bits(cand), key=lambda v: (degs[v], -v))
+
+    def by_local_degree(cand: int) -> int:
+        return max(bits(cand), key=lambda v: ((g.row(v) & cand).bit_count(), -v))
+
+    best = 0
+    starts = sorted(range(g.n), key=lambda v: -degs[v])[: max(4, g.n // 16)]
+    for start in starts:
+        for key in (by_low, by_degree, by_local_degree):
+            mask = _greedy_clique_reference(g, start, key)
+            if mask.bit_count() > best.bit_count():
+                best = mask
+                if best.bit_count() == top:
+                    return best
+    return best
+
+
+def max_clique_reference(g: Graph) -> tuple[int, ...]:
+    """An exact maximum clique, as a sorted vertex tuple: the solver as it
+    stood with a multi-start greedy incumbent and a recursive search."""
+    if g.n == 0:
+        return ()
+    rows = g.rows()
+    upper = _ratio_upper_bound(g) if g.n > 40 else None
+    best_mask = _initial_incumbent_reference(g, upper)
+    best = best_mask.bit_count()
+    if best == upper:
+        return tuple(bits(best_mask))
+
+    def expand(r_size: int, r_mask: int, cand: int) -> None:
+        nonlocal best, best_mask
+        # Greedy colouring: peel independent classes, recording each
+        # vertex's class number; process high classes first.
+        ordered: list[tuple[int, int]] = []
+        color = 0
+        rest = cand
+        while rest:
+            color += 1
+            q = rest
+            while q:
+                v = (q & -q).bit_length() - 1
+                ordered.append((v, color))
+                rest &= ~(1 << v)
+                q &= ~rows[v] & rest
+        for v, c in reversed(ordered):
+            if r_size + c <= best:
+                return
+            new_cand = cand & rows[v]
+            if r_size + 1 + new_cand.bit_count() > best:
+                if new_cand:
+                    expand(r_size + 1, r_mask | (1 << v), new_cand)
+                else:
+                    best = r_size + 1
+                    best_mask = r_mask | (1 << v)
+            cand &= ~(1 << v)
+
+    expand(0, 0, g.full_mask)
+    return tuple(bits(best_mask))
 
 
 def dsatur_reference(rows: list[int], k: int) -> list[int] | None:
@@ -1256,6 +1338,27 @@ def all_cliques_reference(g: Graph) -> Iterator[int]:
     yield from grow(0, g.full_mask)
 
 
+def maximal_cliques_reference(g: Graph) -> Iterator[int]:
+    """All maximal cliques as bitmasks (Bron-Kerbosch with pivoting), by
+    the recursive generator the explicit-stack one replaced."""
+    rows = g.rows()
+
+    def bk(r: int, p: int, x: int) -> Iterator[int]:
+        if not p and not x:
+            yield r
+            return
+        # Pivot on the vertex of p|x covering most of p.
+        pivot = max(bits(p | x), key=lambda u: (rows[u] & p).bit_count())
+        for v in bits(p & ~rows[pivot]):
+            vb = 1 << v
+            yield from bk(r | vb, p & rows[v], x & rows[v])
+            p &= ~vb
+            x |= vb
+
+    if g.n:
+        yield from bk(0, g.full_mask, 0)
+
+
 def independence_number_is_2_reference(g: Graph) -> bool:
     """True iff alpha(g) is exactly 2."""
     if not alpha_at_most_2(g):
@@ -1385,6 +1488,20 @@ def deadline(seconds: float, what: str):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, old)
+
+
+@contextmanager
+def _recursion_headroom(frames: int):
+    """Set the recursion limit to the current depth plus ``frames``."""
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + frames)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(old)
 
 
 @pytest.fixture(scope="session")

@@ -536,6 +536,12 @@ class TestTextFormat:
         with pytest.raises(ValueError, match="'theta_f' line"):
             parse_certificate("theta_f \nX 0\n")
 
+    def test_parse_rejects_a_bound_that_is_not_a_fraction(self):
+        from hadwiger2.certificates import parse_certificate
+
+        with pytest.raises(ValueError, match="certificate bound .*'theta_f 1'"):
+            parse_certificate("theta_f 1\nX 0\n")
+
     def test_parse_rejects_a_zero_denominator(self):
         from hadwiger2.certificates import parse_certificate
 

@@ -36,11 +36,14 @@ from hadwiger2.constructions import (
 from hadwiger2.steiner import gewirtz, higman_sims, mesner
 
 from conftest import (
+    _recursion_headroom,
     all_cliques_reference,
     brute_clique_number,
     brute_clique_number_simple,
     deadline,
     dsatur_reference,
+    max_clique_reference,
+    maximal_cliques_reference,
     random_graph,
 )
 from test_graphs import graphs_strategy
@@ -55,8 +58,8 @@ def test_examples():
 
 
 def test_complete_graph_stops_at_the_first_full_clique():
-    # The multi-start greedy stops once a clique has max degree + 1
-    # vertices; running every start costs O(n^3) here (minutes at n = 1500).
+    # The first descent takes every vertex; then each node's colour bound
+    # prunes the rest of it at once, one colouring per level.
     start = time.perf_counter()
     assert max_clique(complete(1500)) == tuple(range(1500))
     assert time.perf_counter() - start < 30
@@ -75,6 +78,70 @@ def test_matches_brute_force(g):
     got = max_clique(g)
     assert is_clique(g, got)
     assert len(got) == brute_clique_number(g)
+
+
+def test_omega_matches_reference_on_differential_graphs(differential_graphs):
+    for g in differential_graphs:
+        got = max_clique(g)
+        assert len(got) == len(max_clique_reference(g)) and is_clique(g, got), g.edges()
+
+
+def test_omega_matches_reference_on_large_hosts(steiner_system):
+    # The six screen hosts and Higman-Sims, then Kneser and triangle-free
+    # process hosts; max_clique runs on their complements.
+    hosts = [clebsch(), andrasfai(6), kneser(7, 3), hoffman_singleton(),
+             gewirtz(steiner_system), mesner(steiner_system), higman_sims(steiner_system)]
+    hosts += [kneser(8, 3), kneser(9, 4), kneser(10, 4), kneser(10, 5)]
+    hosts += [triangle_free_process(101, s) for s in range(3)]
+    for host in hosts:
+        g = complement(host)
+        got = max_clique(g)
+        assert len(got) == len(max_clique_reference(g)) and is_clique(g, got), host.n
+
+
+def _two_cliques(a, b, joined):
+    """K_a and K_b with every vertex of K_b joined to the first ``joined``
+    vertices of K_a: alpha = 2, omega = b + joined."""
+    ka, kb = (1 << a) - 1, ((1 << b) - 1) << a
+    rows = [ka ^ 1 << u | (kb if u < joined else 0) for u in range(a)]
+    rows += [kb ^ 1 << u | (1 << joined) - 1 for u in range(a, a + b)]
+    return Graph.from_rows(rows)
+
+
+def _chorded_cycle_complement(n):
+    """The complement of C_n plus the chord {0, n // 2}, which is triangle-free:
+    a connected alpha = 2 host that is not regular, so it has no ratio bound."""
+    return complement(Graph(n, cycle(n).edges() + [(0, n // 2)]))
+
+
+class TestDeepSearches:
+    # The first descent is omega deep, 500 to 1,250 levels here, past 100
+    # frames of headroom.  The deadlines catch a cubic incumbent: a
+    # multi-start greedy one took 16.6 s on the 750-vertex two-clique host
+    # and 24.3 s on the chorded C_1001 complement (2 cores, Python 3.11).
+
+    def test_two_cliques_on_1500_vertices(self):
+        g = _two_cliques(1200, 300, 950)
+        with _recursion_headroom(100), deadline(10, "max_clique of K1200 and K300"):
+            got = max_clique(g)
+        assert len(got) == 1250 and is_clique(g, got)
+
+    def test_two_cliques_on_750_vertices(self):
+        g = _two_cliques(600, 150, 475)
+        with _recursion_headroom(100), deadline(5, "max_clique of K600 and K150"):
+            got = max_clique(g)
+        assert len(got) == 625 and is_clique(g, got)
+
+    def test_chorded_c1001_complement(self):
+        g = _chorded_cycle_complement(1001)
+        assert cliques._ratio_upper_bound(g) is None
+        with _recursion_headroom(100), deadline(5, "max_clique of the chorded C1001 complement"):
+            got = max_clique(g)
+        assert len(got) == 500 and is_clique(g, got)
+
+    def test_maximal_cliques_of_k400(self):
+        with _recursion_headroom(100):
+            assert list(maximal_cliques(complete(400))) == [complete(400).full_mask]
 
 
 def test_spectral_certificate_agrees_with_search():
@@ -145,15 +212,16 @@ def test_long_cycle_complement_clique_in_seconds():
 
 
 def test_incumbent_stops_at_the_ratio_bound_on_kneser_complements():
-    # The greedy incumbent stops once it meets the exact ratio bound, which
-    # is far below max degree + 1 here; the returned clique is the one the
-    # full multi-start greedy returns.  Kneser(10, 5): the 5-sets avoiding
-    # 9, the first C(9, 5) in colex order; Kneser(10, 4): the star of 0.
+    # The search stops once its first descent meets the exact ratio bound,
+    # which is far below max degree + 1 here.  That descent takes the
+    # highest vertex first, and on both hosts it ends at the star of 9, the
+    # last C(9, k - 1) k-sets in colex order.
     g = complement(kneser(10, 5))
     assert cliques._ratio_upper_bound(g) == 126 < max(map(g.degree, range(g.n))) + 1
-    assert max_clique(g) == tuple(range(126))
+    assert max_clique(g) == tuple(range(126, 252))
     g = complement(kneser(10, 4))
-    star = tuple(i for i, c in enumerate(kneser_labels(10, 4)) if 0 in c)
+    star = tuple(i for i, c in enumerate(kneser_labels(10, 4)) if 9 in c)
+    assert star == tuple(range(126, 210))
     assert len(star) == comb(9, 3) == cliques._ratio_upper_bound(g)
     assert max_clique(g) == star
 
@@ -176,9 +244,9 @@ def test_ratio_bound_needs_a_walk_regular_complement():
 
 
 def test_ratio_bound_path_meets_integer_hoffman_bound(steiner_system, monkeypatch):
-    # On the Hoffman-Singleton and Gewirtz complements the greedy incumbent
-    # meets the exact integer ratio bound, so max_clique returns without
-    # search.  For srg(n, k, lam, mu) the least eigenvalue is the integer
+    # On the Hoffman-Singleton and Gewirtz complements the search stops as
+    # soon as it meets the exact integer ratio bound.
+    # For srg(n, k, lam, mu) the least eigenvalue is the integer
     # s = (lam - mu - sqrt((lam - mu)^2 + 4(k - mu))) / 2, and the Hoffman
     # bound n(-s)/(k - s) is exact here.
     bounds = []
@@ -224,6 +292,15 @@ def test_clique_masks_match_all_cliques_reference(differential_graphs):
     # Same masks in the same depth-first order, the empty clique first.
     for g in differential_graphs:
         assert independent_set_masks(complement(g)) == list(all_cliques_reference(g)), g.edges()
+
+
+def test_maximal_cliques_match_reference(differential_graphs):
+    # Same cliques in the same order as the recursive generator.
+    for g in differential_graphs:
+        assert list(maximal_cliques(g)) == list(maximal_cliques_reference(g)), g.edges()
+    for host in (petersen(), clebsch(), andrasfai(6)):
+        g = complement(host)
+        assert list(maximal_cliques(g)) == list(maximal_cliques_reference(g))
 
 
 @given(graphs_strategy(max_n=7))

@@ -1,8 +1,6 @@
 """Conjecture checkers: dominating edges, connected (dominating) matchings,
 small-branch-set models, seagulls, unavoidable scans."""
 
-import sys
-from contextlib import contextmanager
 from itertools import combinations
 
 import networkx as nx
@@ -52,6 +50,7 @@ from hadwiger2.steiner import gewirtz, mesner
 from conftest import (
     _dominating_edge_reference,
     _is_connected_matching,
+    _recursion_headroom,
     all_matchings,
     brute_connected_matching_number,
     cdm_reference,
@@ -456,6 +455,14 @@ class TestModelText:
         with pytest.raises(ValueError, match="'model' line"):
             parse_model("model \nB 0 1\n")
 
+    def test_parse_rejects_an_order_that_is_not_an_integer(self):
+        with pytest.raises(ValueError, match="model order .*'model x'"):
+            parse_model("model x\n")
+
+    def test_parse_rejects_a_vertex_that_is_not_an_integer(self):
+        with pytest.raises(ValueError, match="model line: 'B 0 x'"):
+            parse_model("model 2\nB 0 x\n")
+
 
 
 BUDGETS = (0, 1, 2, 3, 5, 8, 13, None)
@@ -501,23 +508,9 @@ class TestStackKernelsMatchRecursion:
             _agree_with_recursion(complement(h), BUDGETS[:-1] + (2000,))
 
 
-@contextmanager
-def _recursion_headroom(frames: int):
-    """Set the recursion limit to the current depth plus ``frames``."""
-    depth, frame = 0, sys._getframe()
-    while frame is not None:
-        depth, frame = depth + 1, frame.f_back
-    old = sys.getrecursionlimit()
-    sys.setrecursionlimit(depth + frames)
-    try:
-        yield
-    finally:
-        sys.setrecursionlimit(old)
-
-
 class TestDeepSearches:
-    # Each search goes 200 to 400 branch sets deep, far below the
-    # interpreter's default limit but past 100 frames of headroom.
+    # Each search goes 200 to 1,200 levels deep, past 100 frames of
+    # headroom.
 
     def test_connected_perfect_matching_of_k400(self):
         with _recursion_headroom(100):
@@ -538,6 +531,13 @@ class TestDeepSearches:
     def test_had2_of_k400(self):
         with _recursion_headroom(100):
             assert had2(complete(400)) == 400
+
+    def test_seagull_conditions_of_k1200(self):
+        # Above 16 vertices the clique condition enumerates maximal cliques,
+        # and Bron-Kerbosch goes omega = 1,200 deep.
+        with _recursion_headroom(100):
+            rep = seagull_conditions(complete(1200), 1)
+        assert not rep.clique_condition_exact and not rep.clique_condition_ok
 
     def test_budgeted_connected_matching_of_c2500_complement(self):
         g = complement(cycle(2500))
