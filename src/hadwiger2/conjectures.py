@@ -112,7 +112,11 @@ def _grow_matching(g: Graph, roots, must: int, budget: int | None) -> Outcome:
     ``chosen`` plus the new edges is the witness.  Each node branches on
     the vertex w that must be matched with the fewest allowed partners
     (fail-first, Haralick & Elliott 1980): unused vertices of rows[w]
-    inside every reach that misses w.  A count of 0 backtracks.  Partners
+    inside every reach that misses w.  A node keeps that common reach per
+    unused vertex x, ``miss[x]``, the AND of the chosen reaches that miss x
+    (all of V when none does), so scoring a vertex is one mask; a child
+    copies the list only when its new reach misses an unused vertex, and
+    ANDs the reach into those entries.  A count of 0 backtracks.  Partners
     are tried by the size of the next must-match set, then by index.
     "refuted" is exhaustive over all roots; "unknown" once ``budget``
     nodes, if given, are spent, counted over all roots.  The search runs
@@ -125,22 +129,22 @@ def _grow_matching(g: Graph, roots, must: int, budget: int | None) -> Outcome:
         chosen = list(chosen)
         base = len(chosen)
         stack: list = []
-        node = ([reach], reach, used)
+        miss = [full] * g.n
+        for x in bits(full & ~reach & ~used):
+            miss[x] = reach
+        node = (miss, reach, used)
         while True:
             if node is not None:
                 if budget is not None and nodes >= budget:
                     return Outcome("unknown", nodes=nodes)
                 nodes += 1
-                reaches, common, used = node
+                miss, common, used = node
                 need = (must | full & ~common) & ~used
                 if not need:
                     return Outcome("found", tuple(chosen), nodes)
                 w, fewest, count = -1, 0, 0
                 for x in bits(need):
-                    allowed = rows[x] & ~used
-                    for r in reaches:
-                        if not r >> x & 1:
-                            allowed &= r
+                    allowed = rows[x] & ~used & miss[x]
                     c = allowed.bit_count()
                     if not c:
                         break
@@ -155,10 +159,10 @@ def _grow_matching(g: Graph, roots, must: int, budget: int | None) -> Outcome:
                         left = (must | full & ~(common & reach)) & ~now
                         options.append((left.bit_count(), x, reach, now))
                     options.sort()
-                    stack.append((iter(options), reaches, common, w))
+                    stack.append((iter(options), miss, common, w))
             if not stack:
                 break
-            pending, reaches, common, w = stack[-1]
+            pending, miss, common, w = stack[-1]
             option = next(pending, None)
             if option is None:
                 stack.pop()
@@ -167,7 +171,12 @@ def _grow_matching(g: Graph, roots, must: int, budget: int | None) -> Outcome:
             _, x, reach, now = option
             del chosen[base + len(stack) - 1:]
             chosen.append((min(w, x), max(w, x)))
-            node = (reaches + [reach], common & reach, now)
+            missed = full & ~reach & ~now
+            if missed:
+                miss = miss[:]
+                for y in bits(missed):
+                    miss[y] &= reach
+            node = (miss, common & reach, now)
     return Outcome("refuted", nodes=nodes)
 
 

@@ -393,22 +393,23 @@ def _disjoint_paths(g: Graph, s: int, t: int, limit: int) -> int:
     Augmenting paths on the split graph, where vertex v becomes an arc
     v_in -> v_out of capacity 1 and every edge uv the arcs u_out -> v_in and
     v_out -> u_in.  The flow is kept as ``prv[v]``, the vertex before v on
-    the path through v (-1 when v is on no path).  It starts seeded with
-    the paths s-w-t through common neighbours w: every s-t separator holds
-    all of them, so the answer is their number plus that of G minus them.
-    A seeded w is only entered backwards towards s, which is already
-    visited, so the search never reroutes it.  Each further augmenting
-    path is found breadth first with one bitset step per out-node, and
-    nothing recurses.
+    the path through v (-1 when v is on no path).  Every s-t separator
+    holds all common neighbours w of s and t, so the answer is their number
+    plus that of G minus them: with at least ``limit`` of them it is
+    ``limit`` at once, and otherwise the flow starts seeded with the paths
+    s-w-t.  A seeded w is only entered backwards towards s, which is
+    already visited, so the search never reroutes it.  Each further
+    augmenting path is found breadth first with one bitset step per
+    out-node, and nothing recurses.
     """
+    common = g.row(s) & g.row(t)
+    flow = common.bit_count()
+    if flow >= limit:
+        return limit
     n = g.n
     prv = [-1] * n
-    flow = 0
-    for w in bits(g.row(s) & g.row(t)):
-        if flow == limit:
-            return flow
+    for w in bits(common):
         prv[w] = s
-        flow += 1
     while flow < limit:
         pin = [-1] * n  # v_in was reached from pin[v]_out; v itself: from v_out
         pout = [-1] * n  # v_out was reached from pout[v]_in; v itself: from v_in
@@ -451,19 +452,30 @@ def _disjoint_paths(g: Graph, s: int, t: int, limit: int) -> int:
     return flow
 
 
-def vertex_connectivity(g: Graph, *, at_least: int | None = None) -> int:
+def vertex_connectivity(
+    g: Graph, *, at_least: int | None = None, automorphisms: Sequence[tuple[int, ...]] = ()
+) -> int:
     """Minimum vertex cut size; n-1 for complete graphs.
 
     Each pair is settled by Menger's theorem: the number of internally
     vertex-disjoint paths, found as augmenting paths on the split graph by
     bitset breadth-first search (Even-Tarjan), iteratively, so large sparse
-    hosts do not hit the recursion limit.  The flow is seeded with one
-    two-edge path per common neighbour of the pair, so a pair with at
-    least the cap in common neighbours needs no search at all.  Only the
-    pairs of the Esfahanian-Hakimi reduction around one min-degree vertex
-    are solved.
+    hosts do not hit the recursion limit.  A pair with at least the cap in
+    common neighbours needs no search at all (``_disjoint_paths``).  Only
+    the pairs of the Esfahanian-Hakimi reduction around v, the first
+    vertex of least degree, are solved: v and each non-neighbour t, and
+    each non-adjacent pair {x, y} inside N(v).
     With ``at_least=k`` every pair count is capped at k, and the result is
     min(connectivity, k).
+
+    ``automorphisms`` are image tuples of automorphisms of g, trusted and
+    not checked.  An automorphism keeps the number of disjoint paths of a
+    pair, so one pair per orbit is solved: t is the least vertex of its
+    orbit under the ones fixing v, x the same inside N(v), and y the least
+    of its orbit under the ones that also fix x.  A pair whose y is below x
+    and is itself one of the chosen x is solved from y's side instead.  A
+    subgroup of a stabiliser only splits orbits, which costs pairs, not
+    exactness.  With none, every pair of the reduction is solved.
     """
     n = g.n
     if n < 2:
@@ -478,14 +490,40 @@ def vertex_connectivity(g: Graph, *, at_least: int | None = None) -> int:
     # is witnessed either by a flow from v to a non-neighbour, or by a flow
     # between two non-adjacent neighbours of v.
     v = min(range(n), key=g.degree)
+    fixing = [p for p in automorphisms if p[v] == v]
     nonnbrs = g.full_mask & ~g.row(v) & ~(1 << v)
-    for t in bits(nonnbrs):
+    for t in bits(_orbit_minima(nonnbrs, fixing)):
         best = min(best, _disjoint_paths(g, v, t, best))
         if best == 0:
             return 0
-    nbrs = list(bits(g.row(v)))
-    for i, x in enumerate(nbrs):
-        for y in nbrs[i + 1:]:
-            if not g.has_edge(x, y):
+    xs = _orbit_minima(g.row(v), fixing)
+    for x in bits(xs):
+        fixing_x = [p for p in fixing if p[x] == x]
+        for y in bits(_orbit_minima(g.row(v) & ~g.row(x) & ~(1 << x), fixing_x)):
+            if y > x or not xs >> y & 1:
                 best = min(best, _disjoint_paths(g, x, y, best))
     return best
+
+
+def _orbit_closure(mask: int, perms: Sequence[tuple[int, ...]]) -> int:
+    """The union of the orbits of the vertices in ``mask`` under ``perms``."""
+    stack = list(bits(mask)) if perms else []
+    while stack:
+        v = stack.pop()
+        for perm in perms:
+            w = perm[v]
+            if not mask >> w & 1:
+                mask |= 1 << w
+                stack.append(w)
+    return mask
+
+
+def _orbit_minima(mask: int, perms: Sequence[tuple[int, ...]]) -> int:
+    """The least vertex of ``mask`` in each orbit of ``perms`` that meets
+    it, as a bitmask."""
+    least = 0
+    while mask:
+        low = mask & -mask
+        least |= low
+        mask &= ~_orbit_closure(low, perms)
+    return least

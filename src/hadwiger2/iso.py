@@ -12,7 +12,7 @@ from __future__ import annotations
 from operator import itemgetter
 from typing import Iterator, NamedTuple, Sequence
 
-from .graphs import Graph, bits
+from .graphs import Graph, _orbit_closure, bits
 
 
 def _gathers(nbrs: list[list[int]]) -> list:
@@ -213,19 +213,6 @@ class Search(NamedTuple):
     labelling: tuple[int, ...]
     orbits: tuple[int, ...]
     generators: list[tuple[int, ...]]
-
-
-def _orbit_closure(mask: int, perms: list[tuple[int, ...]]) -> int:
-    """The union of the orbits of the vertices in ``mask`` under ``perms``."""
-    stack = list(bits(mask)) if perms else []
-    while stack:
-        v = stack.pop()
-        for perm in perms:
-            w = perm[v]
-            if not mask >> w & 1:
-                mask |= 1 << w
-                stack.append(w)
-    return mask
 
 
 def search(rows: Sequence[int]) -> Search:

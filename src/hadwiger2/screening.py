@@ -10,16 +10,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cliques import max_clique
-from .conjectures import connected_dominating_matching
+from .conjectures import _cdm
 from .graphs import (
     Graph,
+    _orbit_minima,
     bits,
     complement,
     independence_number_is_2,
     is_connected,
     vertex_connectivity,
 )
-from .iso import Search, _orbit_closure, search
+from .iso import Search, search
 from .matching import _gallai_edmonds, is_factor_critical
 
 PROPERTIES = tuple(f"P{i}" for i in range(1, 23))
@@ -68,10 +69,7 @@ def _pairs(g: Graph, found: Search):
         if x != rep:
             continue
         fixing = [p for p in found.generators if p[x] == x]
-        ys = g.full_mask & ~(1 << x)
-        while ys:
-            y = (ys & -ys).bit_length() - 1
-            ys &= ~_orbit_closure(1 << y, fixing)
+        for y in bits(_orbit_minima(g.full_mask & ~(1 << x), fixing)):
             if y > x or found.orbits[y] != y:
                 yield x, y
 
@@ -194,7 +192,8 @@ def table1_screen(g: Graph) -> ScreeningReport:
         "complement minus any vertex has a perfect matching",
     )
 
-    cdm = connected_dominating_matching(g, budget=None if n <= 16 else 500_000)
+    # The host checks above are those of connected_dominating_matching.
+    cdm = _cdm(g, None if n <= 16 else 500_000)
     if cdm.status == "unknown":
         verdicts["P6"] = Verdict("not-evaluated", "CDM search budget exhausted")
     else:
@@ -208,12 +207,13 @@ def table1_screen(g: Graph) -> ScreeningReport:
     put("P7", p7, "every edge deletion creates a 3-independent set")
 
     # Above 40 vertices kappa is capped at the larger of the two thresholds
-    # P8 and P18 compare it with, which decides both.
+    # P8 and P18 compare it with, which decides both.  The flows run on one
+    # pair per orbit of the automorphisms found above.
     if n <= 40:
-        kappa = vertex_connectivity(g)
+        kappa = vertex_connectivity(g, automorphisms=found.generators)
         kappa_detail = f"kappa={kappa}"
     else:
-        kappa = vertex_connectivity(g, at_least=max(chi, 7))
+        kappa = vertex_connectivity(g, at_least=max(chi, 7), automorphisms=found.generators)
         kappa_detail = "thresholded"
     put("P8", kappa >= chi, kappa_detail + f", chi={chi}")
     put("P9", delta >= chi, f"delta={delta}, chi={chi}")

@@ -32,6 +32,7 @@ from hadwiger2.graph6 import _HEADER, _encode_n
 from hadwiger2.graphs import (
     Graph,
     InflationSpec,
+    _orbit_closure,
     alpha_at_most_2,
     bits,
     complement,
@@ -43,7 +44,7 @@ from hadwiger2.graphs import (
     is_triangle_free,
     vertex_connectivity,
 )
-from hadwiger2.iso import Search, _orbit_closure, search
+from hadwiger2.iso import Search, search
 from hadwiger2.matching import Matching, _gallai_edmonds, is_factor_critical
 from hadwiger2.rng import SplitMix64
 from hadwiger2.screening import ScreeningReport, Verdict

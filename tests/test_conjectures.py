@@ -545,6 +545,21 @@ class TestDeepSearches:
             got = connected_matching_max(g, budget=2000)
         assert got.status == "unknown" and got.witness.size == 1250
 
+    def test_connected_perfect_matching_of_k1500_is_not_cubic(self):
+        # Masking each must-match vertex by every chosen reach that misses it
+        # is cubic on deep searches (48 s at K_2000); one common reach per
+        # vertex, kept as the search goes down, takes about 2 s here.
+        with deadline(8, "connected_perfect_matching_search of K1500"):
+            got = connected_perfect_matching_search(complete(1500))
+        assert got.status == "found" and got.nodes == 751
+        assert verify_k_model(complete(1500), got.witness)
+
+    def test_half_order_model_of_c1501_complement_is_not_cubic(self):
+        g = complement(cycle(1501))
+        with deadline(8, "half_order_model_search of the complement of C1501"):
+            got = half_order_model_search(g)
+        assert got.status == "found" and got.nodes == 751 and verify_k_model(g, got.witness)
+
     def test_had2_of_k1000_is_not_cubic(self):
         # Testing each partner against every chosen reach is cubic here and
         # takes about 15 s; one mask per node keeps it well under the bound.

@@ -3,6 +3,7 @@
 import math
 
 import networkx as nx
+from networkx.algorithms.flow import shortest_augmenting_path
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -19,11 +20,13 @@ from hadwiger2.graphs import (
     independence_number_is_2,
     induced_subgraph,
     inflate,
+    is_connected,
     is_triangle_free,
     odd_girth,
     twins,
     vertex_connectivity,
 )
+from hadwiger2 import graphs
 from hadwiger2.constructions import (
     andrasfai,
     clebsch,
@@ -32,6 +35,7 @@ from hadwiger2.constructions import (
     hoffman_singleton,
     kneser,
     petersen,
+    srg_parameters,
 )
 from hadwiger2.matching import chromatic_number_alpha2
 from hadwiger2.iso import (
@@ -43,7 +47,7 @@ from hadwiger2.iso import (
     search,
 )
 from hadwiger2.rng import SplitMix64
-from hadwiger2.steiner import gewirtz
+from hadwiger2.steiner import gewirtz, higman_sims, mesner
 
 from conftest import (
     blow_up_reference,
@@ -358,6 +362,133 @@ class TestConnectivity:
             kappa = nx.node_connectivity(ref)
             for k in range(g.n + 1):
                 assert vertex_connectivity(g, at_least=k) == min(kappa, k), (g.edges(), k)
+
+
+def _kappa_with_automorphisms(g, kappa):
+    gens = search(g.rows()).generators
+    for k in (None, 3, 7):
+        want = kappa if k is None else min(kappa, k)
+        assert vertex_connectivity(g, at_least=k, automorphisms=gens) == want, (g, k)
+        assert vertex_connectivity(g, at_least=k) == want, (g, k)
+
+
+def _group(gens, n, most=None):
+    """Every element of the permutation group generated by ``gens``, or None
+    once there are more than ``most``."""
+    identity = tuple(range(n))
+    group, stack = {identity}, [identity]
+    while stack:
+        p = stack.pop()
+        for q in gens:
+            r = tuple(q[i] for i in p)
+            if r not in group:
+                group.add(r)
+                stack.append(r)
+        if most is not None and len(group) > most:
+            return None
+    return sorted(group)
+
+
+class TestConnectivityByOrbits:
+    def test_a_pair_with_the_cap_in_common_neighbours_settles_at_once(self):
+        # s = 0 and t = 1 share 2, 3 and 4, and 0-5-6-1 is a fourth path.
+        g = Graph(7, [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4), (0, 5), (5, 6), (6, 1)])
+        assert [_disjoint_paths(g, 0, 1, k) for k in (2, 3, 4, 5)] == [2, 3, 4, 4]
+        # K_{2,3}: three common neighbours, one below the cap, and no more paths.
+        k23 = Graph(5, [(s, w) for s in (0, 1) for w in (2, 3, 4)])
+        assert [_disjoint_paths(k23, 0, 1, k) for k in (3, 4)] == [3, 3]
+
+    def test_orbit_minima(self):
+        rotation = tuple((v + 1) % 6 for v in range(6))
+        reflection = tuple(-v % 6 for v in range(6))
+        assert graphs._orbit_minima(0b111111, [rotation]) == 0b1
+        assert graphs._orbit_minima(0b111110, [reflection]) == 0b1110
+        assert graphs._orbit_minima(0b101010, []) == 0b101010
+        # Only the vertices of the mask count: 5 is the least of {3, 5}.
+        assert graphs._orbit_minima(0b100000, [reflection]) == 0b100000
+
+    def test_named_hosts_and_complements_match_networkx(self, steiner_system):
+        hosts = [petersen(), clebsch(), kneser(7, 3), kneser(8, 3), hoffman_singleton(),
+                 gewirtz(steiner_system), mesner(steiner_system), higman_sims(steiner_system)]
+        hosts += [complement(h) for h in hosts] + [cycle(12), complete(6)]
+        for g in hosts:
+            if g.n > 70 and g.degree(0) > g.n // 2:
+                # networkx takes 8 and 26 s on the Mesner and Higman-Sims
+                # complements.  Both are connected strongly regular graphs,
+                # whose connectivity is their degree (Brouwer & Mesner, 1985).
+                assert srg_parameters(g) is not None
+                kappa = g.degree(0)
+            else:
+                kappa = nx.node_connectivity(_to_nx(g), flow_func=shortest_augmenting_path)
+            _kappa_with_automorphisms(g, kappa)
+
+    def test_random_graphs_match_networkx(self):
+        rng = SplitMix64(30)
+        for _ in range(300):
+            g = random_graph(2 + rng.randrange(29), 10 + rng.randrange(80), rng)
+            _kappa_with_automorphisms(g, nx.node_connectivity(_to_nx(g)))
+
+    def test_solved_pairs_meet_every_pair_orbit_of_the_reduction(self, tf_levels_8, monkeypatch):
+        # Without automorphisms the flows run on the Esfahanian-Hakimi pairs
+        # around v in order.  With them, every such pair is the image of a
+        # solved one under the automorphisms fixing v.
+        solved = []
+
+        def recorded(g, s, t, limit):
+            solved.append((s, t))
+            return _disjoint_paths(g, s, t, limit)
+
+        monkeypatch.setattr(graphs, "_disjoint_paths", recorded)
+        # Z_13 and Z_17 joined by the units of order 4: the stabiliser of 0
+        # turns N(0) as a 4-cycle, so fixing a neighbour x fixes all of N(0),
+        # and x has two orbits of partners y there.
+        cyclotomic = [Graph(p, [(u, (u + c) % p) for u in range(p) for c in units])
+                      for p, units in ((13, (1, 5, 8, 12)), (17, (1, 4, 13, 16)))]
+        hosts = [petersen(), clebsch(), complement(kneser(7, 3)), cycle(12)] + cyclotomic
+        for level in tf_levels_8.values():
+            hosts += level
+        for g in hosts + [complement(h) for h in hosts]:
+            if g.n < 2 or not is_connected(g):
+                continue
+            v = min(range(g.n), key=g.degree)
+            nbrs = g.neighbors(v)
+            reduction = [(v, t) for t in range(g.n) if t != v and not g.has_edge(v, t)]
+            reduction += [(x, y) for i, x in enumerate(nbrs) for y in nbrs[i + 1:] if not g.has_edge(x, y)]
+            solved.clear()
+            vertex_connectivity(g)
+            assert solved == reduction
+            gens = search(g.rows()).generators
+            # The whole group gives the full stabiliser of v, so every rule
+            # that picks pairs runs; the generators alone often fix no vertex.
+            group = _group(gens, g.n, most=500)
+            for automorphisms in (gens,) if group is None else (gens, group):
+                solved.clear()
+                vertex_connectivity(g, automorphisms=automorphisms)
+                stabiliser = _group([p for p in automorphisms if p[v] == v], g.n)
+                images = {frozenset(p[u] for u in pair) for pair in solved for p in stabiliser}
+                assert {frozenset(p) for p in reduction} <= images, g.edges()
+
+    @pytest.mark.parametrize("name, flows", [("mesner", (376, 2)), ("kneser", (58, 4))])
+    def test_one_flow_per_pair_orbit(self, name, flows, steiner_system, monkeypatch):
+        # As the screen calls it: capped at max(chi, 7) = 39 on the
+        # 77-vertex Mesner complement, uncapped on the Kneser(7,3) complement.
+        if name == "mesner":
+            g, cap = complement(mesner(steiner_system)), 39
+        else:
+            g, cap = complement(kneser(7, 3)), None
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return _disjoint_paths(*args)
+
+        monkeypatch.setattr(graphs, "_disjoint_paths", counted)
+        got = []
+        for gens in ((), search(g.rows()).generators):
+            calls.clear()
+            assert vertex_connectivity(g, at_least=cap, automorphisms=gens) == (39 if cap else 30)
+            got.append(len(calls))
+        assert tuple(got) == flows
 
 
 class TestTwins:
