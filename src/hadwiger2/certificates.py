@@ -399,7 +399,7 @@ def classify_good_bad_outcome(g: Graph, part: GoodBadPartition) -> Outcome:
     'a' dominating edge; 'b' connectivity at most n/2; 'c' clique of at
     least n/2; 'd' connected perfect matching of good edges.  The search
     for 'd' is exact: "refuted" when none of the four holds, "unknown"
-    when its 200,000 nodes run out.
+    when its ``NODE_BUDGET`` nodes run out.
     """
     n = g.n
     if n % 2:
@@ -413,5 +413,5 @@ def classify_good_bad_outcome(g: Graph, part: GoodBadPartition) -> Outcome:
     if len(max_clique(g)) >= n // 2:
         return Outcome("found", "c")
     good = Graph(n, part.good)
-    got = connected_perfect_matching_search(good, budget=200_000, host_for_adjacency=g)
+    got = connected_perfect_matching_search(good, host_for_adjacency=g)
     return Outcome("found", "d") if got.status == "found" else Outcome(got.status)

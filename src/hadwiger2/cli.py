@@ -40,6 +40,7 @@ from .certificates import (
     verify_certificate,
 )
 from .conjectures import (
+    NODE_BUDGET,
     KModel,
     _cdm,
     _check_cdm_host,
@@ -264,8 +265,6 @@ def cmd_check(args, seed: int) -> int:
 
 
 def cmd_enumerate(args, seed: int) -> int:
-    if args.check not in ("cdm", "4cm"):
-        raise ValueError(f"unknown check {args.check!r}")
     if args.max_n > MAX_DESK_N:
         raise ValueError(f"enumeration is desk-scale only (max_n <= {MAX_DESK_N})")
     check = partial(_holds, args.check)
@@ -389,12 +388,12 @@ def _parser() -> argparse.ArgumentParser:
     c = sub.add_parser("check", help="run a conjecture checker on a graph6 input")
     c.add_argument("--conjecture", required=True, choices=["cdm", "shc-half", "4cm", "dominating-edge"])
     c.add_argument("--in", dest="infile")
-    c.add_argument("--budget", type=int, default=500_000, help="search nodes before the answer is unknown")
+    c.add_argument("--budget", type=int, default=NODE_BUDGET, help="search nodes before the answer is unknown")
     c.add_argument("--witness-out", dest="witness_out")
 
     e = sub.add_parser("enumerate", help="exhaustive check over connected alpha<=2 graphs")
     e.add_argument("--max-n", dest="max_n", type=int, required=True)
-    e.add_argument("--check", required=True)
+    e.add_argument("--check", required=True, choices=["cdm", "4cm"])
     e.add_argument("--budget", type=int, default=None, help="cap on graphs checked")
     e.add_argument("--workers", type=int, default=1, help="parallel workers for the per-graph checks")
 

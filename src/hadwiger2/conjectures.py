@@ -55,6 +55,10 @@ class Outcome:
     nodes: int = field(default=0, compare=False)
 
 
+# The node budget of every search that is not run to the end.
+NODE_BUDGET = 500_000
+
+
 # ---------------------------------------------------------------------------
 # Dominating edges and connected (dominating) matchings
 
@@ -446,7 +450,7 @@ def eberhard_model(p: int) -> KModel:
 
 def connected_perfect_matching_search(
     g: Graph,
-    budget: int | None = 500_000,
+    budget: int | None = NODE_BUDGET,
     host_for_adjacency: Graph | None = None,
 ) -> Outcome:
     """A perfect matching whose edges are pairwise adjacent, as a KModel.
@@ -467,7 +471,7 @@ def connected_perfect_matching_search(
     return Outcome("found", KModel(got.witness, len(got.witness)), got.nodes)
 
 
-def half_order_model_search(g: Graph, budget: int | None = 500_000) -> Outcome:
+def half_order_model_search(g: Graph, budget: int | None = NODE_BUDGET) -> Outcome:
     """A K_{ceil(n/2)} model with branch sets of size at most 2.
 
     Even order is a connected perfect matching, grown from one root with

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 INFINITE = math.inf
 
@@ -470,12 +470,9 @@ def vertex_connectivity(
 
     ``automorphisms`` are image tuples of automorphisms of g, trusted and
     not checked.  An automorphism keeps the number of disjoint paths of a
-    pair, so one pair per orbit is solved: t is the least vertex of its
-    orbit under the ones fixing v, x the same inside N(v), and y the least
-    of its orbit under the ones that also fix x.  A pair whose y is below x
-    and is itself one of the chosen x is solved from y's side instead.  A
-    subgroup of a stabiliser only splits orbits, which costs pairs, not
-    exactness.  With none, every pair of the reduction is solved.
+    pair, so one pair per orbit of the ones fixing v is solved: t is the
+    least vertex of its orbit, and the pairs inside N(v) come from
+    ``_orbit_pairs``.  With none, every pair of the reduction is solved.
     """
     n = g.n
     if n < 2:
@@ -496,12 +493,8 @@ def vertex_connectivity(
         best = min(best, _disjoint_paths(g, v, t, best))
         if best == 0:
             return 0
-    xs = _orbit_minima(g.row(v), fixing)
-    for x in bits(xs):
-        fixing_x = [p for p in fixing if p[x] == x]
-        for y in bits(_orbit_minima(g.row(v) & ~g.row(x) & ~(1 << x), fixing_x)):
-            if y > x or not xs >> y & 1:
-                best = min(best, _disjoint_paths(g, x, y, best))
+    for x, y in _orbit_pairs(g.row(v), lambda x: g.row(v) & ~g.row(x) & ~(1 << x), fixing):
+        best = min(best, _disjoint_paths(g, x, y, best))
     return best
 
 
@@ -527,3 +520,22 @@ def _orbit_minima(mask: int, perms: Sequence[tuple[int, ...]]) -> int:
         least |= low
         mask &= ~_orbit_closure(low, perms)
     return least
+
+
+def _orbit_pairs(mask: int, partners: Callable[[int], int], perms: Sequence[tuple[int, ...]]):
+    """Pairs (x, y), x < y, x in ``mask`` and y in ``partners(x)``, that
+    meet every orbit of ``perms`` on such pairs: x is the least vertex of
+    each orbit of ``perms`` on ``mask``, y the least of each orbit on
+    ``partners(x)`` of the perms that fix x, and only y > x is kept.
+    ``mask`` and ``partners`` must be kept by ``perms``, and ``partners``
+    must be symmetric.
+
+    Of the images of a pair, take one whose smaller end m is least.  Then
+    m is such an x, and the least image of its partner under the perms
+    fixing m lies above m, so that pair is yielded.
+    """
+    for x in bits(_orbit_minima(mask, perms)):
+        fixing = [p for p in perms if p[x] == x]
+        for y in bits(_orbit_minima(partners(x), fixing)):
+            if y > x:
+                yield x, y

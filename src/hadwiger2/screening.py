@@ -10,17 +10,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cliques import max_clique
-from .conjectures import _cdm
+from .conjectures import NODE_BUDGET, _cdm
 from .graphs import (
     Graph,
-    _orbit_minima,
+    _orbit_pairs,
     bits,
     complement,
     independence_number_is_2,
     is_connected,
     vertex_connectivity,
 )
-from .iso import Search, search
+from .iso import search
 from .matching import _gallai_edmonds, is_factor_critical
 
 PROPERTIES = tuple(f"P{i}" for i in range(1, 23))
@@ -60,20 +60,6 @@ class ScreeningReport:
         )
 
 
-def _pairs(g: Graph, found: Search):
-    """Pairs {x, y} of ``g``: for each orbit representative x of ``found``,
-    the least y of each orbit of the generators fixing x, except a
-    representative y below x.  Those generators keep adjacency to x, so
-    no orbit of y mixes neighbours of x with non-neighbours."""
-    for x, rep in enumerate(found.orbits):
-        if x != rep:
-            continue
-        fixing = [p for p in found.generators if p[x] == x]
-        for y in bits(_orbit_minima(g.full_mask & ~(1 << x), fixing)):
-            if y > x or found.orbits[y] != y:
-                yield x, y
-
-
 def table1_screen(g: Graph) -> ScreeningReport:
     """Evaluate the 22 desk-decidable counterexample properties.
 
@@ -81,10 +67,10 @@ def table1_screen(g: Graph) -> ScreeningReport:
     the literal pair-deletion criticality (chromatic drop by one and the
     remainder vertex-critical); P10 is read off the vertex connectivity;
     P22 is a matching test per edge at every order.  The pair properties
-    P4, P13-P16, P21 and P22 are checked in one scan, on one pair per orbit
-    of the stabiliser of each orbit representative (see ``_pairs``), from
-    one ``iso.search`` of the complement; on an asymmetric host that is
-    every pair.  P6 can stop undecided when its search budget runs out.
+    P4, P13-P16, P21 and P22 are checked in one scan, on the pairs that
+    ``graphs._orbit_pairs`` takes from one ``iso.search`` of the
+    complement; on an asymmetric host that is every pair.  P6 can stop
+    undecided when its search budget runs out.
     """
     if not is_connected(g):
         raise ValueError("screening requires a connected host")
@@ -101,11 +87,7 @@ def table1_screen(g: Graph) -> ScreeningReport:
     # Aut(g) = Aut(gc).  Each per-pair property below (P4, P13-P16, P21,
     # P22) is symmetric in the pair, invariant under automorphisms and
     # reported with a constant detail, so one pair per orbit of pairs
-    # decides it.  An automorphism maps any pair onto one at a
-    # representative x, and an automorphism fixing x maps its other end y
-    # to the least vertex of y's orbit under the generators that fix x (a
-    # subgroup of the stabiliser only splits orbits, which costs pairs,
-    # not exactness).  A pair at a representative y < x is checked at y.
+    # decides it.
     found = search(gc.rows())
     verdicts: dict[str, Verdict] = {}
 
@@ -130,7 +112,7 @@ def table1_screen(g: Graph) -> ScreeningReport:
     # is C & N(a) equal to the part of C outside the common neighbourhood of
     # B - N(a).
     p4 = p13 = p14 = p15 = p16 = p21 = p22 = True
-    for x, y in _pairs(g, found):
+    for x, y in _orbit_pairs(g.full_mask, lambda x: g.full_mask & ~(1 << x), found.generators):
         if not (p4 or p13 or p14 or p15 or p16 or p21 or p22):
             break
         rx, ry = g.row(x), g.row(y)
@@ -193,7 +175,7 @@ def table1_screen(g: Graph) -> ScreeningReport:
     )
 
     # The host checks above are those of connected_dominating_matching.
-    cdm = _cdm(g, None if n <= 16 else 500_000)
+    cdm = _cdm(g, None if n <= 16 else NODE_BUDGET)
     if cdm.status == "unknown":
         verdicts["P6"] = Verdict("not-evaluated", "CDM search budget exhausted")
     else:

@@ -478,6 +478,17 @@ class TestGoodBad:
         assert len(part.good) == 6 and not part.bad
         assert classify_good_bad_outcome(g, part) == Outcome("found", "a")
 
+    def test_inflated_c5_has_a_bad_edge_and_a_small_cut(self):
+        # C5 with vertex 4 doubled, covered by its five lifted edge-cliques:
+        # the twin edge meets only two of them, so it is the one bad edge.
+        spec = InflationSpec(cycle(5), (1, 1, 1, 1, 2))
+        g = inflate(spec)
+        cert = lift_certificate(spec, CliqueFamilyCertificate(tuple(cycle(5).edges()), Fraction(5, 2)))
+        part = good_bad_partition(g, cert)
+        assert len(part.good) == 7 and part.bad == {(4, 5)}
+        assert nx.node_connectivity(nx.Graph(g.edges())) == 2 <= g.n // 2
+        assert classify_good_bad_outcome(g, part) == Outcome("found", "b")
+
     def test_bound_three_rejected(self):
         g = complete(4)
         cert = CliqueFamilyCertificate(((0, 1, 2, 3),), Fraction(3))

@@ -361,6 +361,11 @@ class TestEnumerate:
         assert code == 2 and out == ""
         assert err.splitlines()[1:] == ["error: --budget must be non-negative, not -1"]
 
+    def test_unknown_check_is_a_usage_error(self, capsys):
+        code, out, err = run(capsys, "enumerate", "--max-n", "3", "--check", "shc-half")
+        assert code == 2 and out == ""
+        assert "invalid choice: 'shc-half'" in err
+
     @pytest.mark.parametrize("workers", ["0", "-2"])
     def test_workers_below_one_is_an_input_error(self, capsys, workers):
         code, out, err = run(capsys, "enumerate", "--max-n", "3", "--check", "cdm", "--workers", workers)

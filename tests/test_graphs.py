@@ -1,6 +1,7 @@
 """Core graph type: complement, induced subgraphs, inflations, invariants."""
 
 import math
+from itertools import combinations
 
 import networkx as nx
 from networkx.algorithms.flow import shortest_augmenting_path
@@ -406,6 +407,27 @@ class TestConnectivityByOrbits:
         assert graphs._orbit_minima(0b101010, []) == 0b101010
         # Only the vertices of the mask count: 5 is the least of {3, 5}.
         assert graphs._orbit_minima(0b100000, [reflection]) == 0b100000
+
+    def test_screen_pairs_meet_every_pair_orbit(self, tf_levels_8):
+        # As the screen calls it: every unordered pair of V is the image of
+        # a yielded pair under the automorphism group, and no pair is
+        # yielded twice.  The whole group, where it is small, gives the full
+        # stabiliser of x, so the y > x rule runs; the generators alone
+        # often fix no vertex.
+        from hadwiger2.generation import connected_alpha2_graphs
+
+        hosts = [g for n in range(1, 9) for g in connected_alpha2_graphs(n, tf_levels_8)]
+        for g in hosts + [complement(h) for h in hosts]:
+            if g.n < 2:
+                continue
+            gens = search(complement(g).rows()).generators
+            every = {frozenset(pair) for pair in combinations(range(g.n), 2)}
+            whole = _group(gens, g.n)
+            for perms in (gens,) if len(whole) > 500 else (gens, whole):
+                got = list(graphs._orbit_pairs(g.full_mask, lambda x: g.full_mask & ~(1 << x), perms))
+                assert all(x < y for x, y in got) and len(set(got)) == len(got), g.edges()
+                images = {frozenset((p[x], p[y])) for x, y in got for p in whole}
+                assert images == every, g.edges()
 
     def test_named_hosts_and_complements_match_networkx(self, steiner_system):
         hosts = [petersen(), clebsch(), kneser(7, 3), kneser(8, 3), hoffman_singleton(),
