@@ -39,6 +39,7 @@ from .certificates import (
     mesner_certificate,
     verify_certificate,
 )
+from .cliques import is_clique
 from .conjectures import (
     NODE_BUDGET,
     KModel,
@@ -316,6 +317,13 @@ def cmd_certify(args, seed: int) -> int:
             return EXIT_CODE[got.status]
         cover = got.witness
         total = sum(len(c) for c in cover)
+        if not (
+            len(cover) == 4
+            and set().union(*cover) == set(range(g.n))
+            and all(is_clique(g, c) for c in cover)
+            and total >= g.n + 2
+        ):
+            raise RuntimeError("four-clique cover search returned a cover that fails verification")
         print(f"kind=cover4 found=true total={total} floor={g.n + 2}")
         _emit(format_cover4(cover), args.out)
         return EXIT_OK

@@ -110,9 +110,10 @@ def _grow_matching(g: Graph, roots, must: int, budget: int | None) -> Outcome:
     Each root ``(rows, reach, used, chosen)`` is a start: the branch sets
     ``chosen`` cover ``used`` and have the closed reach ``reach`` (N[a] |
     N[b] for an edge ab, N[s] for a singleton s, all of V for none), and
-    new edges join w to a partner in ``rows[w]``.  The roots are searched
-    in turn until one is "found".  A vertex must be matched when it lies
-    in ``must`` or outside some chosen reach; once none is left,
+    new edges join w to a partner in ``rows[w]``: ``g.row(w)``, or for
+    ``_cdm`` its part above the first edge's least end.  The roots are
+    searched in turn until one is "found".  A vertex must be matched when
+    it lies in ``must`` or outside some chosen reach; once none is left,
     ``chosen`` plus the new edges is the witness.  Each node branches on
     the vertex w that must be matched with the fewest allowed partners
     (fail-first, Haralick & Elliott 1980): unused vertices of rows[w]
@@ -448,24 +449,17 @@ def eberhard_model(p: int) -> KModel:
     return model
 
 
-def connected_perfect_matching_search(
-    g: Graph,
-    budget: int | None = NODE_BUDGET,
-    host_for_adjacency: Graph | None = None,
-) -> Outcome:
+def connected_perfect_matching_search(g: Graph, budget: int | None = NODE_BUDGET) -> Outcome:
     """A perfect matching whose edges are pairwise adjacent, as a KModel.
 
-    ``_grow_matching`` with every vertex to be matched: matching edges are
-    edges of g, pairwise adjacency is tested in ``host_for_adjacency`` (g
-    itself by default).  Exact: "found", "refuted", or "unknown" when
-    ``budget`` nodes, if given, are spent.
+    ``_grow_matching`` with every vertex to be matched.  Exact: "found",
+    "refuted", or "unknown" when ``budget`` nodes, if given, are spent.
     """
     if g.n % 2:
         raise ValueError("perfect matchings need an even number of vertices")
-    host = host_for_adjacency or g
-    if not alpha_at_most_2(host):
+    if not alpha_at_most_2(g):
         raise ValueError("search is intended for hosts with alpha <= 2")
-    got = _grow_matching(host, [(g.rows(), g.full_mask, 0, ())], g.full_mask, budget)
+    got = _grow_matching(g, [(g.rows(), g.full_mask, 0, ())], g.full_mask, budget)
     if got.status != "found":
         return got
     return Outcome("found", KModel(got.witness, len(got.witness)), got.nodes)

@@ -14,10 +14,8 @@ from itertools import combinations
 from .graphs import (
     Graph,
     bits,
-    complement,
     diameter,
     girth,
-    independence_number_is_2,
     is_triangle_free,
 )
 from .rng import SplitMix64
@@ -353,20 +351,13 @@ def triangle_free_process(n: int, seed: int) -> Graph:
         rows[v] |= 1 << u
     g = Graph.from_rows(tuple(rows))
     _check(is_triangle_free(g), "triangle_free_process: triangle-free")
-    if n >= 3:
-        gc = complement(g)
-        # Edge-maximality shows up on the complement side: alpha is exactly
-        # 2 and no edge of the complement dominates it.
-        from .conjectures import dominating_edge
-
-        _check(
-            independence_number_is_2(gc),
-            "triangle_free_process: complement must have independence number 2",
-        )
-        _check(
-            dominating_edge(gc) is None,
-            "triangle_free_process: complement has a dominating edge",
-        )
+    # Edge-maximal: every non-neighbour of u has a common neighbour with u.
+    rows = g.rows()
+    for u, ru in enumerate(rows):
+        reach = ru | 1 << u
+        for w in bits(ru):
+            reach |= rows[w]
+        _check(reach == full, "triangle_free_process: not edge-maximal")
     return g
 
 

@@ -1029,6 +1029,47 @@ def connected_perfect_matching_reference(g: Graph, budget=500_000):
     return status, KModel(edges, len(edges)) if status == "found" else None, nodes
 
 
+def check_good_bad_reference(g: Graph, part) -> None:
+    """``certificates._check_good_bad`` before the mask tests: a scan of
+    every pair of good edges, then of every pair of bad edges at a vertex."""
+    good = sorted(part.good)
+    for i, (u, v) in enumerate(good):
+        mask_uv = (1 << u) | (1 << v)
+        reach = g.row(u) | g.row(v) | mask_uv
+        for x, y in good[i + 1:]:
+            if mask_uv & ((1 << x) | (1 << y)):
+                continue
+            if not reach >> x & 1 and not reach >> y & 1:
+                raise RuntimeError("good/bad hypothesis (1) violated")
+    bad_at = [set() for _ in range(g.n)]
+    for u, v in part.bad:
+        bad_at[u].add(v)
+        bad_at[v].add(u)
+    for v in range(g.n):
+        nbrs = sorted(bad_at[v])
+        for i, u in enumerate(nbrs):
+            for w in nbrs[i + 1:]:
+                if not g.has_edge(u, w):
+                    raise RuntimeError("good/bad hypothesis (2) violated")
+
+
+def classify_good_bad_reference(g: Graph, part) -> Outcome:
+    """``certificates.classify_good_bad_outcome`` before 'd' became a
+    maximum matching, host checks left out: the same tests for 'a', 'b'
+    and 'c', then an exhaustive search for a perfect matching of good
+    edges that is pairwise adjacent in g."""
+    n = g.n
+    if dominating_edge(g) is not None:
+        return Outcome("found", "a")
+    if n >= 2 and vertex_connectivity(g, at_least=n // 2 + 1) <= n // 2:
+        return Outcome("found", "b")
+    if len(max_clique(g)) >= n // 2:
+        return Outcome("found", "c")
+    good = Graph(n, part.good)
+    status, _, _ = grow_matching_reference(g, good.rows(), [], 0, g.full_mask, None)
+    return Outcome("found", "d") if status == "found" else Outcome(status)
+
+
 def half_order_reference(g: Graph, budget=500_000):
     """``conjectures.half_order_model_search`` before the explicit stack,
     host checks left out: (status, witness, nodes)."""

@@ -1,7 +1,7 @@
 """Clique-cover certificates: verification, named builders, lifting, covers."""
 
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 
 import networkx as nx
 import pytest
@@ -24,7 +24,7 @@ from hadwiger2.certificates import (
     verify_certificate,
     vertex_multiplicities,
 )
-from hadwiger2.cliques import is_clique
+from hadwiger2.cliques import is_clique, max_clique
 from hadwiger2.conjectures import Outcome
 from hadwiger2.constructions import (
     clebsch,
@@ -37,13 +37,17 @@ from hadwiger2.constructions import (
 )
 from hadwiger2.generation import connected_alpha2_graphs
 from hadwiger2.graphs import Graph, InflationSpec, complement, induced_subgraph, inflate
+from hadwiger2.matching import matching_number
 from hadwiger2.rng import SplitMix64
 from hadwiger2.steiner import gewirtz, higman_sims, mesner
 
 from conftest import (
     brute_clique_number,
     brute_max_t_intersecting,
+    check_good_bad_reference,
+    classify_good_bad_reference,
     four_cover_reference,
+    grow_matching_reference,
     milp_cover4,
     random_graph,
 )
@@ -516,6 +520,91 @@ class TestGoodBad:
         for g, cert in hosts:
             part = good_bad_partition(g, cert)
             assert part.good | part.bad == frozenset(g.edges())
+
+
+def _certified_inflations(base: Graph, cert: CliqueFamilyCertificate, most: int):
+    """Every even-order inflation of base with multiplicities 1..most, with
+    the lifted certificate."""
+    for mult in product(range(1, most + 1), repeat=base.n):
+        if sum(mult) % 2 == 0:
+            spec = InflationSpec(base, mult)
+            yield inflate(spec), lift_certificate(spec, cert)
+
+
+def _raised(check, g: Graph, part) -> str | None:
+    try:
+        check(g, part)
+    except RuntimeError as err:
+        return str(err)
+    return None
+
+
+class TestGoodBadMatching:
+    """Outcome 'd' is one maximum matching of the good edges, and the two
+    hypotheses are mask tests; both give the answers of the searches and
+    pair scans they replaced."""
+
+    def test_outcomes_match_the_search(self):
+        # C5 with multiplicities 1-3 under its lifted edge-cliques at 5/2,
+        # and the Petersen complement with multiplicities 1-2 under the
+        # lifted Kneser certificate: 121 + 512 even-order hosts.
+        edge_cliques = CliqueFamilyCertificate(tuple(cycle(5).edges()), Fraction(5, 2))
+        hosts = list(_certified_inflations(cycle(5), edge_cliques, 3))
+        hosts += _certified_inflations(generalized_kneser_geq(5, 2, 1), kneser_certificate(5, 2, 1, 0), 2)
+        assert len(hosts) == 633
+        outcomes = {}
+        perfect = {True: 0, False: 0}
+        for g, cert in hosts:
+            part = good_bad_partition(g, cert)
+            got = classify_good_bad_outcome(g, part)
+            assert got == classify_good_bad_reference(g, part)
+            outcomes[got.witness] = outcomes.get(got.witness, 0) + 1
+            # Hypothesis (1) makes every perfect matching of good edges connected.
+            good = Graph(g.n, part.good)
+            status, _, _ = grow_matching_reference(g, good.rows(), [], 0, g.full_mask, None)
+            has_perfect = 2 * matching_number(good) == g.n
+            assert has_perfect == (status == "found")
+            perfect[has_perfect] += 1
+        assert outcomes == {"b": 491, "c": 65, "d": 77}
+        assert perfect == {True: 608, False: 25}
+
+    def test_hypothesis_checks_match_the_pair_scans(self):
+        # Seeded random good/bad splits of the edges of the 32 inflations of
+        # C5 with multiplicities 1-2: each check raises exactly when the
+        # pair scans do, with the same message.
+        rng = SplitMix64(7)
+        seen = {}
+        for mult in product((1, 2), repeat=5):
+            g = inflate(InflationSpec(cycle(5), mult))
+            for _ in range(20):
+                good = {e for e in g.edges() if rng.randrange(2)}
+                part = certificates.GoodBadPartition(frozenset(good), frozenset(g.edges()) - good, None)
+                got = _raised(certificates._check_good_bad, g, part)
+                assert got == _raised(check_good_bad_reference, g, part)
+                seen[got] = seen.get(got, 0) + 1
+        assert len(seen) == 3 and sum(seen.values()) == 640
+
+    def test_a_partition_that_breaks_hypothesis_one_is_not_classified(self):
+        # Every edge of the doubled Petersen complement called good: no
+        # 'a', 'b' or 'c', and two disjoint good edges that are not joined.
+        spec = InflationSpec(generalized_kneser_geq(5, 2, 1), (2,) * 10)
+        g = inflate(spec)
+        part = good_bad_partition(g, lift_certificate(spec, kneser_certificate(5, 2, 1, 0)))
+        assert classify_good_bad_outcome(g, part) == Outcome("found", "d")
+        forged = certificates.GoodBadPartition(frozenset(g.edges()), frozenset(), None)
+        with pytest.raises(RuntimeError, match="hypothesis \\(1\\)"):
+            classify_good_bad_outcome(g, forged)
+
+    def test_outcome_c(self):
+        # The Petersen complement with the last four vertices doubled: 14
+        # vertices, no dominating edge, kappa = 8 > 7 and omega = 8 >= 7.
+        spec = InflationSpec(generalized_kneser_geq(5, 2, 1), (1,) * 6 + (2,) * 4)
+        g = inflate(spec)
+        part = good_bad_partition(g, lift_certificate(spec, kneser_certificate(5, 2, 1, 0)))
+        assert g.n == 14
+        assert nx.node_connectivity(nx.Graph(g.edges())) == 8
+        assert len(max_clique(g)) == 8
+        assert classify_good_bad_outcome(g, part) == Outcome("found", "c")
 
 
 class TestTextFormat:

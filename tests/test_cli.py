@@ -401,6 +401,24 @@ class TestCertify:
         assert "found=true" in out
         assert "cover4" in out
 
+    @pytest.mark.parametrize(
+        "cover",
+        [
+            ((0, 2), (1, 2), (2, 3), (3, 4)),  # 02 is no edge of C5
+            ((0, 1), (1, 2), (2, 3), (2, 3)),  # vertex 4 is not covered
+            ((0, 1), (2, 3), (4,), (4,)),  # total 6 < n + 2
+        ],
+    )
+    def test_cover4_witness_is_verified(self, capsys, monkeypatch, cover):
+        from hadwiger2 import cli
+        from hadwiger2.conjectures import Outcome
+
+        monkeypatch.setattr(cli, "four_cover_check", lambda g: Outcome("found", cover))
+        feed(monkeypatch, write_graph6(cycle(5)))
+        with pytest.raises(RuntimeError, match="fails verification"):
+            main(["certify", "--kind", "cover4"])
+        assert "kind=cover4" not in capsys.readouterr().out
+
     def test_cover4_not_found(self, capsys, monkeypatch, steiner_system):
         from hadwiger2.steiner import higman_sims
 

@@ -6,6 +6,7 @@ from itertools import combinations
 import pytest
 
 from hadwiger2.constructions import (
+    ConstructionError,
     SrgParams,
     andrasfai,
     cayley_abelian,
@@ -238,6 +239,19 @@ class TestTriangleFreeProcess:
                 for v in range(u + 1, g.n):
                     if not g.has_edge(u, v):
                         assert g.row(u) & g.row(v)
+
+    def test_a_graph_short_of_one_edge_is_rejected(self, monkeypatch):
+        # Dropping an edge uv of the built graph leaves uv addable, as u and
+        # v have no common neighbour, so the self-check must refuse it.
+        built = Graph.from_rows
+
+        def one_edge_short(rows):
+            g = built(rows)
+            return Graph(g.n, g.edges()[1:])
+
+        monkeypatch.setattr(Graph, "from_rows", one_edge_short)
+        with pytest.raises(ConstructionError, match="not edge-maximal"):
+            triangle_free_process(30, 0)
 
     def test_tiny(self):
         assert triangle_free_process(1, 0).n == 1

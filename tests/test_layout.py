@@ -1,0 +1,62 @@
+"""Package layout: the modules of hadwiger2 import each other without cycles."""
+
+import ast
+from pathlib import Path
+
+import hadwiger2
+
+PACKAGE = Path(hadwiger2.__file__).parent
+
+
+def _imports(path: Path, modules: set[str]) -> set[str]:
+    """The package modules that ``path`` imports anywhere in its body,
+    function-level imports included; ``from . import x`` names module x
+    when there is one, and the package ``__init__`` otherwise."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom):
+            if node.level == 1 and node.module:
+                found.add(node.module.split(".")[0])
+            elif node.level == 1:
+                found.update(a.name if a.name in modules else "__init__" for a in node.names)
+            elif node.level == 0 and (node.module or "").startswith("hadwiger2."):
+                found.add(node.module.split(".")[1])
+        elif isinstance(node, ast.Import):
+            found.update(a.name.split(".")[1] for a in node.names if a.name.startswith("hadwiger2."))
+    return found
+
+
+def _import_graph() -> dict[str, set[str]]:
+    paths = sorted(PACKAGE.glob("*.py"))
+    modules = {p.stem for p in paths}
+    return {p.stem: _imports(p, modules) & modules for p in paths}
+
+
+def test_every_module_is_seen():
+    graph = _import_graph()
+    assert {"cli", "certificates", "cliques", "conjectures", "constructions", "graphs"} <= set(graph)
+    # The function-level imports count: conjectures builds eberhard's host.
+    assert "constructions" in graph["conjectures"]
+    assert "__init__" in graph["cli"]
+
+
+def test_package_imports_are_acyclic():
+    graph = _import_graph()
+    state: dict[str, int] = {}
+    path: list[str] = []
+
+    def visit(m: str) -> None:
+        state[m] = 1
+        path.append(m)
+        for dep in sorted(graph[m]):
+            if state.get(dep) == 1:
+                cycle = path[path.index(dep):] + [dep]
+                raise AssertionError("import cycle: " + " -> ".join(cycle))
+            if dep not in state:
+                visit(dep)
+        path.pop()
+        state[m] = 2
+
+    for m in sorted(graph):
+        if m not in state:
+            visit(m)

@@ -100,6 +100,25 @@ class TestScreen:
         assert rep.unevaluated() == []
         assert rep.fully_evaluated("minimal-hc")
 
+    def test_p6_not_evaluated_when_the_budget_runs_out(self, steiner_system, monkeypatch):
+        # The CDM search of the Mesner complement needs 20 nodes; with 5 it
+        # stops undecided, and only P6 says so.  No edge dominates this
+        # host, so P7 and P12 still pass.
+        from hadwiger2 import screening
+        from hadwiger2.steiner import mesner
+
+        g = complement(mesner(steiner_system))
+        full = table1_screen(g)
+        monkeypatch.setattr(screening, "NODE_BUDGET", 5)
+        cut = table1_screen(g)
+        assert cut.verdicts["P6"] == screening.Verdict("not-evaluated", "CDM search budget exhausted")
+        assert full.verdicts["P6"].status != "not-evaluated"
+        assert cut.unevaluated() == ["P6"]
+        assert cut.verdicts["P7"].status == cut.verdicts["P12"].status == "pass"
+        assert {p: v for p, v in cut.verdicts.items() if p != "P6"} == {
+            p: v for p, v in full.verdicts.items() if p != "P6"
+        }
+
 
 @pytest.fixture(scope="module")
 def alpha2_upto_7(tf_levels_8):
