@@ -403,4 +403,6 @@ def classify_good_bad_outcome(g: Graph, part: GoodBadPartition) -> Outcome:
     _check_good_bad(g, part)
     if 2 * matching_number(Graph(n, part.good)) == n:
         return Outcome("found", "d")
+    # The paper's case lemma says that (1), (2), alpha <= 2 and even order
+    # force one of 'a'-'d', so reaching this line reports a failure of it.
     return Outcome("refuted")

@@ -38,10 +38,8 @@ class SrgParams:
     mu: int
 
     def __post_init__(self):
-        _check(
-            self.k * (self.k - self.lam - 1) == (self.n - self.k - 1) * self.mu,
-            f"inconsistent srg parameters {self}",
-        )
+        if self.k * (self.k - self.lam - 1) != (self.n - self.k - 1) * self.mu:
+            raise ConstructionError(f"inconsistent srg parameters {self}")
 
 
 def srg_parameters(g: Graph) -> SrgParams | None:
@@ -69,10 +67,8 @@ def srg_parameters(g: Graph) -> SrgParams | None:
 
 def verify_srg(g: Graph, n: int, k: int, lam: int, mu: int, name: str) -> None:
     params = srg_parameters(g)
-    _check(
-        params == SrgParams(n, k, lam, mu),
-        f"{name}: expected srg({n},{k},{lam},{mu}), got {params}",
-    )
+    if params != SrgParams(n, k, lam, mu):
+        raise ConstructionError(f"{name}: expected srg({n},{k},{lam},{mu}), got {params}")
 
 
 def cycle(n: int) -> Graph:
@@ -320,7 +316,12 @@ def triangle_free_process(n: int, seed: int) -> Graph:
     the k-th in (u, v) order; the process stops when no edge can be
     added.  ``addable[u]`` holds the addable partners v > u, and adding uv
     clears uv, u's pairs with N(v) and v's pairs with N(u): those are the
-    only pairs that gain a common neighbour.
+    only pairs that gain a common neighbour; a's pairs with the w > a in
+    N(b) leave row a in one mask operation.  ``count[u]`` is the number of
+    bits in ``addable[u]``, lowered wherever a bit is cleared, so the draw
+    finds its row by reading ints.  Within the row, the k-th set bit is
+    found by halving: keep the low half if it holds more than k set bits,
+    else skip it and lower k by its count; the last few are popped.
     """
     if n < 1:
         raise ValueError("need at least one vertex")
@@ -328,24 +329,40 @@ def triangle_free_process(n: int, seed: int) -> Graph:
     rows = [0] * n
     full = (1 << n) - 1
     addable = [full & ~((2 << u) - 1) for u in range(n)]
+    count = [n - 1 - u for u in range(n)]
     total = n * (n - 1) // 2
     while total:
         k = rng.randrange(total)
         u = 0
-        while k >= addable[u].bit_count():
-            k -= addable[u].bit_count()
+        while k >= count[u]:
+            k -= count[u]
             u += 1
-        mask = addable[u]
+        mask, v = addable[u], 0
+        while k >= 8:
+            half = mask.bit_length() >> 1
+            low = mask & ((1 << half) - 1)
+            c = low.bit_count()
+            if k < c:
+                mask = low
+            else:
+                k -= c
+                mask >>= half
+                v += half
         for _ in range(k):
             mask &= mask - 1
-        v = (mask & -mask).bit_length() - 1
+        v += (mask & -mask).bit_length() - 1
         addable[u] ^= 1 << v
+        count[u] -= 1
         total -= 1
         for a, b in ((u, v), (v, u)):
-            for w in bits(rows[b]):
-                lo, hi = min(a, w), max(a, w)
-                if addable[lo] >> hi & 1:
-                    addable[lo] ^= 1 << hi
+            hit = addable[a] & rows[b]
+            addable[a] ^= hit
+            count[a] -= hit.bit_count()
+            total -= hit.bit_count()
+            for w in bits(rows[b] & ((1 << a) - 1)):
+                if addable[w] >> a & 1:
+                    addable[w] ^= 1 << a
+                    count[w] -= 1
                     total -= 1
         rows[u] |= 1 << v
         rows[v] |= 1 << u

@@ -3,10 +3,11 @@
 The system is built from the projective plane PG(2,4): 21 points, 21
 lines of 5 points, plus an extra point oo = 21.  Blocks are the 21
 extended lines (line plus oo) together with one of the three families of
-56 pairwise-evenly-intersecting hyperovals.  The Steiner property (every
-triple of points in exactly one block) is verified by counting: 77
-blocks of 6 points, no two sharing more than two points, hold
-77 * C(6,3) = 1540 distinct triples, which is every one of the
+56 pairwise-evenly-intersecting hyperovals; the 168 hyperovals are
+generated as one PGL(3,4)-orbit (see ``_hyperovals``).  The Steiner
+property (every triple of points in exactly one block) is verified by
+counting: 77 blocks of 6 points, no two sharing more than two points,
+hold 77 * C(6,3) = 1540 distinct triples, which is every one of the
 C(22,3) = 1540 triples of the 22 points.
 """
 
@@ -14,8 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .constructions import _check, verify_srg
-from .graphs import Graph, bits, induced_subgraph
+from .constructions import ConstructionError, _check, verify_srg
+from .graphs import Graph, bits
 
 # F4 in the polynomial basis with x^2 = x + 1: elements 0, 1, w=2, w^2=3.
 # Addition is XOR; the multiplication table is fixed below.
@@ -50,35 +51,54 @@ def _pg24_lines(points) -> list[int]:
     return lines
 
 
+# Three linear maps that generate PGL(3,4): a transvection, the
+# coordinate cycle and diag(w, 1, 1).  The transvection's conjugates under
+# the other two give every elementary transvection, which generate
+# SL(3,4); diag(w, 1, 1) has determinant w, a non-cube, so it adds the
+# rest of GL(3,4).
+_GENERATORS = (
+    lambda x, y, z: (x ^ y, y, z),
+    lambda x, y, z: (y, z, x),
+    lambda x, y, z: (_F4_MUL[2][x], y, z),
+)
+
+
 def _hyperovals(lines: list[int]) -> list[int]:
     """All 6-point sets meeting every line in 0 or 2 points (as bitmasks).
 
-    Equivalently: all 6-arcs.  Found by depth-first extension of arcs
-    (sets with no 3 collinear points) in increasing point order; the
-    points that may still join are those above the last one and on no
-    line through two points of the arc.
+    The 168 hyperovals of PG(2,4) form one PGL(3,4)-orbit, of the conic
+    y^2 = xz plus its nucleus (0,1,0) (Hirschfeld, Projective Geometries
+    over Finite Fields, 1998), so they are that orbit under the three
+    generators, each acting on point indices.  Verified here: the start
+    meets every line in 0 or 2 points, and each generator maps lines to
+    lines, so every set in the orbit is a hyperoval.  The count of 168 is
+    checked by ``_even_family``.
     """
-    join = [[0] * 21 for _ in range(21)]  # join[p][q]: the line through p and q
-    for lm in lines:
-        for p in bits(lm):
-            for q in bits(lm):
-                join[p][q] = lm
-    out = []
-
-    def extend(arc: int, free: int):
-        if arc.bit_count() == 6:
-            out.append(arc)
-            return
-        while free:
-            p = (free & -free).bit_length() - 1
-            free ^= 1 << p
-            blocked = 0
-            for q in bits(arc):
-                blocked |= join[p][q]
-            extend(arc | 1 << p, free & ~blocked)
-
-    extend(0, (1 << 21) - 1)
-    return out
+    points = _pg24_points()
+    index = {tuple(_F4_MUL[s][c] for c in p): i for i, p in enumerate(points) for s in (1, 2, 3)}
+    perms = [[index[f(*p)] for p in points] for f in _GENERATORS]
+    line_set = set(lines)
+    for perm in perms:
+        _check(
+            all(sum(1 << perm[p] for p in bits(lm)) in line_set for lm in lines),
+            "PG(2,4) generator is not a collineation",
+        )
+    start = sum(1 << i for i, (x, y, z) in enumerate(points) if _F4_MUL[y][y] == _F4_MUL[x][z])
+    start |= 1 << index[(0, 1, 0)]
+    _check(
+        all((start & lm).bit_count() in (0, 2) for lm in lines),
+        "conic plus nucleus is not a hyperoval",
+    )
+    seen = {start}
+    todo = [start]
+    while todo:
+        h = todo.pop()
+        for perm in perms:
+            image = sum(1 << perm[p] for p in bits(h))
+            if image not in seen:
+                seen.add(image)
+                todo.append(image)
+    return sorted(seen)
 
 
 def _even_family(hyperovals: list[int]) -> list[int]:
@@ -91,7 +111,8 @@ def _even_family(hyperovals: list[int]) -> list[int]:
     meets the least one oddly.
     """
     hs = sorted(hyperovals)
-    _check(len(hs) == 168, f"expected 168 hyperovals in PG(2,4), got {len(hs)}")
+    if len(hs) != 168:
+        raise ConstructionError(f"expected 168 hyperovals in PG(2,4), got {len(hs)}")
     family = [h for h in hs if (h & hs[0]).bit_count() % 2 == 0]
     _check(len(family) == 56, "hyperoval family must have 56 members")
     _check(
@@ -118,8 +139,10 @@ class SteinerSystem:
         # C(22,3) = 1540 point triples, each lies in exactly one block.
         for i, m in enumerate(masks):
             for j in range(i):
-                _check((m & masks[j]).bit_count() <= 2,
-                       f"blocks {self.blocks[j]} and {self.blocks[i]} share three points")
+                if (m & masks[j]).bit_count() > 2:
+                    raise ConstructionError(
+                        f"blocks {self.blocks[j]} and {self.blocks[i]} share three points"
+                    )
 
     def block_masks(self) -> list[int]:
         out = []
@@ -143,21 +166,29 @@ def steiner_3_6_22() -> SteinerSystem:
     return SteinerSystem(tuple(blocks))
 
 
+def _disjointness_graph(masks: list[int]) -> Graph:
+    """The given blocks in order, adjacent iff disjoint."""
+    return Graph(len(masks), [(i, j) for i, m in enumerate(masks) for j in range(i) if not m & masks[j]])
+
+
 def mesner(sys: SteinerSystem) -> Graph:
     """Blocks of S(3,6,22), adjacent iff disjoint: srg(77,16,0,4)."""
-    masks = sys.block_masks()
-    g = Graph(77, [(i, j) for i, m in enumerate(masks) for j in range(i) if not m & masks[j]])
+    g = _disjointness_graph(sys.block_masks())
     verify_srg(g, 77, 16, 0, 4, "mesner")
     return g
 
 
 def gewirtz(sys: SteinerSystem, point: int = 21) -> Graph:
-    """Blocks avoiding one point, adjacent iff disjoint: srg(56,10,0,2)."""
+    """Blocks avoiding one point, adjacent iff disjoint: srg(56,10,0,2).
+
+    The blocks keep their order in the system, so this is the subgraph of
+    the Mesner graph induced on them, with the same labels.
+    """
     if not 0 <= point <= 21:
         raise ValueError("point must be in 0..21")
-    keep = [i for i, b in enumerate(sys.blocks) if point not in b]
+    keep = [m for m in sys.block_masks() if not m >> point & 1]
     _check(len(keep) == 56, "gewirtz: expected 56 blocks avoiding the point")
-    g = induced_subgraph(mesner(sys), keep)
+    g = _disjointness_graph(keep)
     verify_srg(g, 56, 10, 0, 2, "gewirtz")
     return g
 

@@ -475,6 +475,15 @@ class TestGoodBad:
         assert len(part.good) + len(part.bad) == host.edge_count
         assert classify_good_bad_outcome(host, part) == Outcome("found", "d")
 
+    def test_no_perfect_good_matching_is_refuted(self, monkeypatch):
+        # No host is known to reach the last line, which would contradict
+        # the paper's case lemma; a matching one edge short of perfect
+        # forges that case on the partition that otherwise gives 'd'.
+        host = generalized_kneser_geq(5, 2, 1)
+        part = good_bad_partition(host, kneser_certificate(5, 2, 1, 0))
+        monkeypatch.setattr(certificates, "matching_number", lambda g: (g.n - 2) // 2)
+        assert classify_good_bad_outcome(host, part) == Outcome("refuted")
+
     def test_k4_trivial_certificate(self):
         g = complete(4)
         cert = CliqueFamilyCertificate(((0, 1, 2, 3),), Fraction(1))

@@ -258,6 +258,9 @@ class TestTriangleFreeProcess:
         assert triangle_free_process(2, 0).edge_count == 1
 
     def test_matches_the_recompute_every_step_process(self):
-        cases = [(n, seed) for n in (1, 2, 3, 5, 10, 12, 30) for seed in range(4)]
+        # n at and around powers of two puts the halving selection's cuts
+        # at the row ends.
+        sizes = (1, 2, 3, 5, 9, 10, 12, 16, 17, 30, 33, 64, 65)
+        cases = [(n, seed) for n in sizes for seed in range(4)]
         for n, seed in cases + [(101, 7)]:
             assert triangle_free_process(n, seed) == brute_triangle_free_process(n, seed), (n, seed)

@@ -60,3 +60,22 @@ def test_package_imports_are_acyclic():
     for m in sorted(graph):
         if m not in state:
             visit(m)
+
+
+def _f_string_checks(path: Path) -> list[int]:
+    """Lines of ``path`` that call ``_check`` with an f-string argument."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Call) and (
+            getattr(node.func, "id", None) == "_check" or getattr(node.func, "attr", None) == "_check"
+        ):
+            if any(isinstance(a, ast.JoinedStr) for a in node.args + [k.value for k in node.keywords]):
+                found.append(node.lineno)
+    return found
+
+
+def test_check_messages_are_not_formatted_eagerly():
+    # _check(cond, f"...") formats its message even when cond holds; such a
+    # check belongs in ``if not cond: raise ConstructionError(f"...")``.
+    offenders = {p.name: lines for p in sorted(PACKAGE.glob("*.py")) if (lines := _f_string_checks(p))}
+    assert not offenders, f"_check called with an f-string message: {offenders}"
