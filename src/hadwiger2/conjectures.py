@@ -107,19 +107,19 @@ def is_cdm(g: Graph, edges) -> bool:
 def _grow_matching(g: Graph, roots, must: int, budget: int | None) -> Outcome:
     """Extend a matching whose edges are pairwise adjacent in g.
 
-    Each root ``(rows, reach, used, chosen)`` is a start: the branch sets
+    Each root ``(low, reach, used, chosen)`` is a start: the branch sets
     ``chosen`` cover ``used`` and have the closed reach ``reach`` (N[a] |
     N[b] for an edge ab, N[s] for a singleton s, all of V for none), and
-    new edges join w to a partner in ``rows[w]``: ``g.row(w)``, or for
-    ``_cdm`` its part above the first edge's least end.  The roots are
-    searched in turn until one is "found".  A vertex must be matched when
-    it lies in ``must`` or outside some chosen reach; once none is left,
-    ``chosen`` plus the new edges is the witness.  Each node branches on
-    the vertex w that must be matched with the fewest allowed partners
-    (fail-first, Haralick & Elliott 1980): unused vertices of rows[w]
-    inside every reach that misses w.  A node keeps that common reach per
-    unused vertex x, ``miss[x]``, the AND of the chosen reaches that miss x
-    (all of V when none does), so scoring a vertex is one mask; a child
+    new edges join two vertices above ``low``: for ``_cdm`` the first
+    edge's least end, else -1.  The roots are searched in turn until one
+    is "found".  A vertex must be matched when it lies in ``must`` or
+    outside some chosen reach; once none is left, ``chosen`` plus the new
+    edges is the witness.  Each node branches on the vertex w that must
+    be matched with the fewest allowed partners (fail-first, Haralick &
+    Elliott 1980): unused neighbours of w inside every reach that misses
+    w.  A node keeps that common reach per unused vertex x, ``miss[x]``,
+    the AND of the vertices above ``low`` (none for x <= low) and of the
+    chosen reaches that miss x, so scoring a vertex is one mask; a child
     copies the list only when its new reach misses an unused vertex, and
     ANDs the reach into those entries.  A count of 0 backtracks.  Partners
     are tried by the size of the next must-match set, then by index.
@@ -129,14 +129,15 @@ def _grow_matching(g: Graph, roots, must: int, budget: int | None) -> Outcome:
     options, and each child is built when its frame reaches it.
     """
     full = g.full_mask
+    rows = g.rows()
     nodes = 0
-    for rows, reach, used, chosen in roots:
+    for low, reach, used, chosen in roots:
         chosen = list(chosen)
         base = len(chosen)
         stack: list = []
-        miss = [full] * g.n
+        miss = [0] * (low + 1) + [full & -(1 << low + 1)] * (g.n - low - 1)
         for x in bits(full & ~reach & ~used):
-            miss[x] = reach
+            miss[x] &= reach
         node = (miss, reach, used)
         while True:
             if node is not None:
@@ -220,9 +221,8 @@ def _cdm(g: Graph, budget: int | None) -> Outcome:
     if e is not None:
         return Outcome("found", Matching((e,)))
     roots = (
-        (rows, g.row(u) | g.row(v) | 1 << u | 1 << v, 1 << u | 1 << v, ((u, v),))
+        (u, g.row(u) | g.row(v) | 1 << u | 1 << v, 1 << u | 1 << v, ((u, v),))
         for u in range(g.n)
-        for rows in [[r & -(2 << u) if w > u else 0 for w, r in enumerate(g.rows())]]
         for v in bits(g.row(u) & -(2 << u))
     )
     got = _grow_matching(g, roots, 0, budget)
@@ -459,7 +459,7 @@ def connected_perfect_matching_search(g: Graph, budget: int | None = NODE_BUDGET
         raise ValueError("perfect matchings need an even number of vertices")
     if not alpha_at_most_2(g):
         raise ValueError("search is intended for hosts with alpha <= 2")
-    got = _grow_matching(g, [(g.rows(), g.full_mask, 0, ())], g.full_mask, budget)
+    got = _grow_matching(g, [(-1, g.full_mask, 0, ())], g.full_mask, budget)
     if got.status != "found":
         return got
     return Outcome("found", KModel(got.witness, len(got.witness)), got.nodes)
@@ -479,9 +479,9 @@ def half_order_model_search(g: Graph, budget: int | None = NODE_BUDGET) -> Outco
         raise ValueError("search is intended for hosts with alpha <= 2")
     odd = g.n % 2
     if odd:
-        roots = ((g.rows(), g.row(s) | 1 << s, 1 << s, ((s,),)) for s in range(g.n))
+        roots = ((-1, g.row(s) | 1 << s, 1 << s, ((s,),)) for s in range(g.n))
     else:
-        roots = [(g.rows(), g.full_mask, 0, ())]
+        roots = [(-1, g.full_mask, 0, ())]
     got = _grow_matching(g, roots, g.full_mask, budget)
     if got.status != "found":
         return Outcome("unknown", nodes=got.nodes)

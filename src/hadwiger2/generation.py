@@ -58,7 +58,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from .graphs import Graph, bits, complement, is_connected
+from .graphs import Graph, _set_orbit, bits, complement, is_connected
 from .iso import _root, _search
 
 MAX_DESK_N = 11
@@ -146,18 +146,9 @@ def _siblings(
     seen: set[int] = set()
     out = []
     for child in children:
-        if child[0] in seen:
-            continue
-        out.append(child)
-        seen.add(child[0])
-        stack = [child[0]]
-        while stack:
-            mask = stack.pop()
-            for perm in generators:
-                image = sum(1 << perm[v] for v in bits(mask))
-                if image not in seen:
-                    seen.add(image)
-                    stack.append(image)
+        if child[0] not in seen:
+            out.append(child)
+            seen |= _set_orbit(child[0], generators)
     return out
 
 

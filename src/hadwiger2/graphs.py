@@ -313,15 +313,9 @@ def diameter(g: Graph) -> int | float:
     """Largest eccentricity; INFINITE when disconnected."""
     if g.n == 0:
         raise ValueError("diameter of the empty graph is undefined")
-    best = 0
-    for root in range(g.n):
-        seen = 0
-        for ecc, (layer, _, _) in enumerate(_layers(g, root)):
-            seen |= layer
-        if seen != g.full_mask:
-            return INFINITE
-        best = max(best, ecc)
-    return best
+    if not is_connected(g):
+        return INFINITE
+    return max(sum(1 for _ in _layers(g, root)) - 1 for root in range(g.n))
 
 
 def girth(g: Graph) -> int | float:
@@ -509,6 +503,20 @@ def _orbit_closure(mask: int, perms: Sequence[tuple[int, ...]]) -> int:
                 mask |= 1 << w
                 stack.append(w)
     return mask
+
+
+def _set_orbit(mask: int, perms: Sequence[tuple[int, ...]]) -> set[int]:
+    """The orbit of the vertex set ``mask`` under ``perms``, as bitmasks."""
+    seen = {mask}
+    stack = [mask]
+    while stack:
+        m = stack.pop()
+        for perm in perms:
+            image = sum(1 << perm[v] for v in bits(m))
+            if image not in seen:
+                seen.add(image)
+                stack.append(image)
+    return seen
 
 
 def _orbit_minima(mask: int, perms: Sequence[tuple[int, ...]]) -> int:

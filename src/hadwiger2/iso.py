@@ -253,7 +253,8 @@ def search(rows: Sequence[int]) -> Search:
     unpruned tree is the image of a visited node under the group they
     generate, so every least leaf is the image of a visited least leaf,
     and an automorphism is fixed by the leaf it maps the first least leaf
-    to.  Orbits are read off by union-find.
+    to.  Orbits are the closures of the vertices under the generators
+    (``graphs._orbit_closure``), each labelled by its least vertex.
 
     Contract: the labelling keeps the order of the root ranks.  If the
     root refinement (``_refine`` from the degree colouring) ranks u below
@@ -282,28 +283,10 @@ def _search(rows: Sequence[int], nbrs: list[list[int]], gathers: list, partition
     """``search(rows)`` from its root, given as ``_root(rows)``: for callers
     that have refined the root already.  The root's lists are not changed."""
     n = len(rows)
-    root = list(range(n))
     generators: list[tuple[int, ...]] = []
     best: list[int] | None = None
     best_ranks: list[int] = []
     best_path: tuple[int, ...] = ()
-
-    def find(v: int) -> int:
-        while root[v] != v:
-            root[v] = root[root[v]]
-            v = root[v]
-        return v
-
-    def add(perm: tuple[int, ...]) -> None:
-        generators.append(perm)
-        for v, w in enumerate(perm):
-            if v == w:
-                continue
-            a, b = find(v), find(w)
-            if a < b:
-                root[b] = a
-            elif b < a:
-                root[a] = b
 
     def visit(
         lab: list[int], color: list[int], end: list[int], cells: int, path: tuple[int, ...]
@@ -318,7 +301,7 @@ def _search(rows: Sequence[int], nbrs: list[list[int]], gathers: list, partition
             if best is None or leaf < best:
                 best, best_ranks, best_path = leaf, color, path
             elif leaf == best:
-                add(tuple(lab[c] for c in best_ranks))
+                generators.append(tuple(lab[c] for c in best_ranks))
                 return next(k for k, (u, w) in enumerate(zip(path, best_path)) if u != w)
             return len(path)
         s = 0
@@ -340,7 +323,7 @@ def _search(rows: Sequence[int], nbrs: list[list[int]], gathers: list, partition
             if twin is not None:
                 perm = list(range(n))
                 perm[twin], perm[v] = v, twin
-                add(tuple(perm))
+                generators.append(tuple(perm))
                 continue
             tried.append(v)
             skip = _orbit_closure(skip | 1 << v, stabiliser)
@@ -358,7 +341,12 @@ def _search(rows: Sequence[int], nbrs: list[list[int]], gathers: list, partition
         return len(path)
 
     visit(*partition, ())
-    return Search(tuple(best), tuple(best_ranks), tuple(find(v) for v in range(n)), generators)
+    orbits = list(range(n))
+    for v in range(n):
+        if orbits[v] == v:
+            for w in bits(_orbit_closure(1 << v, generators)):
+                orbits[w] = v
+    return Search(tuple(best), tuple(best_ranks), tuple(orbits), generators)
 
 
 def canonical_form(g: Graph) -> tuple[int, ...]:

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .constructions import ConstructionError, _check, verify_srg
-from .graphs import Graph, bits
+from .graphs import Graph, _set_orbit, bits
 
 # F4 in the polynomial basis with x^2 = x + 1: elements 0, 1, w=2, w^2=3.
 # Addition is XOR; the multiplication table is fixed below.
@@ -69,36 +69,23 @@ def _hyperovals(lines: list[int]) -> list[int]:
     The 168 hyperovals of PG(2,4) form one PGL(3,4)-orbit, of the conic
     y^2 = xz plus its nucleus (0,1,0) (Hirschfeld, Projective Geometries
     over Finite Fields, 1998), so they are that orbit under the three
-    generators, each acting on point indices.  Verified here: the start
-    meets every line in 0 or 2 points, and each generator maps lines to
-    lines, so every set in the orbit is a hyperoval.  The count of 168 is
-    checked by ``_even_family``.
+    generators, each acting on point indices (``graphs._set_orbit``).
+    Verified here: the start meets every line in 0 or 2 points, and the
+    orbit of one line is the set of lines, so each generator maps lines
+    to lines and every set in the orbit is a hyperoval.  The count of
+    168 is checked by ``_even_family``.
     """
     points = _pg24_points()
     index = {tuple(_F4_MUL[s][c] for c in p): i for i, p in enumerate(points) for s in (1, 2, 3)}
     perms = [[index[f(*p)] for p in points] for f in _GENERATORS]
-    line_set = set(lines)
-    for perm in perms:
-        _check(
-            all(sum(1 << perm[p] for p in bits(lm)) in line_set for lm in lines),
-            "PG(2,4) generator is not a collineation",
-        )
+    _check(_set_orbit(lines[0], perms) == set(lines), "PG(2,4) generator is not a collineation")
     start = sum(1 << i for i, (x, y, z) in enumerate(points) if _F4_MUL[y][y] == _F4_MUL[x][z])
     start |= 1 << index[(0, 1, 0)]
     _check(
         all((start & lm).bit_count() in (0, 2) for lm in lines),
         "conic plus nucleus is not a hyperoval",
     )
-    seen = {start}
-    todo = [start]
-    while todo:
-        h = todo.pop()
-        for perm in perms:
-            image = sum(1 << perm[p] for p in bits(h))
-            if image not in seen:
-                seen.add(image)
-                todo.append(image)
-    return sorted(seen)
+    return sorted(_set_orbit(start, perms))
 
 
 def _even_family(hyperovals: list[int]) -> list[int]:
@@ -196,12 +183,14 @@ def gewirtz(sys: SteinerSystem, point: int = 21) -> Graph:
 def higman_sims(sys: SteinerSystem) -> Graph:
     """Mesner graph plus 22 point-vertices and one apex: srg(100,22,0,6).
 
-    Vertices 0..76 are blocks, 77..98 are the points 0..21, and 99 is the
-    apex adjacent to the 22 point-vertices.  A point-vertex is adjacent to
-    the blocks containing it.
+    Vertices 0..76 are blocks, adjacent iff disjoint, 77..98 are the
+    points 0..21, and 99 is the apex adjacent to the 22 point-vertices.
+    A point-vertex is adjacent to the blocks containing it.  Only the
+    whole graph's parameters are checked.
     """
-    edges = mesner(sys).edges()
-    for i, m in enumerate(sys.block_masks()):
+    masks = sys.block_masks()
+    edges = _disjointness_graph(masks).edges()
+    for i, m in enumerate(masks):
         for x in bits(m):
             edges.append((i, 77 + x))
     for x in range(22):

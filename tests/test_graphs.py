@@ -1,7 +1,7 @@
 """Core graph type: complement, induced subgraphs, inflations, invariants."""
 
 import math
-from itertools import combinations
+from itertools import combinations, permutations
 
 import networkx as nx
 from networkx.algorithms.flow import shortest_augmenting_path
@@ -14,6 +14,7 @@ from hadwiger2.graphs import (
     _disjoint_paths,
     adjacent_twins,
     alpha_at_most_2,
+    bits,
     blow_up,
     complement,
     diameter,
@@ -38,6 +39,7 @@ from hadwiger2.constructions import (
     petersen,
     srg_parameters,
 )
+from hadwiger2.generation import independent_set_masks
 from hadwiger2.matching import chromatic_number_alpha2
 from hadwiger2.iso import (
     _refine,
@@ -639,9 +641,9 @@ class TestCanonicalForm:
 
 
 class TestSearch:
-    def _check(self, g):
+    def _check(self, g, orbits=None):
         found = search(g.rows())
-        assert found.orbits == brute_orbits(g), g.edges()
+        assert found.orbits == (brute_orbits(g) if orbits is None else orbits), g.edges()
         relabelled = [0] * g.n
         for v in range(g.n):
             relabelled[found.labelling[v]] = sum(1 << found.labelling[w] for w in g.neighbors(v))
@@ -658,13 +660,31 @@ class TestSearch:
             for g in level:
                 self._check(g)
 
-    def test_orbits_of_vertex_transitive_graphs(self):
+    def test_orbits_of_vertex_transitive_graphs(self, steiner_system):
         # Graph(6) and K_{3,3} are all twins: only the twin transpositions
-        # join their orbits.
+        # join their orbits.  The cocktail party graph K_{2x20} has twenty
+        # twin pairs, joined by the automorphisms its leaves find.
         k33 = Graph(6, [(u, v) for u in range(3) for v in range(3, 6)])
-        for g in (Graph(6), k33, petersen(), clebsch()):
+        cocktail = complement(Graph(40, [(2 * i, 2 * i + 1) for i in range(20)]))
+        for g in (Graph(6), k33, petersen(), clebsch(), cocktail):
             self._check(g)
             assert set(search(g.rows()).orbits) == {0}
+        # The Mesner graph is vertex-transitive (its group, M22:2, is
+        # transitive on the 77 blocks of S(3,6,22)); brute_orbits ran for
+        # ten minutes on its 60-regular complement without finishing.
+        self._check(complement(mesner(steiner_system)), (0,) * 77)
+
+    def test_set_orbits_match_the_whole_group(self, tf_levels_8):
+        # Every permutation is tried, as brute_orbits does up to 7 vertices.
+        for n in range(1, 7):
+            for g in tf_levels_8[n]:
+                nbrs = [list(bits(g.row(v))) for v in range(n)]
+                group = [p for p in permutations(range(n))
+                         if all(sum(1 << p[w] for w in nbrs[v]) == g.row(p[v]) for v in range(n))]
+                gens = search(g.rows()).generators
+                for mask in independent_set_masks(g):
+                    images = {sum(1 << p[v] for v in bits(mask)) for p in group}
+                    assert graphs._set_orbit(mask, gens) == images, (g.edges(), mask)
 
     def test_found_automorphisms_prune_the_tree(self):
         # |Aut| is 120 for Petersen and 1920 for Clebsch; a search that

@@ -4,6 +4,7 @@ from itertools import combinations
 
 import pytest
 
+from hadwiger2 import steiner
 from hadwiger2.constructions import ConstructionError, SrgParams, srg_parameters
 from hadwiger2.graphs import complement, diameter, induced_subgraph, is_triangle_free
 from hadwiger2.matching import chromatic_number_alpha2
@@ -72,6 +73,17 @@ def test_hyperovals_match_brute_force():
     got = _hyperovals(lines)
     assert len(brute) == 168
     assert len(got) == 168 and set(got) == brute
+
+
+def test_non_collineation_generator_rejected(monkeypatch):
+    # Swapping the points (1,0,0) and (0,0,1) and fixing the rest maps the
+    # line z = 0 onto a set that is no line.
+    swap = {(1, 0, 0): (0, 0, 1), (0, 0, 1): (1, 0, 0)}
+    monkeypatch.setattr(
+        steiner, "_GENERATORS", steiner._GENERATORS + (lambda *p: swap.get(p, p),)
+    )
+    with pytest.raises(ConstructionError, match="PG\\(2,4\\) generator is not a collineation"):
+        _hyperovals(_pg24_lines(_pg24_points()))
 
 
 def test_mesner_parameters(steiner_system):
