@@ -16,17 +16,17 @@ from math import comb
 
 from .cliques import colour_classes, is_clique, max_clique
 from .conjectures import Outcome, dominating_edge, read_vertex_sets, write_vertex_sets
-from .constructions import _subset_masks, srg_parameters
+from .constructions import _subset_masks, generalized_kneser_geq, srg_parameters
 from .graphs import (
     Graph,
     InflationSpec,
     alpha_at_most_2,
     bits,
     complement,
-    is_triangle_free,
     vertex_connectivity,
 )
 from .matching import matching_number
+from .steiner import _disjointness_graph
 
 
 @dataclass(frozen=True)
@@ -107,10 +107,11 @@ def clebsch_certificate(g: Graph) -> CliqueFamilyCertificate:
 
 
 def mesner_certificate(g: Graph, sys) -> CliqueFamilyCertificate:
-    """22 point-cliques of the Mesner complement (blocks through a point), 22/6."""
-    from .steiner import mesner
+    """22 point-cliques of the Mesner complement (blocks through a point), 22/6.
 
-    if g != complement(mesner(sys)):
+    The host must be the complement of the blocks' disjointness graph, and
+    the certificate is verified on it."""
+    if g != complement(_disjointness_graph(sys.block_masks())):
         raise ValueError("host does not match the complement of mesner(sys)")
     cliques = []
     for point in range(22):
@@ -150,10 +151,12 @@ def kneser_certificate(n: int, k: int, t: int, r: int) -> CliqueFamilyCertificat
     The clique of S consists of the k-sets meeting S in at least t+r
     elements.  The emitted bound is C(n,k) divided by the size of the
     canonical family with this r; when r maximises the family size this
-    equals C(n,k)/aktf_bound(n,k,t).
+    equals C(n,k)/aktf_bound(n,k,t).  The certificate is verified on
+    K(n,k,>=t) before return.
     """
-    if not (t >= 1 and r >= 0 and t + 2 * r <= n and 1 <= k <= n):
-        raise ValueError("need t >= 1, r >= 0, t+2r <= n, 1 <= k <= n")
+    host = generalized_kneser_geq(n, k, t)
+    if not (r >= 0 and t + 2 * r <= n):
+        raise ValueError("need r >= 0 and t+2r <= n")
     fam = intersecting_family_size(n, k, t, r)
     if fam < 1:
         raise ValueError("empty canonical family; no certificate for these parameters")
@@ -170,7 +173,10 @@ def kneser_certificate(n: int, k: int, t: int, r: int) -> CliqueFamilyCertificat
             if (am & sm).bit_count() >= t + r
         )
         cliques.append(members)
-    return CliqueFamilyCertificate(tuple(cliques), Fraction(comb(n, k), fam))
+    cert = CliqueFamilyCertificate(tuple(cliques), Fraction(comb(n, k), fam))
+    if not verify_certificate(host, cert):
+        raise RuntimeError("kneser certificate fails verification")
+    return cert
 
 
 def lift_certificate(
@@ -248,20 +254,34 @@ def four_cover_check(g: Graph) -> Outcome:
     complement - is added to the lowest fitting classes.  Only when no
     pair fits does one exact search per pair colour the twin rows, and
     the first colouring found, each twin mapped back to its original, is
-    the witness.  A witness certifies that every proper inflation has a
-    clique of at least a quarter of its order plus a half, hence the
-    half-order Hadwiger bound.
+    the witness.  The witness is checked before return.  It certifies
+    that every proper inflation has a clique of at least a quarter of its
+    order plus a half, hence the half-order Hadwiger bound.
     """
-    gc = complement(g)
-    if not is_triangle_free(gc):
+    if not alpha_at_most_2(g):
         raise ValueError("four-clique covers are only used when alpha <= 2")
     n = g.n
     if 4 * len(max_clique(g)) < n + 2:
         return Outcome("refuted")
-    rows = list(gc.rows())
+    rows = list(complement(g).rows())
     base = colour_classes(rows, 4)
-    if base is None:
+    cover = None if base is None else _four_cover(g, rows, base)
+    if cover is None:
         return Outcome("refuted")
+    if not (
+        len(cover) == 4
+        and set().union(*cover) == set(range(n))
+        and all(is_clique(g, c) for c in cover)
+        and sum(map(len, cover)) >= n + 2
+    ):
+        raise RuntimeError("four-clique cover search returned a cover that fails verification")
+    return Outcome("found", cover)
+
+
+def _four_cover(g: Graph, rows: list[int], base) -> tuple[tuple[int, ...], ...] | None:
+    """The cover of ``four_cover_check`` from the complement's ``rows`` and
+    their 4-colouring ``base``, or None when no pair x <= y works."""
+    n = g.n
     free = [sum(1 << c for c, m in enumerate(base) if not m & (r | 1 << v)) for v, r in enumerate(rows)]
     for x in range(n):
         if not free[x]:
@@ -272,7 +292,7 @@ def four_cover_check(g: Graph) -> Outcome:
                 classes = list(base)
                 classes[fit[0]] |= 1 << x
                 classes[fit[1]] |= 1 << y
-                return Outcome("found", tuple(tuple(bits(m)) for m in classes))
+                return tuple(tuple(bits(m)) for m in classes)
     for x in range(n):
         for y in range(x, n):
             # Vertices n and n + 1 are closed twins of x and y.
@@ -281,11 +301,11 @@ def four_cover_check(g: Graph) -> Outcome:
             twins += [cx | (cx >> y & 1) << n + 1, cy | (cy >> x & 1) << n]
             classes = colour_classes(twins, 4)
             if classes is not None:
-                return Outcome("found", tuple(
+                return tuple(
                     tuple(bits(m & g.full_mask | (m >> n & 1) << x | (m >> n + 1 & 1) << y))
                     for m in classes
-                ))
-    return Outcome("refuted")
+                )
+    return None
 
 
 def _free_pair(fx: int, fy: int, apart: bool) -> tuple[int, int] | None:

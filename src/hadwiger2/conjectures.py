@@ -216,19 +216,23 @@ def _check_cdm_host(g: Graph) -> None:
 
 def _cdm(g: Graph, budget: int | None) -> Outcome:
     """``connected_dominating_matching`` on a host known to meet
-    ``_check_cdm_host``, without testing it again."""
+    ``_check_cdm_host``, without testing it again.  A witness is checked
+    with ``is_cdm`` before return."""
     e = dominating_edge(g)
-    if e is not None:
-        return Outcome("found", Matching((e,)))
-    roots = (
-        (u, g.row(u) | g.row(v) | 1 << u | 1 << v, 1 << u | 1 << v, ((u, v),))
-        for u in range(g.n)
-        for v in bits(g.row(u) & -(2 << u))
-    )
-    got = _grow_matching(g, roots, 0, budget)
-    if got.status != "found":
-        return got
-    return Outcome("found", Matching(got.witness), got.nodes)
+    edges, nodes = (e,), 0
+    if e is None:
+        roots = (
+            (u, g.row(u) | g.row(v) | 1 << u | 1 << v, 1 << u | 1 << v, ((u, v),))
+            for u in range(g.n)
+            for v in bits(g.row(u) & -(2 << u))
+        )
+        got = _grow_matching(g, roots, 0, budget)
+        if got.status != "found":
+            return got
+        edges, nodes = got.witness, got.nodes
+    if not is_cdm(g, edges):
+        raise RuntimeError("CDM search returned a matching that fails verification")
+    return Outcome("found", Matching(edges), nodes)
 
 
 def girth5_cdm_construct(spec: InflationSpec) -> Matching:
@@ -298,7 +302,8 @@ class KModel:
 
 
 def verify_k_model(g: Graph, model: KModel) -> bool:
-    """Disjointness, per-set connectivity, pairwise adjacency, order."""
+    """Disjointness, per-set connectivity, pairwise adjacency, order; an
+    empty branch set fails."""
     if model.order != model.target_order:
         return False
     masks = []
@@ -405,9 +410,13 @@ def connected_matching_max(g: Graph, budget: int | None = None) -> Outcome:
     A matching is connected when its edges are pairwise joined by an edge,
     i.e. a complete-graph model whose branch sets are all edges.  "found"
     with the maximum, or "unknown" with the best matching so far once
-    ``budget`` nodes, if given, are expanded.
+    ``budget`` nodes, if given, are expanded; either is checked with
+    ``verify_k_model`` before return.
     """
-    return _small_branch_sets(g, singletons=False, budget=budget)
+    got = _small_branch_sets(g, singletons=False, budget=budget)
+    if not verify_k_model(g, KModel(got.witness.edges, got.witness.size)):
+        raise RuntimeError("connected matching search returned a matching that fails verification")
+    return got
 
 
 def connected_matching_number(g: Graph) -> int:
@@ -420,7 +429,7 @@ def eberhard_model(p: int) -> KModel:
     Type 1: singletons (i,0) for i outside {(p-1)/2, p-1}; Type 2: the
     pair {((p-1)/2,0), (p-1,0)}; Type 3: pairs {(j,i),(j,p-1-i)} for
     i in 1..(p-1)/2-1; Type 4: pairs {(j,(p-1)/2),(j,p-1)}.  The model
-    order is (p*p+p-2)/2 and it is verified on the Eberhard complement.
+    is verified on the Eberhard complement, its order (p*p+p-2)/2 included.
     """
     from .constructions import eberhard
 
@@ -439,10 +448,7 @@ def eberhard_model(p: int) -> KModel:
             sets.append((idx(j, i), idx(j, p - 1 - i)))
     for j in range(p):
         sets.append((idx(j, half), idx(j, p - 1)))
-    want = (p * p + p - 2) // 2
-    if len(sets) != want:
-        raise RuntimeError("type counts do not add up to (p^2+p-2)/2")
-    model = KModel(tuple(sets), want)
+    model = KModel(tuple(sets), (p * p + p - 2) // 2)
     host = complement(eberhard(p))
     if not verify_k_model(host, model):
         raise RuntimeError("eberhard model failed verification")
@@ -474,6 +480,7 @@ def half_order_model_search(g: Graph, budget: int | None = NODE_BUDGET) -> Outco
     choices of s share the node ``budget`` (None: no limit).  "found" or
     "unknown", never "refuted": a model may use more singletons (two
     disjoint triangles have no connected perfect matching but hold a K3).
+    A witness is checked with ``verify_k_model`` before return.
     """
     if not alpha_at_most_2(g):
         raise ValueError("search is intended for hosts with alpha <= 2")
@@ -486,8 +493,10 @@ def half_order_model_search(g: Graph, budget: int | None = NODE_BUDGET) -> Outco
     if got.status != "found":
         return Outcome("unknown", nodes=got.nodes)
     # An odd witness starts with the singleton root; the model lists it last.
-    sets = got.witness[odd:] + got.witness[:odd]
-    return Outcome("found", KModel(sets, len(sets)), got.nodes)
+    model = KModel(got.witness[odd:] + got.witness[:odd], (g.n + 1) // 2)
+    if not verify_k_model(g, model):
+        raise RuntimeError("half-order model search returned a model that fails verification")
+    return Outcome("found", model, got.nodes)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Constructors for the concrete graph families, each self-verified at build.
 
 Every named constructor checks the structural parameters it is supposed
-to have (regularity, strong regularity, girth, diameter) and raises
-ConstructionError if the check fails, so a bad build can never leak.
+to have (regularity, strong regularity, girth, diameter, or srg
+parameters that imply them) and raises ConstructionError if the check
+fails, so a bad build can never leak.
 """
 
 from __future__ import annotations
@@ -112,8 +113,8 @@ def clebsch() -> Graph:
     for v in range(16):
         rows[v] |= 1 << (v ^ 0b1111)
     g = Graph.from_rows(tuple(rows))
+    # mu = 2 >= 1: non-adjacent vertices have a common neighbour, so diameter 2.
     verify_srg(g, 16, 5, 0, 2, "clebsch")
-    _check(diameter(g) == 2, "clebsch: diameter")
     return g
 
 
@@ -219,8 +220,9 @@ def hoffman_singleton() -> Graph:
             for j in range(5):
                 edges.append((5 * h + j, 25 + 5 * i + (h * i + j) % 5))
     g = Graph(50, set(tuple(sorted(e)) for e in edges))
+    # lambda = 0 rules out triangles and mu = 1 4-cycles; mu >= 1 gives
+    # diameter 2, and a regular graph of diameter 2 has girth at most 5.
     verify_srg(g, 50, 7, 0, 1, "hoffman_singleton")
-    _check(girth(g) == 5 and diameter(g) == 2, "hoffman_singleton: girth/diameter")
     return g
 
 

@@ -195,13 +195,7 @@ def is_connected(g: Graph, within: int | None = None) -> bool:
 
 
 def is_triangle_free(g: Graph) -> bool:
-    for u in range(g.n):
-        ru = g.row(u)
-        high = ru >> (u + 1)
-        for j in bits(high):
-            if ru & g.row(u + 1 + j):
-                return False
-    return True
+    return alpha_at_most_2(complement(g))
 
 
 def alpha_at_most_2(g: Graph) -> bool:

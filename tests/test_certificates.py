@@ -78,6 +78,12 @@ class TestVerify:
         with pytest.raises(ValueError):
             CliqueFamilyCertificate(((0,),), Fraction(1, 2))
 
+    def test_empty_family_only_on_the_empty_host(self):
+        # With no cliques the threshold r/k is 0, which every vertex meets.
+        empty = CliqueFamilyCertificate((), Fraction(1))
+        assert not verify_certificate(cycle(5), empty)
+        assert verify_certificate(Graph(0, []), empty)
+
 
 class TestClebschCertificate:
     def test_structure(self):
@@ -152,6 +158,13 @@ class TestKneserCertificate:
             kneser_certificate(5, 2, 0, 0)
         with pytest.raises(ValueError):
             kneser_certificate(5, 2, 1, 3)
+
+    def test_forged_family_size_fails_verification(self, monkeypatch):
+        # The stars of K(5,2,>=1) hold each pair twice; a family of 5, not
+        # 4, makes the bound 10/5 and asks for 5/2 memberships per vertex.
+        monkeypatch.setattr(certificates, "intersecting_family_size", lambda n, k, t, r: 5)
+        with pytest.raises(RuntimeError, match="fails verification"):
+            kneser_certificate(5, 2, 1, 0)
 
 
 class TestAktf:
@@ -390,6 +403,21 @@ class TestFourCover:
         assert got.status == "found"
         _assert_cover4(g, got.witness)
         assert calls[0] == 8 and calls[1:] and set(calls[1:]) == {10}
+
+    def test_refuted_when_every_twin_colouring_fails(self, monkeypatch):
+        # No host is known to get here: every triangle-free complement
+        # with n <= 11 that passes the omega gate and is 4-colourable is
+        # found.  A base colouring with every colour at every vertex leaves
+        # no free colour, and each of the 15 pair searches then fails.
+        calls = []
+
+        def forged(rows, k):
+            calls.append(len(rows))
+            return [(1 << len(rows)) - 1] * k if len(calls) == 1 else None
+
+        monkeypatch.setattr(certificates, "colour_classes", forged)
+        assert four_cover_check(cycle(5)) == Outcome("refuted")
+        assert calls == [5] + [7] * 15
 
     def test_fallback_on_a_random_host(self, monkeypatch):
         # The 32nd host of this seed is the first of 400 random triangle-free

@@ -250,7 +250,7 @@ class TestCheck:
     # stdout, the stderr lines after the header, and the exit code of
     # check on two disjoint triangles (disconnected, alpha 2) and on C7
     # (connected, alpha 3), recorded before check tested its input's
-    # hypotheses itself.
+    # hypotheses itself; and on input of two graph6 lines.
     @pytest.mark.parametrize(
         "conjecture, host, want_out, want_err, want_code",
         [
@@ -260,13 +260,14 @@ class TestCheck:
             ("4cm", C7, "", "error: 4cm check requires independence number at most 2", 2),
             ("shc-half", TWO_TRIANGLES, "conjecture=shc-half n=6 target=3 holds=unknown\n", "", 3),
             ("shc-half", C7, "", "error: search is intended for hosts with alpha <= 2", 2),
+            ("cdm", "Bw\nBw\n", "", "error: expected exactly one graph6 line on input", 2),
         ],
-        ids=["cdm-2K3", "cdm-C7", "4cm-2K3", "4cm-C7", "shc-half-2K3", "shc-half-C7"],
+        ids=["cdm-2K3", "cdm-C7", "4cm-2K3", "4cm-C7", "shc-half-2K3", "shc-half-C7", "two-lines"],
     )
     def test_hypotheses_of_the_input(
         self, capsys, monkeypatch, conjecture, host, want_out, want_err, want_code
     ):
-        feed(monkeypatch, write_graph6(host))
+        feed(monkeypatch, host if isinstance(host, str) else write_graph6(host))
         code, out, err = run(capsys, "check", "--conjecture", conjecture)
         assert (out, err.splitlines()[1:], code) == (want_out, [want_err] if want_err else [], want_code)
 
@@ -303,12 +304,12 @@ class TestCheck:
 
     def test_4cm_witness_is_verified(self, monkeypatch):
         # 01 is no edge of the complement of C7, so its branch set is not connected.
-        from hadwiger2 import cli
+        from hadwiger2 import cli, conjectures
         from hadwiger2.conjectures import Outcome
         from hadwiger2.matching import Matching
 
         bad = Outcome("found", Matching(((0, 1), (2, 4))))
-        monkeypatch.setattr(cli, "connected_matching_max", lambda g, budget: bad)
+        monkeypatch.setattr(conjectures, "_small_branch_sets", lambda g, singletons, budget: bad)
         with pytest.raises(RuntimeError, match="fails verification"):
             cli._decide("4cm", complement(cycle(7)), None)
 
@@ -410,10 +411,9 @@ class TestCertify:
         ],
     )
     def test_cover4_witness_is_verified(self, capsys, monkeypatch, cover):
-        from hadwiger2 import cli
-        from hadwiger2.conjectures import Outcome
+        from hadwiger2 import certificates
 
-        monkeypatch.setattr(cli, "four_cover_check", lambda g: Outcome("found", cover))
+        monkeypatch.setattr(certificates, "_four_cover", lambda g, rows, base: cover)
         feed(monkeypatch, write_graph6(cycle(5)))
         with pytest.raises(RuntimeError, match="fails verification"):
             main(["certify", "--kind", "cover4"])

@@ -263,6 +263,11 @@ class TestKModels:
         assert not verify_k_model(g, KModel(((0, 1),), 2))
         assert not verify_k_model(g, KModel(((0, 2), (1, 3)), 1))
 
+    def test_verify_rejects_an_empty_branch_set(self):
+        # Without the emptiness test one empty set would pass: it meets no
+        # other set, is disjoint from all, and its order matches.
+        assert not verify_k_model(complete(4), KModel(((),), 1))
+
     def test_had2_examples(self):
         assert had2(cycle(7)) == 2
         assert had2(complete(3)) == 3
@@ -557,3 +562,35 @@ class TestDeepSearches:
         # takes about 15 s; one mask per node keeps it well under the bound.
         with deadline(8, "had2 of K1000"):
             assert had2(complete(1000)) == 1000
+
+
+class TestWitnessesAreVerified:
+    """Each search checks its own witness: a forged kernel result raises
+    instead of reaching the caller."""
+
+    @pytest.mark.parametrize("search", [connected_dominating_matching, conjectures._cdm])
+    def test_cdm_from_the_search(self, monkeypatch, search):
+        # C5 has no dominating edge, and 01 leaves vertex 3 undominated.
+        monkeypatch.setattr(conjectures, "_grow_matching", lambda *a: Outcome("found", ((0, 1),)))
+        with pytest.raises(RuntimeError, match="fails verification"):
+            search(cycle(5), None)
+
+    def test_cdm_from_the_dominating_edge(self, monkeypatch):
+        monkeypatch.setattr(conjectures, "dominating_edge", lambda g: (0, 1))
+        with pytest.raises(RuntimeError, match="fails verification"):
+            connected_dominating_matching(cycle(5))
+
+    def test_half_order_model(self, monkeypatch):
+        # 14 is no edge of C5, so that branch set is not connected.
+        forged = Outcome("found", ((0,), (1, 4), (2, 3)))
+        monkeypatch.setattr(conjectures, "_grow_matching", lambda *a: forged)
+        with pytest.raises(RuntimeError, match="fails verification"):
+            half_order_model_search(cycle(5))
+
+    def test_half_order_model_of_the_wrong_order(self, monkeypatch):
+        # A connected matching of C5 that covers only four vertices is a
+        # K2 model; the search promises a K3.
+        forged = Outcome("found", ((0, 1), (2, 3)))
+        monkeypatch.setattr(conjectures, "_grow_matching", lambda *a: forged)
+        with pytest.raises(RuntimeError, match="fails verification"):
+            half_order_model_search(cycle(5))

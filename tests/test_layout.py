@@ -1,4 +1,5 @@
-"""Package layout: the modules of hadwiger2 import each other without cycles."""
+"""Package layout: the modules of hadwiger2 import each other without
+cycles, and the command line keeps no copy of a witness check."""
 
 import ast
 from pathlib import Path
@@ -79,3 +80,18 @@ def test_check_messages_are_not_formatted_eagerly():
     # check belongs in ``if not cond: raise ConstructionError(f"...")``.
     offenders = {p.name: lines for p in sorted(PACKAGE.glob("*.py")) if (lines := _f_string_checks(p))}
     assert not offenders, f"_check called with an f-string message: {offenders}"
+
+
+def test_cli_verifies_no_witness_itself():
+    # Each witness is checked by the library function that returns it; a
+    # verifier named in cli.py would be a second copy of that check.
+    verifiers = {"is_cdm", "verify_k_model", "verify_certificate", "is_clique"}
+    names = set()
+    for node in ast.walk(ast.parse((PACKAGE / "cli.py").read_text())):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.asname or node.name)
+    assert not verifiers & names, f"cli.py names {sorted(verifiers & names)}"
