@@ -154,9 +154,10 @@ def kneser_certificate(n: int, k: int, t: int, r: int) -> CliqueFamilyCertificat
     equals C(n,k)/aktf_bound(n,k,t).  The certificate is verified on
     K(n,k,>=t) before return.
     """
-    host = generalized_kneser_geq(n, k, t)
+    if not (1 <= k <= n and t >= 1):
+        raise ValueError("need 1 <= k <= n and t >= 1")
     if not (r >= 0 and t + 2 * r <= n):
-        raise ValueError("need r >= 0 and t+2r <= n")
+        raise ValueError("need t >= 1, r >= 0, t+2r <= n, 1 <= k <= n")
     fam = intersecting_family_size(n, k, t, r)
     if fam < 1:
         raise ValueError("empty canonical family; no certificate for these parameters")
@@ -164,9 +165,7 @@ def kneser_certificate(n: int, k: int, t: int, r: int) -> CliqueFamilyCertificat
     label_masks = _subset_masks(n, k)
     cliques = []
     for subset in combinations(range(n), s):
-        sm = 0
-        for x in subset:
-            sm |= 1 << x
+        sm = sum(1 << x for x in subset)
         members = tuple(
             i
             for i, am in enumerate(label_masks)
@@ -174,7 +173,7 @@ def kneser_certificate(n: int, k: int, t: int, r: int) -> CliqueFamilyCertificat
         )
         cliques.append(members)
     cert = CliqueFamilyCertificate(tuple(cliques), Fraction(comb(n, k), fam))
-    if not verify_certificate(host, cert):
+    if not verify_certificate(generalized_kneser_geq(n, k, t), cert):
         raise RuntimeError("kneser certificate fails verification")
     return cert
 

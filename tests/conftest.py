@@ -1401,6 +1401,19 @@ def maximal_cliques_reference(g: Graph) -> Iterator[int]:
         yield from bk(0, g.full_mask, 0)
 
 
+def is_triangle_free_reference(g: Graph) -> bool:
+    """``graphs.is_triangle_free`` as it was before it became
+    ``alpha_at_most_2`` of the complement: no edge u < v whose ends share
+    a neighbour."""
+    for u in range(g.n):
+        ru = g.row(u)
+        high = ru >> (u + 1)
+        for j in bits(high):
+            if ru & g.row(u + 1 + j):
+                return False
+    return True
+
+
 def independence_number_is_2_reference(g: Graph) -> bool:
     """True iff alpha(g) is exactly 2."""
     if not alpha_at_most_2(g):
