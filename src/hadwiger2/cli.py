@@ -20,6 +20,10 @@ plus a human-readable summary; every run prints a reproducibility header
 with the version, seed and arguments.  The seed drives ``build --family
 triangle-free-process`` and defaults to the HADWIGER2_SEED environment
 variable, then 0.
+
+``main(argv)`` may be called many times in one process: the argument
+parser is built on the first call and reused, and each call reads its
+own argv and HADWIGER2_SEED.  A shell run builds it once, as before.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ import argparse
 import os
 import sys as _sys
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 
 from . import __version__
 from .certificates import (
@@ -344,6 +348,10 @@ def cmd_screen(args, seed: int) -> int:
 # ---------------------------------------------------------------------------
 
 
+# Built on the first ``main`` call, not at import, and then reused:
+# ``parse_args`` returns a new namespace and leaves the parser as it
+# was, and every default is a constant.
+@cache
 def _parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="hadwiger2",

@@ -396,8 +396,12 @@ def _small_branch_sets(g: Graph, singletons: bool, budget: int | None = None) ->
 
 def k_model_size2_max(g: Graph) -> KModel:
     """Largest complete-graph model with branch sets of size 1 or 2: the
-    exhaustive ``_small_branch_sets`` search with singletons."""
-    return _small_branch_sets(g, singletons=True).witness
+    exhaustive ``_small_branch_sets`` search with singletons, checked with
+    ``verify_k_model`` before return."""
+    model = _small_branch_sets(g, singletons=True).witness
+    if not verify_k_model(g, model):
+        raise RuntimeError("small branch set search returned a model that fails verification")
+    return model
 
 
 def had2(g: Graph) -> int:
@@ -460,6 +464,8 @@ def connected_perfect_matching_search(g: Graph, budget: int | None = NODE_BUDGET
 
     ``_grow_matching`` with every vertex to be matched.  Exact: "found",
     "refuted", or "unknown" when ``budget`` nodes, if given, are spent.
+    A witness is checked with ``verify_k_model`` before return; its
+    target order n/2 makes the check cover every vertex.
     """
     if g.n % 2:
         raise ValueError("perfect matchings need an even number of vertices")
@@ -468,7 +474,10 @@ def connected_perfect_matching_search(g: Graph, budget: int | None = NODE_BUDGET
     got = _grow_matching(g, [(-1, g.full_mask, 0, ())], g.full_mask, budget)
     if got.status != "found":
         return got
-    return Outcome("found", KModel(got.witness, len(got.witness)), got.nodes)
+    model = KModel(got.witness, g.n // 2)
+    if not verify_k_model(g, model):
+        raise RuntimeError("connected perfect matching search returned a matching that fails verification")
+    return Outcome("found", model, got.nodes)
 
 
 def half_order_model_search(g: Graph, budget: int | None = NODE_BUDGET) -> Outcome:

@@ -2,6 +2,7 @@
 
 import hashlib
 import io
+import json
 import os
 import pathlib
 import subprocess
@@ -469,7 +470,7 @@ def _codes_and_numpy(argvs, then="") -> str:
     """Run each argv through ``cli.main`` in a fresh interpreter (conftest
     imports numpy), then the statement ``then``, and return its line: the
     exit codes, then whether numpy was imported."""
-    script = (
+    return _fresh_python(
         "import contextlib, io, sys\n"
         "from hadwiger2 import cli\n"
         f"argvs = {argvs!r}\n"
@@ -478,6 +479,11 @@ def _codes_and_numpy(argvs, then="") -> str:
         f"{then}\n"
         "print(codes, 'numpy' in sys.modules)\n"
     )
+
+
+def _fresh_python(script: str) -> str:
+    """Run ``script`` in a fresh interpreter that imports hadwiger2 from
+    this checkout, and return its stdout."""
     src = pathlib.Path(__file__).resolve().parents[1] / "src"
     done = subprocess.run(
         [sys.executable, "-c", script],
@@ -531,6 +537,78 @@ def test_orbit_screen_does_not_import_numpy(steiner_system, tmp_path):
         path.write_text(write_graph6(complement(host)) + "\n")
         argvs.append(["screen", "--in", str(path)])
     assert _codes_and_numpy(argvs) == "[0, 0] False\n"
+
+
+def _main_steps(steps) -> list[tuple[int, str, str]]:
+    """Run each ``(argv, HADWIGER2_SEED)`` step through ``cli.main``, in
+    order, in one fresh interpreter: the exit code, stdout and stderr of
+    each call."""
+    got = _fresh_python(
+        "import contextlib, io, json, os\n"
+        "from hadwiger2 import cli\n"
+        "results = []\n"
+        f"for argv, seed in {steps!r}:\n"
+        "    os.environ['HADWIGER2_SEED'] = seed\n"
+        "    out, err = io.StringIO(), io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+        "        code = cli.main(argv)\n"
+        "    results.append((code, out.getvalue(), err.getvalue()))\n"
+        "print(json.dumps(results))\n"
+    )
+    return [tuple(r) for r in json.loads(got)]
+
+
+def test_repeated_main_calls_match_fresh_interpreters(tmp_path):
+    # One process reuses one parser for every call.  Each call must still
+    # get back the default budget, report a usage error or --help as a
+    # fresh interpreter does, and read HADWIGER2_SEED anew.
+    c5 = tmp_path / "c5.g6"
+    c5.write_text(write_graph6(cycle(5)) + "\n")
+    check = ["check", "--conjecture", "cdm", "--in", str(c5)]
+    build = ["build", "--family", "triangle-free-process", "--n", "12"]
+    steps = [
+        (check + ["--budget", "0"], "0"),
+        (check, "0"),
+        (["check", "--conjecture", "nope"], "0"),
+        (check, "0"),
+        (["--help"], "0"),
+        (check, "0"),
+        (build, "1"),
+        (build, "2"),
+    ]
+    together = _main_steps(steps)
+    assert together == [_main_steps([step])[0] for step in steps]
+    assert [code for code, _, _ in together] == [3, 0, 2, 0, 0, 0, 0, 0]
+    assert "holds=unknown" in together[0][1] and "holds=true" in together[1][1]
+    assert "invalid choice: 'nope'" in together[2][2] and "usage: hadwiger2" in together[4][1]
+    assert "seed=1 " in together[6][2] and "seed=2 " in together[7][2]
+    assert together[6][1] != together[7][1]
+
+
+def test_parser_is_built_on_the_first_call_only():
+    # Importing cli builds no parser; the first main call builds the
+    # top-level parser and its subparsers, and later calls, a usage error
+    # and --help among them, build none.
+    got = _fresh_python(
+        "import argparse, contextlib, io, json\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def counting(self, *args, **kwargs):\n"
+        "    built.append(kwargs.get('prog'))\n"
+        "    init(self, *args, **kwargs)\n"
+        "argparse.ArgumentParser.__init__ = counting\n"
+        "from hadwiger2 import cli\n"
+        "seen = [list(built)]\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        "    for argv in (['build', '--family', 'petersen'], ['check', '--conjecture', 'nope'], ['--help']):\n"
+        "        cli.main(argv)\n"
+        "        seen.append(list(built))\n"
+        "print(json.dumps(seen))\n"
+    )
+    at_import, *after_calls = json.loads(got)
+    assert at_import == []
+    assert after_calls[0].count("hadwiger2") == 1
+    assert after_calls == [after_calls[0]] * 3
 
 
 class TestWorkersAndComplement:

@@ -594,3 +594,25 @@ class TestWitnessesAreVerified:
         monkeypatch.setattr(conjectures, "_grow_matching", lambda *a: forged)
         with pytest.raises(RuntimeError, match="fails verification"):
             half_order_model_search(cycle(5))
+
+    def test_k_model_size2_max(self, monkeypatch):
+        # 0 and 2 are not adjacent in C5, so the singletons are no K2 model.
+        forged = Outcome("found", KModel(((0,), (2,)), 2))
+        monkeypatch.setattr(conjectures, "_small_branch_sets", lambda *a, **k: forged)
+        with pytest.raises(RuntimeError, match="fails verification"):
+            k_model_size2_max(cycle(5))
+        with pytest.raises(RuntimeError, match="fails verification"):
+            had2(cycle(5))
+
+    def test_connected_perfect_matching(self, monkeypatch):
+        # The edges of C6 are the non-edges of its complement.
+        forged = Outcome("found", ((0, 1), (2, 3), (4, 5)))
+        monkeypatch.setattr(conjectures, "_grow_matching", lambda *a: forged)
+        with pytest.raises(RuntimeError, match="fails verification"):
+            connected_perfect_matching_search(complement(cycle(6)))
+
+    def test_connected_perfect_matching_that_is_not_perfect(self, monkeypatch):
+        # One edge of K4 is a connected matching, but it leaves 2 and 3 bare.
+        monkeypatch.setattr(conjectures, "_grow_matching", lambda *a: Outcome("found", ((0, 1),)))
+        with pytest.raises(RuntimeError, match="fails verification"):
+            connected_perfect_matching_search(complete(4))

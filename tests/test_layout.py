@@ -95,3 +95,29 @@ def test_cli_verifies_no_witness_itself():
         elif isinstance(node, ast.alias):
             names.add(node.asname or node.name)
     assert not verifiers & names, f"cli.py names {sorted(verifiers & names)}"
+
+
+def _calls(nodes, name: str) -> list[int]:
+    """Lines within ``nodes`` that call ``name``, plain or as an attribute."""
+    return [
+        n.lineno
+        for node in nodes
+        for n in ast.walk(node)
+        if isinstance(n, ast.Call) and name in (getattr(n.func, "id", None), getattr(n.func, "attr", None))
+    ]
+
+
+def test_cli_builds_its_parser_only_in_parser():
+    # ``main`` reuses the one parser that the cached ``_parser`` builds on
+    # the first call.  A parser built in another function would be built
+    # per call, and one built by the module body, at import.
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    bodies, at_import = {}, []
+    for stmt in tree.body:
+        if isinstance(stmt, ast.FunctionDef):
+            bodies[stmt.name] = stmt.body
+            at_import += stmt.decorator_list + stmt.args.defaults + [d for d in stmt.args.kw_defaults if d]
+        else:
+            at_import.append(stmt)
+    assert {name for name, body in bodies.items() if _calls(body, "ArgumentParser")} == {"_parser"}
+    assert not _calls(at_import, "ArgumentParser") and not _calls(at_import, "_parser")
