@@ -13,10 +13,10 @@ descent supplies the incumbent; it and Bron-Kerbosch go omega deep, so
 both searches keep their nodes on an explicit stack.
 
 ``colour_classes`` is the one exact k-colouring kernel (DSATUR); the
-four-clique covers colour the complement with it.  It keeps one mask
-per colour of the vertices where that colour is forbidden, so colouring
-a vertex or undoing it updates all its neighbours with a few whole-word
-operations instead of a loop over them.
+four-clique covers colour the complement with it.  One mask per colour
+holds the vertices where it is forbidden, so a colouring or its undo
+updates all neighbours in a few whole-word operations, and forced and
+dead vertices go in index order: only branch points scan for a tie-break.
 """
 
 from __future__ import annotations
@@ -158,12 +158,15 @@ def colour_classes(rows: list[int], k: int) -> list[int] | None:
     in ``has[c]`` and xored out again on backtrack.  The uncoloured
     vertices sit in saturation buckets, ``level[s]`` holding those with s
     forbidden colours as a bitmask, so a step looks only at the highest
-    non-empty bucket.  The newly forbidden mask moves up one bucket by k
-    masked moves from the top bucket down, and back by k moves from the
-    bottom up, never vertex by vertex.  Nothing is forbidden or freed at
-    a coloured vertex, so on backtrack it returns to the bucket its frame
-    took it from.  An explicit stack keeps deep searches off the recursion
-    limit.
+    non-empty bucket.  At k - 1 (one colour left) or k (none) it takes the
+    lowest vertex unscanned: forced colourings commute (unit propagation
+    reaches one fixpoint or wipe-out in any order), so every branching
+    decision and class list is DSATUR's.  The newly forbidden mask moves
+    up a bucket by k masked moves from the top down, and back by k moves
+    from the bottom up, never vertex by vertex.  Nothing is forbidden or
+    freed at a coloured vertex, so on backtrack it returns to the bucket
+    its frame took it from.  An explicit stack keeps deep searches off
+    the recursion limit.
     """
     has = [0] * k
     classes = [0] * k
@@ -171,22 +174,25 @@ def colour_classes(rows: list[int], k: int) -> list[int] | None:
     level = [uncoloured] + [0] * k
     up = range(k - 1, -1, -1)
     down = range(1, k + 1)
+    used = 0  # non-empty classes
     stack = []  # [vertex, untried colours, colour, vertices it newly forbade, bucket]
     while uncoloured:
         s = k
         while not level[s]:
             s -= 1
         rest = level[s]
-        most = -1
-        while rest:
-            low = rest & -rest
-            w = low.bit_length() - 1
-            d = (rows[w] & uncoloured).bit_count()
-            if d > most:
-                most, v = d, w
-            rest ^= low
+        if s >= k - 1:  # forced or dead: unit propagation commutes
+            v = (rest & -rest).bit_length() - 1
+        else:
+            most = -1
+            while rest:
+                low = rest & -rest
+                w = low.bit_length() - 1
+                d = (rows[w] & uncoloured).bit_count()
+                if d > most:
+                    most, v = d, w
+                rest ^= low
         level[s] ^= 1 << v
-        used = k - classes.count(0)
         options = 0
         for c in range(min(used + 1, k)):
             if not has[c] >> v & 1:
@@ -198,12 +204,14 @@ def colour_classes(rows: list[int], k: int) -> list[int] | None:
             v, options, c, changed, s = frame
             if c >= 0:
                 classes[c] ^= 1 << v
+                used -= not classes[c]
                 if changed:
                     has[c] ^= changed
                     for t in down:
                         moving = level[t] & changed
-                        level[t] ^= moving
-                        level[t - 1] |= moving
+                        if moving:
+                            level[t] ^= moving
+                            level[t - 1] |= moving
             if options:
                 c = (options & -options).bit_length() - 1
                 changed = rows[v] & uncoloured & ~has[c]
@@ -211,8 +219,10 @@ def colour_classes(rows: list[int], k: int) -> list[int] | None:
                     has[c] |= changed
                     for t in up:
                         moving = level[t] & changed
-                        level[t] ^= moving
-                        level[t + 1] |= moving
+                        if moving:
+                            level[t] ^= moving
+                            level[t + 1] |= moving
+                used += not classes[c]
                 classes[c] |= 1 << v
                 frame[1:4] = options & (options - 1), c, changed
                 break

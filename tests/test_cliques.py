@@ -15,7 +15,7 @@ from hadwiger2.cliques import (
     max_clique,
     maximal_cliques,
 )
-from hadwiger2.generation import independent_set_masks
+from hadwiger2.generation import connected_alpha2_graphs, independent_set_masks
 from hadwiger2.graphs import Graph, bits, complement
 from hadwiger2.rng import SplitMix64
 from hadwiger2.constructions import (
@@ -36,6 +36,7 @@ from hadwiger2.constructions import (
 from hadwiger2.steiner import gewirtz, higman_sims, mesner
 
 from conftest import (
+    _colourable,
     _recursion_headroom,
     all_cliques_reference,
     brute_clique_number,
@@ -321,7 +322,7 @@ def test_maximal_cliques_are_maximal_and_exhaustive(g):
 
 # ---------------------------------------------------------------------------
 # The bucketed DSATUR kernel against the scan-every-vertex reference: the
-# same choice order gives the same search tree, hence the same class list.
+# same branching decisions give the same class list.
 
 
 def _twin_rows(rows, x, y):
@@ -362,6 +363,46 @@ def test_colour_classes_matches_reference_on_triangle_free_process():
     for seed in range(6):
         rows = list(triangle_free_process(60, seed).rows())
         assert colour_classes(rows, 4) == dsatur_reference(rows, 4), seed
+
+
+def test_colour_classes_matches_reference_on_more_twin_rows(steiner_system):
+    # Pairs x = y, adjacent, non-adjacent, and (2, 40), whose closed twins
+    # on Mesner are the costly refutation; forced runs are long here.
+    for host in (hoffman_singleton(), gewirtz(steiner_system)):
+        rows = list(host.rows())
+        n = host.n
+        adjacent = (rows[0] & -rows[0]).bit_length() - 1
+        apart = next(v for v in range(1, n) if not rows[0] >> v & 1)
+        for x, y in ((5, 5), (n - 1, n - 1), (0, adjacent), (0, apart), (2, 40), (7, 30)):
+            twins = _twin_rows(rows, x, y)
+            assert colour_classes(twins, 4) == dsatur_reference(twins, 4), (n, x, y)
+
+
+def test_colour_classes_matches_reference_on_dense_complements():
+    for g in (kneser(7, 3), clebsch()):
+        for h in (g, complement(g)):
+            rows = list(h.rows())
+            for k in (3, 4, 5):
+                assert colour_classes(rows, k) == dsatur_reference(rows, k), (h.n, k)
+
+
+def test_colour_classes_decides_like_brute_force(tf_levels_8):
+    # An oracle that is not DSATUR: plain backtracking in index order.
+    rng = SplitMix64(20261021)
+    graphs = [g for n in range(1, 9) for g in connected_alpha2_graphs(n, tf_levels_8)]
+    graphs += [random_graph(rng.randrange(10), rng.randrange(101), rng) for _ in range(1500)]
+    for g in graphs:
+        rows = list(g.rows())
+        for k in range(1, 6):
+            classes = colour_classes(rows, k)
+            assert (classes is not None) == _colourable(g, k), (g.edges(), k)
+            if classes is not None:
+                assert len(classes) == k
+                union = 0
+                for m in classes:
+                    assert not union & m and all(not rows[v] & m for v in bits(m))
+                    union |= m
+                assert union == g.full_mask
 
 
 def test_four_cover_witnesses_match_reference(steiner_system, monkeypatch):
