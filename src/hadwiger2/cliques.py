@@ -1,4 +1,4 @@
-"""Exact maximum clique and clique enumeration over bitset adjacency.
+"""Exact maximum clique and exact colouring over bitset adjacency.
 
 The solver is a branch-and-bound in the Tomita style: candidates are
 greedily partitioned into independent classes, and branches are explored
@@ -9,8 +9,8 @@ computed first, in exact rational arithmetic on a small quotient matrix;
 the search stops as soon as its incumbent meets the bound, which settles
 the large vertex-transitive instances (Kneser-type graphs, block-graph
 complements) where the colouring bound is far from tight.  The first
-descent supplies the incumbent; it and Bron-Kerbosch go omega deep, so
-both searches keep their nodes on an explicit stack.
+descent supplies the incumbent and goes omega deep, so the search keeps
+its nodes on an explicit stack.
 
 ``colour_classes`` is the one exact k-colouring kernel (DSATUR); the
 four-clique covers colour the complement with it.  One mask per colour
@@ -22,7 +22,6 @@ dead vertices go in index order: only branch points scan for a tie-break.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterator
 
 from .constructions import srg_parameters
 from .graphs import Graph, bits, complement
@@ -232,29 +231,3 @@ def colour_classes(rows: list[int], k: int) -> list[int] | None:
         else:
             return None
     return classes
-
-
-def maximal_cliques(g: Graph) -> Iterator[int]:
-    """All maximal cliques as bitmasks (Bron-Kerbosch with pivoting)."""
-    rows = g.rows()
-
-    def node(r: int, p: int, x: int) -> list[int]:
-        # Pivot on the vertex of p|x covering most of p.
-        pivot = max(bits(p | x), key=lambda u: (rows[u] & p).bit_count())
-        return [r, p, x, p & ~rows[pivot]]
-
-    stack = [node(0, g.full_mask, 0)] if g.n else []
-    while stack:
-        frame = stack[-1]
-        r, p, x, branch = frame
-        if not branch:
-            stack.pop()
-            continue
-        vb = branch & -branch
-        v = vb.bit_length() - 1
-        frame[1:] = p & ~vb, x | vb, branch ^ vb
-        p, x = p & rows[v], x & rows[v]
-        if p:
-            stack.append(node(r | vb, p, x))
-        elif not x:
-            yield r | vb

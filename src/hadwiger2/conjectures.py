@@ -22,8 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Literal
 
-from .cliques import maximal_cliques
-from .generation import independent_set_masks
 from .graphs import (
     Graph,
     InflationSpec,
@@ -518,7 +516,6 @@ class SeagullReport:
     connectivity_ok: bool
     clique_condition_ok: bool
     matching_ok: bool
-    clique_condition_exact: bool
 
     @property
     def all_ok(self) -> bool:
@@ -530,13 +527,48 @@ class SeagullReport:
         )
 
 
-def seagull_conditions(g: Graph, k: int) -> SeagullReport:
-    """The four packing conditions for k vertex-disjoint seagulls.
+def _clique_condition_ok(g: Graph, k: int) -> bool:
+    """Whether every clique C of g, the empty one included, has
+    n - |C| + mixed(C) >= 2k, where mixed(C) counts the vertices outside C
+    with both a neighbour and a non-neighbour in C.
 
-    The clique condition quantifies over all cliques up to 16 vertices
-    (exact); above that only maximal cliques are enumerated and the
-    report is flagged as necessary-side only.
+    A depth-first search over the cliques in index order, on an explicit
+    stack: each clique is extended only by its common neighbours above its
+    largest vertex (its candidates), so each is visited once.  A vertex
+    mixed on C is no candidate, and stays outside and mixed on every
+    extension of C by candidates; so no extension violates the condition
+    when n - |C| - |candidates| + mixed(C) >= 2k, and the node is cut.
     """
+    n, rows = g.n, g.rows()
+    if n < 2 * k:
+        return False
+    # [clique, untried candidates, union of its rows, intersection of its rows]
+    stack = [[0, g.full_mask, 0, g.full_mask]]
+    while stack:
+        frame = stack[-1]
+        clique, cand, seen, common = frame
+        if not cand:
+            stack.pop()
+            continue
+        low = cand & -cand
+        frame[1] = cand ^ low
+        row = rows[low.bit_length() - 1]
+        clique, cand, seen, common = clique | low, (cand ^ low) & row, seen | row, common & row
+        # The vertices outside that see C, less those that see all of it.
+        mixed = (seen & ~clique).bit_count() - common.bit_count()
+        slack = n - clique.bit_count() + mixed - 2 * k
+        if slack < 0:
+            return False
+        if slack < cand.bit_count():
+            stack.append([clique, cand, seen, common])
+    return True
+
+
+def seagull_conditions(g: Graph, k: int) -> SeagullReport:
+    """The four packing conditions for k vertex-disjoint seagulls
+    (Chudnovsky and Seymour, "Packing seagulls"): n >= 3k, k-connectivity,
+    the clique condition over every clique (``_clique_condition_ok``), and
+    a matching of size k in the complement."""
     if not alpha_at_most_2(g):
         raise ValueError("seagull conditions require alpha <= 2")
     if k < 1:
@@ -544,22 +576,8 @@ def seagull_conditions(g: Graph, k: int) -> SeagullReport:
     n = g.n
     size_ok = n >= 3 * k
     connectivity_ok = n >= 2 and vertex_connectivity(g, at_least=k) >= k
-    exact = n <= 16
-    # The independent sets of the complement are the cliques of g.
-    clique_source = independent_set_masks(complement(g)) if exact else maximal_cliques(g)
-    clique_ok = True
-    for cmask in clique_source:
-        outside = g.full_mask & ~cmask
-        d = 0
-        for v in bits(outside):
-            rv = g.row(v)
-            if rv & cmask and cmask & ~rv:
-                d += 1
-        if d + outside.bit_count() < 2 * k:
-            clique_ok = False
-            break
     matching_ok = matching_number(complement(g)) >= k
-    return SeagullReport(size_ok, connectivity_ok, clique_ok, matching_ok, exact)
+    return SeagullReport(size_ok, connectivity_ok, _clique_condition_ok(g, k), matching_ok)
 
 
 def _induced_seagulls(g: Graph) -> list[tuple[int, int, int]]:
@@ -567,38 +585,43 @@ def _induced_seagulls(g: Graph) -> list[tuple[int, int, int]]:
     out = []
     for c in range(g.n):
         rc = g.row(c)
-        nbrs = list(bits(rc))
-        for i, a in enumerate(nbrs):
-            for b in nbrs[i + 1:]:
-                if not g.has_edge(a, b):
-                    out.append((a, c, b))
+        for a in bits(rc):
+            out.extend((a, c, b) for b in bits(rc & ~g.row(a) & -(2 << a)))
     return out
 
 
 def seagull_pack_exact(g: Graph, k: int) -> list[tuple[int, int, int]] | None:
-    """k vertex-disjoint induced 3-paths by backtracking, or None."""
+    """k vertex-disjoint induced 3-paths, or None: the lexicographically
+    first choice of indices into ``_induced_seagulls``, by backtracking on
+    an explicit stack, checked before return."""
     if not alpha_at_most_2(g):
         raise ValueError("seagull packing requires alpha <= 2")
+    if k < 1:
+        raise ValueError("k must be positive")
     seagulls = _induced_seagulls(g)
-
-    def dfs(start: int, used: int, chosen: list) -> list | None:
-        if len(chosen) == k:
-            return list(chosen)
+    masks = [(1 << a) | (1 << c) | (1 << b) for a, c, b in seagulls]
+    chosen: list[int] = []  # indices of the seagulls taken so far
+    i = used = 0  # the next index to try; the vertices taken
+    while len(chosen) < k:
         if g.n - used.bit_count() < 3 * (k - len(chosen)):
+            i = len(masks)
+        while i < len(masks) and used & masks[i]:
+            i += 1
+        if i < len(masks):
+            chosen.append(i)
+            used |= masks[i]
+        elif chosen:
+            i = chosen.pop()
+            used ^= masks[i]
+        else:
             return None
-        for i in range(start, len(seagulls)):
-            a, c, b = seagulls[i]
-            m = (1 << a) | (1 << c) | (1 << b)
-            if used & m:
-                continue
-            chosen.append((a, c, b))
-            got = dfs(i + 1, used | m, chosen)
-            chosen.pop()
-            if got is not None:
-                return got
-        return None
-
-    return dfs(0, 0, [])
+        i += 1
+    pack = [seagulls[i] for i in chosen]
+    if len({v for s in pack for v in s}) != 3 * k or not all(
+        g.has_edge(a, c) and g.has_edge(c, b) and not g.has_edge(a, b) for a, c, b in pack
+    ):
+        raise RuntimeError("seagull packing search returned a packing that fails verification")
+    return pack
 
 
 # ---------------------------------------------------------------------------

@@ -1380,6 +1380,30 @@ def all_cliques_reference(g: Graph) -> Iterator[int]:
     yield from grow(0, g.full_mask)
 
 
+def clique_search_reference(g: Graph, k: int) -> list[int]:
+    """The cliques that the seagull clique-condition search visits, in
+    order, the empty one first: cliques in index order, each extended by its
+    common neighbours above its largest vertex (its candidates) unless
+    n - |C| - |candidates| + mixed(C) >= 2k, up to and including the first
+    with n - |C| + mixed(C) < 2k.  By recursion, with mixed(C) counted
+    vertex by vertex."""
+    rows = g.rows()
+    visits = []
+
+    def visit(c: int, cand: int) -> bool:
+        visits.append(c)
+        mixed = sum(1 for v in bits(g.full_mask & ~c) if rows[v] & c and c & ~rows[v])
+        value = g.n - c.bit_count() + mixed
+        if value < 2 * k:
+            return True
+        if value - cand.bit_count() < 2 * k:
+            return any(visit(c | 1 << v, cand & rows[v] & -(2 << v)) for v in bits(cand))
+        return False
+
+    visit(0, g.full_mask)
+    return visits
+
+
 def maximal_cliques_reference(g: Graph) -> Iterator[int]:
     """All maximal cliques as bitmasks (Bron-Kerbosch with pivoting), by
     the recursive generator the explicit-stack one replaced."""

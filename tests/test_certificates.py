@@ -48,6 +48,7 @@ from conftest import (
     classify_good_bad_reference,
     four_cover_reference,
     grow_matching_reference,
+    maximal_cliques_reference,
     milp_cover4,
     random_graph,
 )
@@ -245,10 +246,9 @@ class TestLifting:
             base = random_graph(n, 30 + rng.randrange(60), rng)
             mult = tuple(1 + rng.randrange(3) for _ in range(n))
             spec = InflationSpec(base, mult)
-            from hadwiger2.cliques import maximal_cliques
             from hadwiger2.graphs import bits
 
-            cliques = [tuple(bits(m)) for m in maximal_cliques(base)]
+            cliques = [tuple(bits(m)) for m in maximal_cliques_reference(base)]
             rng.shuffle(cliques)
             cover = []
             seen = set()

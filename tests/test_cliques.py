@@ -13,7 +13,6 @@ from hadwiger2.cliques import (
     colour_classes,
     is_clique,
     max_clique,
-    maximal_cliques,
 )
 from hadwiger2.generation import connected_alpha2_graphs, independent_set_masks
 from hadwiger2.graphs import Graph, bits, complement
@@ -44,7 +43,6 @@ from conftest import (
     deadline,
     dsatur_reference,
     max_clique_reference,
-    maximal_cliques_reference,
     random_graph,
 )
 from test_graphs import graphs_strategy
@@ -139,10 +137,6 @@ class TestDeepSearches:
         with _recursion_headroom(100), deadline(5, "max_clique of the chorded C1001 complement"):
             got = max_clique(g)
         assert len(got) == 500 and is_clique(g, got)
-
-    def test_maximal_cliques_of_k400(self):
-        with _recursion_headroom(100):
-            assert list(maximal_cliques(complete(400))) == [complete(400).full_mask]
 
 
 def test_spectral_certificate_agrees_with_search():
@@ -275,12 +269,6 @@ def test_ratio_bound_path_meets_integer_hoffman_bound(steiner_system, monkeypatc
         assert is_clique(g, clique)
 
 
-def test_maximal_cliques_of_c5():
-    masks = sorted(maximal_cliques(cycle(5)))
-    assert len(masks) == 5
-    assert all(m.bit_count() == 2 for m in masks)
-
-
 def test_all_cliques_counts():
     # The cliques of g are the independent sets of its complement.
     # C5: empty + 5 vertices + 5 edges
@@ -293,31 +281,6 @@ def test_clique_masks_match_all_cliques_reference(differential_graphs):
     # Same masks in the same depth-first order, the empty clique first.
     for g in differential_graphs:
         assert independent_set_masks(complement(g)) == list(all_cliques_reference(g)), g.edges()
-
-
-def test_maximal_cliques_match_reference(differential_graphs):
-    # Same cliques in the same order as the recursive generator.
-    for g in differential_graphs:
-        assert list(maximal_cliques(g)) == list(maximal_cliques_reference(g)), g.edges()
-    for host in (petersen(), clebsch(), andrasfai(6)):
-        g = complement(host)
-        assert list(maximal_cliques(g)) == list(maximal_cliques_reference(g))
-
-
-@given(graphs_strategy(max_n=7))
-@settings(max_examples=40, deadline=None)
-def test_maximal_cliques_are_maximal_and_exhaustive(g):
-    masks = list(maximal_cliques(g))
-    seen = set(masks)
-    assert len(seen) == len(masks)
-    for m in masks:
-        assert is_clique(g, list(bits(m)))
-        for v in range(g.n):
-            if not m >> v & 1:
-                assert not is_clique(g, list(bits(m)) + [v]) or m & (1 << v)
-    # every maximum clique size appears
-    if g.n:
-        assert max((m.bit_count() for m in masks), default=0) == brute_clique_number(g)
 
 
 # ---------------------------------------------------------------------------

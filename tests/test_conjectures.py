@@ -1,7 +1,9 @@
 """Conjecture checkers: dominating edges, connected (dominating) matchings,
 small-branch-set models, seagulls, unavoidable scans."""
 
+from functools import partial
 from itertools import combinations
+from types import SimpleNamespace
 
 import networkx as nx
 import pytest
@@ -42,7 +44,7 @@ from hadwiger2.constructions import (
     wheel5,
 )
 from hadwiger2.generation import connected_alpha2_graphs
-from hadwiger2.graphs import Graph, InflationSpec, complement, inflate
+from hadwiger2.graphs import Graph, InflationSpec, bits, complement, inflate
 from hadwiger2.matching import Matching
 from hadwiger2.rng import SplitMix64
 from hadwiger2.steiner import gewirtz, mesner
@@ -51,19 +53,25 @@ from conftest import (
     _dominating_edge_reference,
     _is_connected_matching,
     _recursion_headroom,
+    all_cliques_reference,
     all_matchings,
     brute_connected_matching_number,
     cdm_reference,
+    clique_search_reference,
     connected_perfect_matching_reference,
     deadline,
     girth5_cdm_construct_reference,
     half_order_reference,
     is_cdm_reference,
+    maximal_cliques_reference,
     random_graph,
     small_branch_sets_reference,
 )
 
 TWO_TRIANGLES = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+# The clique {1, 2, 3} of H6 is not maximal, yet 6 - 3 + 0 < 4 breaks the
+# seagull clique condition at k = 2.
+H6 = Graph(6, [(0, 4), (0, 5), (1, 2), (1, 3), (1, 4), (1, 5), (2, 3), (2, 4), (2, 5), (3, 4), (3, 5)])
 
 
 class TestDominatingEdge:
@@ -392,7 +400,7 @@ def _brute_connected_perfect(g: Graph) -> bool:
 class TestSeagulls:
     def test_c5_packs_one(self):
         rep = seagull_conditions(cycle(5), 1)
-        assert rep.all_ok and rep.clique_condition_exact
+        assert rep.all_ok
         pack = seagull_pack_exact(cycle(5), 1)
         assert pack is not None and len(pack) == 1
 
@@ -411,6 +419,90 @@ class TestSeagulls:
     def test_alpha_check(self):
         with pytest.raises(ValueError):
             seagull_conditions(cycle(7), 1)
+
+    def test_non_maximal_violator_of_an_inflation(self):
+        # Tripling each vertex of H6 keeps a violating clique at k = 6 that
+        # no maximal clique of the 18-vertex inflation reveals.
+        g = inflate(InflationSpec(H6, (3,) * 6))
+        assert min(map(partial(_clique_value, g), maximal_cliques_reference(g))) >= 12
+        rep = seagull_conditions(g, 6)
+        assert not rep.clique_condition_ok and not rep.all_ok
+
+
+def _clique_value(g: Graph, c: int) -> int:
+    """n - |C| + mixed(C), with mixed(C) the vertices outside the clique C
+    that have both a neighbour and a non-neighbour in it."""
+    rows = g.rows()
+    return g.n - c.bit_count() + sum(1 for v in bits(g.full_mask & ~c) if rows[v] & c and c & ~rows[v])
+
+
+class _RowReads:
+    """Rows that count their reads: the clique search reads one row per
+    clique it visits, the empty one aside."""
+
+    def __init__(self, rows: tuple[int, ...]):
+        self.rows, self.reads = rows, 0
+
+    def __getitem__(self, v: int) -> int:
+        self.reads += 1
+        return self.rows[v]
+
+
+def _clique_search_visits(g: Graph, k: int) -> tuple[bool, int]:
+    """The answer of the clique-condition search and how many cliques it
+    visits, the empty one included."""
+    rows = _RowReads(g.rows())
+    ok = conjectures._clique_condition_ok(SimpleNamespace(n=g.n, full_mask=g.full_mask, rows=lambda: rows), k)
+    return ok, rows.reads + 1
+
+
+def _clique_condition_agrees(g: Graph) -> None:
+    """The clique condition at every k <= n/3 + 1 against a scan of every
+    clique, the empty one included; and the cliques the search visits
+    against the recursive reference, which pins the cut: a weaker cut gives
+    the same answers after more visits."""
+    least = min(map(partial(_clique_value, g), all_cliques_reference(g)))
+    for k in range(1, g.n // 3 + 2):
+        assert seagull_conditions(g, k).clique_condition_ok == (least >= 2 * k), (g.edges(), k)
+        assert _clique_search_visits(g, k)[1] == len(clique_search_reference(g, k)), (g.edges(), k)
+
+
+class TestCliqueConditionMatchesEveryClique:
+    def test_every_connected_alpha2_graph_to_9(self, tf_levels_9):
+        for n in range(1, 10):
+            for g in connected_alpha2_graphs(n, tf_levels_9):
+                _clique_condition_agrees(g)
+
+    def test_inflations_of_small_violators(self, tf_levels_8):
+        # The hosts on at most 7 vertices where a clique that is not
+        # maximal scores below every maximal one, inflated with seeded
+        # multiplicities 1 to 4 to 17-24 vertices.
+        violators = [
+            g
+            for n in range(1, 8)
+            for g in connected_alpha2_graphs(n, tf_levels_8)
+            if min(map(partial(_clique_value, g), all_cliques_reference(g)))
+            < min(map(partial(_clique_value, g), maximal_cliques_reference(g)))
+        ]
+        rng = SplitMix64(38)
+        done = 0
+        while done < 40:
+            base = violators[rng.randrange(len(violators))]
+            mult = tuple(1 + rng.randrange(4) for _ in range(base.n))
+            if 17 <= sum(mult) <= 24:
+                _clique_condition_agrees(inflate(InflationSpec(base, mult)))
+                done += 1
+
+    def test_visits_on_named_hosts(self, steiner_system):
+        # Too many cliques to scan, so the answers and visits are compared
+        # with the recursive reference only.
+        hosts = [clebsch(), kneser(7, 3), hoffman_singleton()]
+        hosts += [gewirtz(steiner_system), mesner(steiner_system)]
+        for g in map(complement, hosts):
+            for k in sorted({1, g.n // 6, g.n // 3}):
+                visits = clique_search_reference(g, k)
+                ok = all(_clique_value(g, c) >= 2 * k for c in visits)
+                assert _clique_search_visits(g, k) == (ok, len(visits)), (g.n, k)
 
 
 class TestUnavoidableScan:
@@ -506,7 +598,7 @@ class TestStackKernelsMatchRecursion:
 
 
 class TestDeepSearches:
-    # Each search goes 200 to 1,200 levels deep, past 100 frames of
+    # Each search goes 110 to 1,200 levels deep, past 100 frames of
     # headroom.
 
     def test_connected_perfect_matching_of_k400(self):
@@ -530,11 +622,16 @@ class TestDeepSearches:
             assert had2(complete(400)) == 400
 
     def test_seagull_conditions_of_k1200(self):
-        # Above 16 vertices the clique condition enumerates maximal cliques,
-        # and Bron-Kerbosch goes omega = 1,200 deep.
         with _recursion_headroom(100):
             rep = seagull_conditions(complete(1200), 1)
-        assert not rep.clique_condition_exact and not rep.clique_condition_ok
+        assert not rep.clique_condition_ok
+
+    def test_seagull_packing_of_c330_complement(self):
+        g = complement(cycle(330))
+        with _recursion_headroom(100):
+            pack = seagull_pack_exact(g, 110)
+        assert len(pack) == 110 and len({v for s in pack for v in s}) == 330
+        assert all(g.has_edge(a, c) and g.has_edge(c, b) and not g.has_edge(a, b) for a, c, b in pack)
 
     def test_budgeted_connected_matching_of_c2500_complement(self):
         g = complement(cycle(2500))
@@ -616,3 +713,16 @@ class TestWitnessesAreVerified:
         monkeypatch.setattr(conjectures, "_grow_matching", lambda *a: Outcome("found", ((0, 1),)))
         with pytest.raises(RuntimeError, match="fails verification"):
             connected_perfect_matching_search(complete(4))
+
+    def test_seagull_that_is_no_path(self, monkeypatch):
+        # 02 is no edge of C5, so 0-2-1 is not a path.
+        monkeypatch.setattr(conjectures, "_induced_seagulls", lambda g: [(0, 2, 1)])
+        with pytest.raises(RuntimeError, match="fails verification"):
+            seagull_pack_exact(cycle(5), 1)
+
+    def test_seagulls_that_cover_too_few_vertices(self, monkeypatch):
+        # 0-3-0 passes the edge tests but has two vertices, so the two
+        # seagulls cover five vertices, not six.
+        monkeypatch.setattr(conjectures, "_induced_seagulls", lambda g: [(0, 3, 0), (1, 4, 2)])
+        with pytest.raises(RuntimeError, match="fails verification"):
+            seagull_pack_exact(complement(cycle(6)), 2)
