@@ -7,7 +7,6 @@ from .graphs import (
     Graph,
     InflationSpec,
     INFINITE,
-    adjacent_twins,
     alpha_at_most_2,
     blow_up,
     complement,
@@ -17,7 +16,7 @@ from .graphs import (
     inflate,
     is_connected,
     odd_girth,
-    twins,
+    twin_classes,
     vertex_connectivity,
 )
 from .graph6 import read_graph6, write_graph6

@@ -32,6 +32,7 @@ from .graphs import (
     inflate,
     is_connected,
     induced_subgraph,
+    twin_classes,
     vertex_connectivity,
 )
 from .iso import find_induced_c5, has_induced_subgraph
@@ -120,7 +121,12 @@ def _grow_matching(g: Graph, roots, must: int, budget: int | None) -> Outcome:
     chosen reaches that miss x, so scoring a vertex is one mask; a child
     copies the list only when its new reach misses an unused vertex, and
     ANDs the reach into those entries.  A count of 0 backtracks.  Partners
-    are tried by the size of the next must-match set, then by index.
+    are tried by the size of the next must-match set, then by index, the
+    least of each twin class (``twin_classes``) only: allowed twins x < y
+    are unused and above ``low``, so swapping them is an automorphism that
+    fixes ``used``, ``chosen``, every reach, ``must`` and ``miss``, and the
+    subtree of y is the image of that of x, which ties with it and comes
+    first; the first witness is kept.
     "refuted" is exhaustive over all roots; "unknown" once ``budget``
     nodes, if given, are spent, counted over all roots.  The search runs
     depth first on an explicit stack: a frame holds a node's sorted
@@ -128,6 +134,7 @@ def _grow_matching(g: Graph, roots, must: int, budget: int | None) -> Outcome:
     """
     full = g.full_mask
     rows = g.rows()
+    twins = twin_classes(g)
     nodes = 0
     for low, reach, used, chosen in roots:
         chosen = list(chosen)
@@ -157,7 +164,9 @@ def _grow_matching(g: Graph, roots, must: int, budget: int | None) -> Outcome:
                 else:
                     rw = g.row(w) | 1 << w
                     options = []
-                    for x in bits(fewest):
+                    while fewest:
+                        x = (fewest & -fewest).bit_length() - 1
+                        fewest &= ~twins[x]
                         reach = rw | g.row(x) | 1 << x
                         now = used | 1 << w | 1 << x
                         left = (must | full & ~(common & reach)) & ~now
@@ -458,37 +467,28 @@ def eberhard_model(p: int) -> KModel:
 
 
 def connected_perfect_matching_search(g: Graph, budget: int | None = NODE_BUDGET) -> Outcome:
-    """A perfect matching whose edges are pairwise adjacent, as a KModel.
-
-    ``_grow_matching`` with every vertex to be matched.  Exact: "found",
-    "refuted", or "unknown" when ``budget`` nodes, if given, are spent.
-    A witness is checked with ``verify_k_model`` before return; its
-    target order n/2 makes the check cover every vertex.
-    """
+    """A perfect matching whose edges are pairwise adjacent, as a KModel:
+    ``_half_order_model`` of an even host.  Exact: "found", "refuted", or
+    "unknown" when ``budget`` nodes, if given, are spent."""
     if g.n % 2:
         raise ValueError("perfect matchings need an even number of vertices")
-    if not alpha_at_most_2(g):
-        raise ValueError("search is intended for hosts with alpha <= 2")
-    got = _grow_matching(g, [(-1, g.full_mask, 0, ())], g.full_mask, budget)
-    if got.status != "found":
-        return got
-    model = KModel(got.witness, g.n // 2)
-    if not verify_k_model(g, model):
-        raise RuntimeError("connected perfect matching search returned a matching that fails verification")
-    return Outcome("found", model, got.nodes)
+    return _half_order_model(g, budget)
 
 
 def half_order_model_search(g: Graph, budget: int | None = NODE_BUDGET) -> Outcome:
-    """A K_{ceil(n/2)} model with branch sets of size at most 2.
+    """A K_{ceil(n/2)} model with branch sets of size at most 2:
+    ``_half_order_model``, "found" or "unknown", never "refuted", since a
+    model may use more singletons (two disjoint triangles have no
+    connected perfect matching but hold a K3)."""
+    got = _half_order_model(g, budget)
+    return Outcome("unknown", nodes=got.nodes) if got.status == "refuted" else got
 
-    Even order is a connected perfect matching, grown from one root with
-    nothing chosen.  Odd order tries each vertex s in turn as the
-    singleton branch set: N[s] acts as one more chosen reach, and all
-    choices of s share the node ``budget`` (None: no limit).  "found" or
-    "unknown", never "refuted": a model may use more singletons (two
-    disjoint triangles have no connected perfect matching but hold a K3).
-    A witness is checked with ``verify_k_model`` before return.
-    """
+
+def _half_order_model(g: Graph, budget: int | None) -> Outcome:
+    """A K_{ceil(n/2)} model of edges and, at odd order, one singleton s,
+    tried for each s in turn with N[s] as one more chosen reach; all roots
+    share the node ``budget`` (None: no limit).  A witness is checked with
+    ``verify_k_model``, whose target order makes it cover every vertex."""
     if not alpha_at_most_2(g):
         raise ValueError("search is intended for hosts with alpha <= 2")
     odd = g.n % 2
@@ -498,7 +498,7 @@ def half_order_model_search(g: Graph, budget: int | None = NODE_BUDGET) -> Outco
         roots = [(-1, g.full_mask, 0, ())]
     got = _grow_matching(g, roots, g.full_mask, budget)
     if got.status != "found":
-        return Outcome("unknown", nodes=got.nodes)
+        return got
     # An odd witness starts with the singleton root; the model lists it last.
     model = KModel(got.witness[odd:] + got.witness[:odd], (g.n + 1) // 2)
     if not verify_k_model(g, model):

@@ -352,26 +352,19 @@ def _shortest_cycle(g: Graph, even: bool) -> int | float:
     return best
 
 
-def twins(g: Graph) -> list[tuple[int, int]]:
-    """Non-adjacent pairs with identical neighbourhoods."""
-    out = []
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            if not g.has_edge(u, v) and g.row(u) == g.row(v):
-                out.append((u, v))
-    return out
-
-
-def adjacent_twins(g: Graph) -> list[tuple[int, int]]:
-    """Adjacent pairs whose neighbourhoods agree off the pair itself."""
-    out = []
-    for u in range(g.n):
-        ru = g.row(u)
-        for v in bits(ru >> (u + 1)):
-            v += u + 1
-            if ru & ~(1 << v) == g.row(v) & ~(1 << u):
-                out.append((u, v))
-    return out
+def twin_classes(g: Graph) -> list[int]:
+    """Entry v is the bitmask of v's twin class, v included: u and v are
+    twins when N(u) - v = N(v) - u.  No vertex has twins of both kinds,
+    open (N(u) = N(v)) and closed (N[u] = N[v]), so this is an
+    equivalence; each class is an independent set or a clique, the classes
+    are the same in g and in its complement, and swapping two twins is an
+    automorphism.  One pass keys each vertex by its row and by its row plus
+    itself in one dict; an open key never equals a closed one."""
+    keyed: dict[int, int] = {}
+    for v, r in enumerate(g.rows()):
+        for key in (r, r | 1 << v):
+            keyed[key] = keyed.get(key, 0) | 1 << v
+    return [keyed[r] | keyed[r | 1 << v] for v, r in enumerate(g.rows())]
 
 
 def _disjoint_paths(g: Graph, s: int, t: int, limit: int) -> int:

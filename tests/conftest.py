@@ -925,6 +925,15 @@ def from_rows_reference(rows: Sequence[int]) -> Graph:
     return g
 
 
+def twin_classes_reference(g: Graph) -> list[int]:
+    """``graphs.twin_classes`` by a scan of every pair: u and v are twins
+    when N(u) - v = N(v) - u."""
+    return [
+        sum(1 << u for u in range(g.n) if g.row(u) & ~(1 << v) == g.row(v) & ~(1 << u))
+        for v in range(g.n)
+    ]
+
+
 def is_cdm_reference(g: Graph, edges) -> bool:
     """``conjectures.is_cdm`` as it stood before the one-pass check, with
     the connected and the dominating tests it called copied in verbatim:

@@ -12,7 +12,6 @@ from hadwiger2.graphs import (
     Graph,
     InflationSpec,
     _disjoint_paths,
-    adjacent_twins,
     alpha_at_most_2,
     bits,
     blow_up,
@@ -25,7 +24,7 @@ from hadwiger2.graphs import (
     is_connected,
     is_triangle_free,
     odd_girth,
-    twins,
+    twin_classes,
     vertex_connectivity,
 )
 from hadwiger2 import graphs
@@ -61,6 +60,7 @@ from conftest import (
     refine_reference,
     search_reference,
     search_rounds_reference,
+    twin_classes_reference,
     brute_orbits,
     brute_diameter,
     brute_girth,
@@ -519,16 +519,29 @@ class TestConnectivityByOrbits:
 
 class TestTwins:
     def test_examples(self):
-        assert adjacent_twins(complete(3)) == [(0, 1), (0, 2), (1, 2)]
-        assert twins(cycle(4)) == [(0, 2), (1, 3)]
-        assert adjacent_twins(cycle(5)) == []
+        assert twin_classes(complete(3)) == [0b111] * 3
+        assert twin_classes(cycle(4)) == [0b0101, 0b1010] * 2
+        assert twin_classes(cycle(5)) == [1 << v for v in range(5)]
+        assert twin_classes(Graph(0)) == []
+
+    def test_matches_a_pairwise_scan(self, tf_levels_8):
+        for level in tf_levels_8.values():
+            for h in level:
+                for g in (h, complement(h)):
+                    assert twin_classes(g) == twin_classes_reference(g), g.edges()
 
     @given(graphs_strategy(max_n=8))
     @settings(max_examples=50, deadline=None)
-    def test_twin_duality(self, g):
-        # adjacent-twin-free iff the complement is twin-free
-        assert (adjacent_twins(g) == []) == (twins(complement(g)) == [])
-        assert sorted(adjacent_twins(g)) == sorted(twins(complement(g)))
+    def test_complement_invariance(self, g):
+        assert twin_classes(g) == twin_classes(complement(g))
+
+    def test_blocks_of_an_inflation(self):
+        # The Petersen complement is twin-free, so each block of a proper
+        # inflation is one class.
+        base = complement(petersen())
+        assert twin_classes(base) == [1 << x for x in range(10)]
+        spec = InflationSpec(base, (1, 2, 3, 4, 1, 2, 3, 4, 5, 1))
+        assert twin_classes(inflate(spec)) == [spec.block(x) for x in spec.projection]
 
 
 class TestInflationHFreeness:
@@ -538,7 +551,7 @@ class TestInflationHFreeness:
         hs = []
         while len(hs) < 4:
             h = random_graph(4 + rng.randrange(2), 50, rng)
-            if adjacent_twins(h) == [] and h.edge_count:
+            if not any(h.row(v) & c for v, c in enumerate(twin_classes(h))) and h.edge_count:
                 hs.append(h)
         checked = 0
         while checked < 12:
