@@ -9,7 +9,7 @@ rational arithmetic; no floating point is used anywhere here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -26,7 +26,6 @@ from .graphs import (
     vertex_connectivity,
 )
 from .matching import matching_number
-from .steiner import _disjointness_graph
 
 
 @dataclass(frozen=True)
@@ -109,10 +108,8 @@ def clebsch_certificate(g: Graph) -> CliqueFamilyCertificate:
 def mesner_certificate(g: Graph, sys) -> CliqueFamilyCertificate:
     """22 point-cliques of the Mesner complement (blocks through a point), 22/6.
 
-    The host must be the complement of the blocks' disjointness graph, and
-    the certificate is verified on it."""
-    if g != complement(_disjointness_graph(sys.block_masks())):
-        raise ValueError("host does not match the complement of mesner(sys)")
+    The certificate is verified on the host g, whose vertices are the
+    blocks of sys in order."""
     cliques = []
     for point in range(22):
         members = tuple(
@@ -350,7 +347,6 @@ class GoodBadPartition:
 
     good: frozenset[tuple[int, int]]
     bad: frozenset[tuple[int, int]]
-    source: CliqueFamilyCertificate = field(compare=False)
 
 
 def good_bad_partition(g: Graph, cert: CliqueFamilyCertificate) -> GoodBadPartition:
@@ -380,7 +376,7 @@ def good_bad_partition(g: Graph, cert: CliqueFamilyCertificate) -> GoodBadPartit
             good.add((u, v))
         else:
             bad.add((u, v))
-    part = GoodBadPartition(frozenset(good), frozenset(bad), cert)
+    part = GoodBadPartition(frozenset(good), frozenset(bad))
     _check_good_bad(g, part)
     return part
 

@@ -14,8 +14,8 @@ library function that returns it; this module only reports them.
 
 Exit codes: 0 holds/found, 1 fails/not found, 2 usage or input error
 (every input error is a ``ValueError`` and prints one ``error:`` line),
-3 undecided (a search budget ran out: ``holds=unknown`` or
-``budget_exhausted=true``).  Reports are line-oriented ``key=value``
+3 undecided (a budget ran out before any violation: ``holds=unknown``
+or ``budget_exhausted=true``).  Reports are line-oriented ``key=value``
 plus a human-readable summary; every run prints a reproducibility header
 with the version, seed and arguments.  The seed drives ``build --family
 triangle-free-process`` and defaults to the HADWIGER2_SEED environment
@@ -31,6 +31,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys as _sys
+from contextlib import nullcontext
 from fractions import Fraction
 from functools import cache, partial
 
@@ -88,7 +89,7 @@ EXIT_CODE = {"found": EXIT_OK, "refuted": EXIT_FAIL, "unknown": EXIT_BUDGET}
 
 
 def _read_input_graph(args) -> Graph:
-    if getattr(args, "infile", None):
+    if args.infile:
         with open(args.infile, "r", encoding="ascii") as fh:
             text = fh.read().strip().splitlines()
     else:
@@ -121,66 +122,50 @@ def _joined(items) -> list[str]:
 # ---------------------------------------------------------------------------
 # build
 
-# The flags each family needs, checked in this order.
-_BUILD_FLAGS = {
-    "cycle": "n",
-    "complete": "n",
-    "hypercube": "d",
-    "kneser": "n k",
-    "generalized-kneser-geq": "n k t",
-    "generalized-kneser-leq": "n k t",
-    "andrasfai": "d",
-    "eberhard": "p",
-    "cayley": "orders connection",
-    "triangle-free-process": "n",
+
+def _steiner(make):
+    """A builder for ``make(sys_, point)`` on the Steiner system S(3,6,22)."""
+    return lambda args, seed: make(steiner_3_6_22(), args.point)
+
+
+def _cayley(args, seed):
+    orders = tuple(int(x) for x in args.orders.split(","))
+    conn = [tuple(int(x) for x in part.split(",")) for part in args.connection.split(";")]
+    return cayley_abelian(orders, conn), _joined(group_elements(orders))
+
+
+def _kneser(args) -> list[str]:
+    return _joined(kneser_labels(args.n, args.k))
+
+
+# Each family: the flags it needs, checked in this order, and a builder
+# ``(args, seed) -> (graph, labels)``; labels None numbers the vertices.
+_FAMILIES = {
+    "cycle": ("n", lambda a, seed: (cycle(a.n), None)),
+    "complete": ("n", lambda a, seed: (complete(a.n), None)),
+    "petersen": ("", lambda a, seed: (petersen(), None)),
+    "hypercube": ("d", lambda a, seed: (hypercube(a.d), [format(v, f"0{a.d}b") for v in range(1 << a.d)])),
+    "clebsch": ("", lambda a, seed: (clebsch(), None)),
+    "kneser": ("n k", lambda a, seed: (kneser(a.n, a.k), _kneser(a))),
+    "generalized-kneser-geq": ("n k t", lambda a, seed: (generalized_kneser_geq(a.n, a.k, a.t), _kneser(a))),
+    "generalized-kneser-leq": ("n k t", lambda a, seed: (generalized_kneser_leq(a.n, a.k, a.t), _kneser(a))),
+    "andrasfai": ("d", lambda a, seed: (andrasfai(a.d), None)),
+    "hoffman-singleton": ("", lambda a, seed: (hoffman_singleton(), None)),
+    "mesner": ("", _steiner(lambda s, p: (mesner(s), _joined(s.blocks)))),
+    "gewirtz": ("", _steiner(lambda s, p: (gewirtz(s, p), _joined(b for b in s.blocks if p not in b)))),
+    "higman-sims": ("", _steiner(
+        lambda s, p: (higman_sims(s), _joined(s.blocks) + [f"point {x}" for x in range(22)] + ["apex"])
+    )),
+    "eberhard": ("p", lambda a, seed: (eberhard(a.p), _joined(group_elements((a.p, a.p))))),
+    "cayley": ("orders connection", _cayley),
+    "triangle-free-process": ("n", lambda a, seed: (triangle_free_process(a.n, seed), None)),
 }
 
 
-def _build_graph(args, seed: int) -> tuple[Graph, list[str] | None]:
-    fam = args.family
-    _require(args, _BUILD_FLAGS.get(fam, ""), f"family {fam}")
-    if fam == "cycle":
-        return cycle(args.n), None
-    if fam == "complete":
-        return complete(args.n), None
-    if fam == "petersen":
-        return petersen(), None
-    if fam == "hypercube":
-        return hypercube(args.d), [format(v, f"0{args.d}b") for v in range(1 << args.d)]
-    if fam == "clebsch":
-        return clebsch(), None
-    if fam in ("kneser", "generalized-kneser-geq", "generalized-kneser-leq"):
-        labels = _joined(kneser_labels(args.n, args.k))
-        if fam == "kneser":
-            return kneser(args.n, args.k), labels
-        make = generalized_kneser_geq if fam.endswith("geq") else generalized_kneser_leq
-        return make(args.n, args.k, args.t), labels
-    if fam == "andrasfai":
-        return andrasfai(args.d), None
-    if fam == "hoffman-singleton":
-        return hoffman_singleton(), None
-    if fam in ("mesner", "gewirtz", "higman-sims"):
-        sys_ = steiner_3_6_22()
-        if fam == "mesner":
-            return mesner(sys_), _joined(sys_.blocks)
-        if fam == "gewirtz":
-            blocks = (b for b in sys_.blocks if args.point not in b)
-            return gewirtz(sys_, args.point), _joined(blocks)
-        labels = _joined(sys_.blocks) + [f"point {x}" for x in range(22)] + ["apex"]
-        return higman_sims(sys_), labels
-    if fam == "eberhard":
-        return eberhard(args.p), _joined(group_elements((args.p, args.p)))
-    if fam == "cayley":
-        orders = tuple(int(x) for x in args.orders.split(","))
-        conn = [tuple(int(x) for x in part.split(",")) for part in args.connection.split(";")]
-        return cayley_abelian(orders, conn), _joined(group_elements(orders))
-    if fam == "triangle-free-process":
-        return triangle_free_process(args.n, seed), None
-    raise ValueError(f"unknown family {fam!r}")
-
-
 def cmd_build(args, seed: int) -> int:
-    g, labels = _build_graph(args, seed)
+    flags, make = _FAMILIES[args.family]
+    _require(args, flags, f"family {args.family}")
+    g, labels = make(args, seed)
     if args.complement:
         g = complement(g)
     _emit(write_graph6(g) + "\n", args.out)
@@ -269,7 +254,8 @@ def cmd_enumerate(args, seed: int) -> int:
         import multiprocessing
 
         pool = multiprocessing.Pool(args.workers)
-    try:
+    # Pool.__exit__ terminates and joins the workers; map has returned by then.
+    with pool or nullcontext():
         for n in range(1, args.max_n + 1):
             batch = connected_alpha2_graphs(n, levels)
             cut = budget is not None and total + len(batch) > budget
@@ -279,17 +265,11 @@ def cmd_enumerate(args, seed: int) -> int:
             violations = sum(1 for r in results if not r)
             total += len(batch)
             bad_total += violations
-            print(
-                f"n={n} checked={len(batch)} violations={violations}"
-                + (" partial=true" if cut else "")
-            )
+            print(f"n={n} checked={len(batch)} violations={violations}" + (" partial=true" if cut else ""))
             if cut:
                 print(f"total={total} violations_total={bad_total} budget_exhausted=true")
-                return EXIT_BUDGET
-    finally:
-        if pool:
-            pool.close()
-            pool.join()
+                # A violation found before the cut fails the sweep outright.
+                return EXIT_FAIL if bad_total else EXIT_BUDGET
     print(f"total={total} violations_total={bad_total}")
     return EXIT_OK if bad_total == 0 else EXIT_FAIL
 
@@ -362,7 +342,8 @@ def _parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     b = sub.add_parser("build", help="construct a named graph family as graph6")
-    b.add_argument("--family", required=True)
+    b.set_defaults(run=cmd_build)
+    b.add_argument("--family", required=True, choices=_FAMILIES)
     b.add_argument("--n", type=int)
     b.add_argument("--k", type=int)
     b.add_argument("--t", type=int)
@@ -376,18 +357,21 @@ def _parser() -> argparse.ArgumentParser:
     b.add_argument("--labels-out", dest="labels_out")
 
     c = sub.add_parser("check", help="run a conjecture checker on a graph6 input")
+    c.set_defaults(run=cmd_check)
     c.add_argument("--conjecture", required=True, choices=["cdm", "shc-half", "4cm", "dominating-edge"])
     c.add_argument("--in", dest="infile")
     c.add_argument("--budget", type=int, default=NODE_BUDGET, help="search nodes before the answer is unknown")
     c.add_argument("--witness-out", dest="witness_out")
 
     e = sub.add_parser("enumerate", help="exhaustive check over connected alpha<=2 graphs")
+    e.set_defaults(run=cmd_enumerate)
     e.add_argument("--max-n", dest="max_n", type=int, required=True)
     e.add_argument("--check", required=True, choices=["cdm", "4cm"])
     e.add_argument("--budget", type=int, default=None, help="cap on graphs checked")
     e.add_argument("--workers", type=int, default=1, help="parallel workers for the per-graph checks")
 
     f = sub.add_parser("certify", help="emit a verified clique-cover certificate")
+    f.set_defaults(run=cmd_certify)
     f.add_argument("--kind", required=True, choices=["clebsch", "mesner", "kneser", "cover4"])
     f.add_argument("--in", dest="infile")
     f.add_argument("--n", type=int)
@@ -397,6 +381,7 @@ def _parser() -> argparse.ArgumentParser:
     f.add_argument("--out")
 
     s = sub.add_parser("screen", help="counterexample-profile screen of a graph6 input")
+    s.set_defaults(run=cmd_screen)
     s.add_argument("--in", dest="infile")
     return ap
 
@@ -415,13 +400,6 @@ def main(argv: list[str] | None = None) -> int:
         args = ap.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
-    handlers = {
-        "build": cmd_build,
-        "check": cmd_check,
-        "enumerate": cmd_enumerate,
-        "certify": cmd_certify,
-        "screen": cmd_screen,
-    }
     try:
         seed = args.seed
         if seed is None:
@@ -432,7 +410,7 @@ def main(argv: list[str] | None = None) -> int:
             raise ValueError(f"--budget must be non-negative, not {args.budget}")
         if getattr(args, "workers", 1) < 1:
             raise ValueError(f"--workers must be at least 1, not {args.workers}")
-        return handlers[args.command](args, seed)
+        return args.run(args, seed)
     except (ValueError, ConstructionError, OSError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return EXIT_USAGE

@@ -175,7 +175,7 @@ def table1_screen(g: Graph) -> ScreeningReport:
     )
 
     # The host checks above are those of connected_dominating_matching.
-    cdm = _cdm(g, None if n <= 16 else NODE_BUDGET)
+    cdm = _cdm(g, NODE_BUDGET)
     if cdm.status == "unknown":
         verdicts["P6"] = Verdict("not-evaluated", "CDM search budget exhausted")
     else:

@@ -615,7 +615,7 @@ class TestGoodBadMatching:
             g = inflate(InflationSpec(cycle(5), mult))
             for _ in range(20):
                 good = {e for e in g.edges() if rng.randrange(2)}
-                part = certificates.GoodBadPartition(frozenset(good), frozenset(g.edges()) - good, None)
+                part = certificates.GoodBadPartition(frozenset(good), frozenset(g.edges()) - good)
                 got = _raised(certificates._check_good_bad, g, part)
                 assert got == _raised(check_good_bad_reference, g, part)
                 seen[got] = seen.get(got, 0) + 1
@@ -628,7 +628,7 @@ class TestGoodBadMatching:
         g = inflate(spec)
         part = good_bad_partition(g, lift_certificate(spec, kneser_certificate(5, 2, 1, 0)))
         assert classify_good_bad_outcome(g, part) == Outcome("found", "d")
-        forged = certificates.GoodBadPartition(frozenset(g.edges()), frozenset(), None)
+        forged = certificates.GoodBadPartition(frozenset(g.edges()), frozenset())
         with pytest.raises(RuntimeError, match="hypothesis \\(1\\)"):
             classify_good_bad_outcome(g, forged)
 

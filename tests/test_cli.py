@@ -205,6 +205,23 @@ class TestBuild:
         code, _, err = run(capsys, "build", "--family", "cycle")
         assert code == 2
 
+    def test_golden_builds_cover_every_family(self):
+        from hadwiger2 import cli
+
+        assert {f for f, _, _ in GOLDEN_BUILDS} == set(cli._FAMILIES)
+
+    def test_unknown_family_is_a_usage_error(self, capsys):
+        code, out, err = run(capsys, "build", "--family", "nope")
+        assert code == 2 and out == ""
+        assert "invalid choice: 'nope'" in err
+
+    def test_help_names_every_family(self, capsys):
+        from hadwiger2 import cli
+
+        code, out, _ = run(capsys, "build", "--help")
+        assert code == 0
+        assert [f for f in cli._FAMILIES if f not in out] == []
+
     def test_out_file_roundtrip(self, capsys, tmp_path):
         path = tmp_path / "g.g6"
         code, out, _ = run(
@@ -353,6 +370,25 @@ class TestEnumerate:
         )
         assert code == 3
         assert "budget_exhausted=true" in out
+
+    def test_partial_sweep_with_a_violation_fails(self, capsys, monkeypatch):
+        # A violation found before the budget runs out is a definite answer.
+        from hadwiger2 import cli
+
+        monkeypatch.setattr(cli, "_holds", lambda name, g: g.n != 3)
+        code, out, _ = run(capsys, "enumerate", "--max-n", "6", "--check", "cdm", "--budget", "4")
+        assert code == 1
+        assert out.splitlines()[-1] == "total=4 violations_total=2 budget_exhausted=true"
+
+    def test_sequential_sweep_does_not_import_multiprocessing(self):
+        got = _fresh_python(
+            "import contextlib, io, sys\n"
+            "from hadwiger2 import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = cli.main(['enumerate', '--max-n', '5', '--check', 'cdm', '--workers', '1'])\n"
+            "print(code, 'multiprocessing' in sys.modules)\n"
+        )
+        assert got == "0 False\n"
 
     def test_desk_cap(self, capsys):
         code, _, err = run(capsys, "enumerate", "--max-n", "12", "--check", "cdm")
