@@ -76,7 +76,7 @@ from .graph6 import read_graph6, write_graph6
 from .graphs import Graph, alpha_at_most_2, complement
 from .generation import MAX_DESK_N, connected_alpha2_graphs, triangle_free_graphs
 from .screening import BLOCKS, PROPERTIES, table1_screen
-from .steiner import _disjointness_graph, gewirtz, higman_sims, mesner, steiner_3_6_22
+from .steiner import gewirtz, higman_sims, mesner, steiner_3_6_22
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -294,7 +294,7 @@ def cmd_certify(args, seed: int) -> int:
         cert = clebsch_certificate(g)
     elif kind == "mesner":
         sys_ = steiner_3_6_22()
-        g = _read_input_graph(args) if args.infile else complement(_disjointness_graph(sys_.block_masks()))
+        g = _read_input_graph(args) if args.infile else complement(mesner(sys_))
         cert = mesner_certificate(g, sys_)
     else:
         _require(args, "n k t", "kneser certificates")

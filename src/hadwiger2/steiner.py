@@ -1,14 +1,17 @@
 """The Steiner system S(3,6,22) and the graphs it generates.
 
 The system is built from the projective plane PG(2,4): 21 points, 21
-lines of 5 points, plus an extra point oo = 21.  Blocks are the 21
-extended lines (line plus oo) together with one of the three families of
-56 pairwise-evenly-intersecting hyperovals; the 168 hyperovals are
-generated as one PGL(3,4)-orbit (see ``_hyperovals``).  The Steiner
-property (every triple of points in exactly one block) is verified by
-counting: 77 blocks of 6 points, no two sharing more than two points,
-hold 77 * C(6,3) = 1540 distinct triples, which is every one of the
-C(22,3) = 1540 triples of the 22 points.
+lines of 5 points, plus an extra point oo = 21.  Its 77 blocks are two
+orbits under SL(3,4) (generated by ``_GENERATORS``, acting on point
+indices through ``graphs._set_orbit``): the line z = 0, whose orbit is
+the 21 lines, each extended by oo; and the conic y^2 = xz plus its
+nucleus (0,1,0), a hyperoval whose orbit is one of the three
+PSL(3,4)-orbits of 56 hyperovals (Hirschfeld, Projective Geometries over
+Finite Fields, 1998).  Nothing in the build is checked on the way: the
+result is certified by ``SteinerSystem`` alone, by counting.  77 blocks
+of 6 points, no two sharing more than two points, hold 77 * C(6,3) =
+1540 distinct triples, which is every one of the C(22,3) = 1540 triples
+of the 22 points, so every triple lies in exactly one block.
 """
 
 from __future__ import annotations
@@ -37,76 +40,16 @@ def _pg24_points() -> list[tuple[int, int, int]]:
     )
 
 
-def _pg24_lines(points) -> list[int]:
-    """Lines as point bitmasks: [a:b:c] selects points with ax+by+cz = 0."""
-    lines = []
-    for coeff in points:  # dual coordinates run over the same 21 triples
-        a, b, c = coeff
-        mask = 0
-        for i, (x, y, z) in enumerate(points):
-            if _F4_MUL[a][x] ^ _F4_MUL[b][y] ^ _F4_MUL[c][z] == 0:
-                mask |= 1 << i
-        assert mask.bit_count() == 5
-        lines.append(mask)
-    return lines
-
-
-# Three linear maps that generate PGL(3,4): a transvection, the
-# coordinate cycle and diag(w, 1, 1).  The transvection's conjugates under
-# the other two give every elementary transvection, which generate
-# SL(3,4); diag(w, 1, 1) has determinant w, a non-cube, so it adds the
-# rest of GL(3,4).
+# Three linear maps of determinant 1 that generate SL(3,4): a
+# transvection, the coordinate cycle and diag(w, w^2, 1).  The
+# transvection's conjugates under the cycle and the diagonal (which scales
+# its coefficient by w or w^2) give every elementary transvection, and
+# those generate SL(3,4).
 _GENERATORS = (
     lambda x, y, z: (x ^ y, y, z),
     lambda x, y, z: (y, z, x),
-    lambda x, y, z: (_F4_MUL[2][x], y, z),
+    lambda x, y, z: (_F4_MUL[2][x], _F4_MUL[3][y], z),
 )
-
-
-def _hyperovals(lines: list[int]) -> list[int]:
-    """All 6-point sets meeting every line in 0 or 2 points (as bitmasks).
-
-    The 168 hyperovals of PG(2,4) form one PGL(3,4)-orbit, of the conic
-    y^2 = xz plus its nucleus (0,1,0) (Hirschfeld, Projective Geometries
-    over Finite Fields, 1998), so they are that orbit under the three
-    generators, each acting on point indices (``graphs._set_orbit``).
-    Verified here: the start meets every line in 0 or 2 points, and the
-    orbit of one line is the set of lines, so each generator maps lines
-    to lines and every set in the orbit is a hyperoval.  The count of
-    168 is checked by ``_even_family``.
-    """
-    points = _pg24_points()
-    index = {tuple(_F4_MUL[s][c] for c in p): i for i, p in enumerate(points) for s in (1, 2, 3)}
-    perms = [[index[f(*p)] for p in points] for f in _GENERATORS]
-    _check(_set_orbit(lines[0], perms) == set(lines), "PG(2,4) generator is not a collineation")
-    start = sum(1 << i for i, (x, y, z) in enumerate(points) if _F4_MUL[y][y] == _F4_MUL[x][z])
-    start |= 1 << index[(0, 1, 0)]
-    _check(
-        all((start & lm).bit_count() in (0, 2) for lm in lines),
-        "conic plus nucleus is not a hyperoval",
-    )
-    return sorted(_set_orbit(start, perms))
-
-
-def _even_family(hyperovals: list[int]) -> list[int]:
-    """One maximal family of hyperovals pairwise meeting in 0 or 2 points.
-
-    The hyperovals split into three such families of 56 (the components of
-    even intersection); the one of the least hyperoval is those that meet
-    it in an even number of points.  Once they are checked to number 56
-    and to be pairwise even, the family is maximal: any other hyperoval
-    meets the least one oddly.
-    """
-    hs = sorted(hyperovals)
-    if len(hs) != 168:
-        raise ConstructionError(f"expected 168 hyperovals in PG(2,4), got {len(hs)}")
-    family = [h for h in hs if (h & hs[0]).bit_count() % 2 == 0]
-    _check(len(family) == 56, "hyperoval family must have 56 members")
-    _check(
-        all((h & o).bit_count() % 2 == 0 for i, h in enumerate(family) for o in family[:i]),
-        "hyperoval family must be pairwise even-intersecting",
-    )
-    return family
 
 
 @dataclass(frozen=True)
@@ -142,15 +85,16 @@ class SteinerSystem:
 
 
 def steiner_3_6_22() -> SteinerSystem:
-    """Build S(3,6,22) from PG(2,4) extended lines plus 56 hyperovals."""
+    """Build S(3,6,22) as two SL(3,4)-orbits of blocks; see the module docstring."""
     points = _pg24_points()
-    lines = _pg24_lines(points)
-    ovals = _even_family(_hyperovals(lines))
-    oo = 21
-    blocks = [tuple(sorted(bits(lm))) + (oo,) for lm in lines]
-    blocks += [tuple(sorted(bits(om))) for om in ovals]
-    blocks.sort()
-    return SteinerSystem(tuple(blocks))
+    index = {tuple(_F4_MUL[s][c] for c in p): i for i, p in enumerate(points) for s in (1, 2, 3)}
+    perms = [[index[f(*p)] for p in points] for f in _GENERATORS]
+    line = sum(1 << i for i, (x, y, z) in enumerate(points) if z == 0)
+    oval = sum(1 << i for i, (x, y, z) in enumerate(points) if _F4_MUL[y][y] == _F4_MUL[x][z])
+    oval |= 1 << index[(0, 1, 0)]
+    blocks = [tuple(bits(m)) + (21,) for m in _set_orbit(line, perms)]
+    blocks += [tuple(bits(m)) for m in _set_orbit(oval, perms)]
+    return SteinerSystem(tuple(sorted(blocks)))
 
 
 def _disjointness_graph(masks: list[int]) -> Graph:

@@ -431,6 +431,15 @@ class TestCertify:
         assert code == 0
         assert "bound=11/3" in out  # 22/6 reduced
 
+    @pytest.mark.parametrize("kind", ["clebsch", "mesner"])
+    def test_default_host_matches_benchmark_host(self, capsys, kind):
+        # Without --in, certify builds the host the benchmark reads from
+        # its file, so stdout has that job's golden digest.
+        argv = ["certify", "--kind", kind]
+        expected = next((c, d) for a, c, d in GOLDEN_BENCHMARK_JOBS if a == argv + ["--in", kind])
+        code, out, _ = run(capsys, *argv)
+        assert (code, hashlib.sha256(out.encode()).hexdigest()[:16]) == expected
+
     def test_cover4(self, capsys, monkeypatch):
         g = Graph(6, [(u, v) for u in range(6) for v in range(u + 1, 6)])
         feed(monkeypatch, write_graph6(g))
