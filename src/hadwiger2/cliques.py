@@ -24,7 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .constructions import srg_parameters
-from .graphs import Graph, bits, complement
+from .graphs import Graph, _orbit_closure, bits, complement
 from .iso import _refine, search
 
 
@@ -60,7 +60,7 @@ def _ratio_upper_bound(g: Graph) -> int | None:
     if d <= 0:
         return None
     h = complement(g)
-    if srg_parameters(h) is None and any(search(h.rows()).orbits):
+    if srg_parameters(h) is None and _orbit_closure(1, search(h.rows()).generators) != h.full_mask:
         return None
     nbrs = [list(bits(r)) for r in h.rows()]
     cell = _refine(nbrs, [min(v, 1) for v in range(n)], 2)

@@ -58,7 +58,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from .graphs import Graph, _set_orbit, bits, complement, is_connected
+from .graphs import Graph, _orbit_closure, _set_orbit, bits, complement, is_connected
 from .iso import _root, _search
 
 MAX_DESK_N = 11
@@ -189,7 +189,7 @@ def _extend(
             if accept is None:
                 found = _search(rows, *root)
                 first = min(bits(ties), key=found.labelling.__getitem__)
-                accept = found.orbits[first] == found.orbits[k]
+                accept = _orbit_closure(1 << k, found.generators) >> first & 1
             if not accept:
                 continue
         yield Graph._trusted(rows), found.generators if found else None

@@ -1,5 +1,5 @@
-"""Canonical forms and isomorphism testing by individualisation-refinement,
-and induced-subgraph search by backtracking.
+"""Canonical forms and isomorphism testing by individualisation-refinement
+on an explicit stack, and induced-subgraph search by backtracking.
 
 Colour refinement works on an ordered partition, as in nauty: the
 vertices are listed cell by cell, a vertex's colour is the start of its
@@ -204,14 +204,13 @@ class Search(NamedTuple):
     """What one individualisation-refinement search finds.
 
     ``key`` is the canonical form, ``labelling[v]`` is v's canonical label
-    (its row in ``key``), ``orbits[v]`` is the least vertex of v's
-    automorphism orbit, and ``generators`` generate the automorphism
-    group, each as the image tuple of a permutation.
+    (its row in ``key``), and ``generators`` generate the automorphism
+    group, each as the image tuple of a permutation.  Orbits are not
+    labelled: ``graphs._orbit_closure`` reads one off the generators.
     """
 
     key: tuple[int, ...]
     labelling: tuple[int, ...]
-    orbits: tuple[int, ...]
     generators: list[tuple[int, ...]]
 
 
@@ -238,23 +237,23 @@ def search(rows: Sequence[int]) -> Search:
     only next to what split (``_split``).  The colourings, keys and labels
     are those of full signature rounds over every vertex.
 
+    The tree is walked depth first on an explicit stack that holds, for each
+    open node, a generator of its children, so no depth meets the recursion
+    limit (each vertex of a twin class beyond its first adds a level).
     Automorphisms come from two sources: each skipped twin's transposition,
     and each leaf whose key equals the first leaf with the least key (the
     two labellings differ by an automorphism).  After such a leaf the
     search backjumps (McKay, "Practical graph isomorphism", 1981): it
-    returns to the deepest common ancestor of the two leaves and goes on
-    with that node's next child.  The automorphism fixes the ancestor's
+    truncates the stack to the deepest common ancestor of the two leaves,
+    which goes on with its next child.  The automorphism fixes the ancestor's
     individualised vertices, so it maps the ancestor's child on the way to
     the first least leaf, whose subtree depth-first order has already
-    finished, onto the child being left: the rest of the left subtree
-    holds only images of nodes already accounted for, so no key and no
-    first least leaf is lost.
-    Together the automorphisms generate the group: every node of the
-    unpruned tree is the image of a visited node under the group they
-    generate, so every least leaf is the image of a visited least leaf,
-    and an automorphism is fixed by the leaf it maps the first least leaf
-    to.  Orbits are the closures of the vertices under the generators
-    (``graphs._orbit_closure``), each labelled by its least vertex.
+    finished, onto the child being left: the rest of the left subtree holds
+    only images of nodes already accounted for, so no key and no first least
+    leaf is lost.  Together the automorphisms generate the group: every node
+    of the unpruned tree is the image of a visited node under the group they
+    generate, so every least leaf is the image of a visited least leaf, and
+    an automorphism is fixed by the leaf it maps the first least leaf to.
 
     Contract: the labelling keeps the order of the root ranks.  If the
     root refinement (``_refine`` from the degree colouring) ranks u below
@@ -281,29 +280,18 @@ def _root(rows: Sequence[int]) -> tuple[list[list[int]], list, tuple]:
 
 def _search(rows: Sequence[int], nbrs: list[list[int]], gathers: list, partition: tuple) -> Search:
     """``search(rows)`` from its root, given as ``_root(rows)``: for callers
-    that have refined the root already.  The root's lists are not changed."""
+    that have refined the root already.  The root's lists are not changed.
+    A node is ``(lab, color, end, cells, path)``, the stable partition
+    reached by individualising ``path``; ``stack[0]`` yields the root and
+    ``stack[d + 1]`` the children of the open node at depth d, each built
+    when asked."""
     n = len(rows)
     generators: list[tuple[int, ...]] = []
     best: list[int] | None = None
     best_ranks: list[int] = []
     best_path: tuple[int, ...] = ()
 
-    def visit(
-        lab: list[int], color: list[int], end: list[int], cells: int, path: tuple[int, ...]
-    ) -> int:
-        """Search below the node reached by individualising ``path``, whose
-        stable ordered partition is ``(lab, color, end)`` with ``cells``
-        cells; return the depth the search resumes at."""
-        nonlocal best, best_ranks, best_path
-        if cells == n:
-            bit = [1 << c for c in color]
-            leaf = [sum(gathers[v](bit)) for v in lab]
-            if best is None or leaf < best:
-                best, best_ranks, best_path = leaf, color, path
-            elif leaf == best:
-                generators.append(tuple(lab[c] for c in best_ranks))
-                return next(k for k, (u, w) in enumerate(zip(path, best_path)) if u != w)
-            return len(path)
+    def children(lab, color, end, cells, path):
         s = 0
         while end[s] - s == 1:
             s = end[s]
@@ -335,18 +323,28 @@ def _search(rows: Sequence[int], nbrs: list[list[int]], gathers: list, partition
                 child_color[u] = s + 1
             child_end[s], child_end[s + 1] = s + 1, e
             child_cells = _split(nbrs, gathers, child_lab, child_color, child_end, [s], cells + 1)
-            resume = visit(child_lab, child_color, child_end, child_cells, path + (v,))
-            if resume < len(path):
-                return resume
-        return len(path)
+            yield child_lab, child_color, child_end, child_cells, path + (v,)
 
-    visit(*partition, ())
-    orbits = list(range(n))
-    for v in range(n):
-        if orbits[v] == v:
-            for w in bits(_orbit_closure(1 << v, generators)):
-                orbits[w] = v
-    return Search(tuple(best), tuple(best_ranks), tuple(orbits), generators)
+    stack = [iter([(*partition, ())])]
+    while stack:
+        node = next(stack[-1], None)
+        if node is None:
+            stack.pop()
+            continue
+        lab, color, end, cells, path = node
+        if cells < n:
+            stack.append(children(*node))
+            continue
+        bit = [1 << c for c in color]
+        leaf = [sum(gathers[v](bit)) for v in lab]
+        if best is None or leaf < best:
+            best, best_ranks, best_path = leaf, color, path
+        elif leaf == best:
+            generators.append(tuple(lab[c] for c in best_ranks))
+            # Back to the common ancestor, at depth k: it goes on with its next child.
+            k = next(k for k, (u, w) in enumerate(zip(path, best_path)) if u != w)
+            del stack[k + 2:]
+    return Search(tuple(best), tuple(best_ranks), generators)
 
 
 def canonical_form(g: Graph) -> tuple[int, ...]:

@@ -10,7 +10,10 @@ kept so the new kernel can be checked to give exactly the old answers.
 
 from __future__ import annotations
 
+import os
+import pathlib
 import signal
+import subprocess
 import sys
 from contextlib import contextmanager
 from itertools import combinations, permutations
@@ -217,6 +220,33 @@ def brute_orbits(g: Graph) -> tuple[int, ...]:
                 if next(matcher.isomorphisms_iter(), None) is not None:
                     orbit[v] = u
                     break
+    return tuple(orbit)
+
+
+def fresh_python(script: str) -> str:
+    """Run ``script`` in a fresh interpreter that imports hadwiger2 from
+    this checkout, and return its stdout."""
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def orbits_of(found: Search) -> tuple[int, ...]:
+    """The least vertex of each vertex's orbit under ``found.generators``,
+    read off ``graphs._orbit_closure``."""
+    n = len(found.labelling)
+    orbit = list(range(n))
+    for v in range(n):
+        if orbit[v] == v:
+            for w in bits(_orbit_closure(1 << v, found.generators)):
+                orbit[w] = v
     return tuple(orbit)
 
 
@@ -646,30 +676,12 @@ def search_reference(rows: Sequence[int]) -> Search:
     """``iso.search`` as it stood before backjumping: after a leaf with the
     best key adds its automorphism, the search carries on through the rest
     of that leaf's subtree.  Kept verbatim so the backjumping search can
-    be checked to return the same key, labelling and orbits."""
+    be checked to return the same key and labelling."""
     n = len(rows)
     nbrs = [list(bits(r)) for r in rows]
-    root = list(range(n))
     generators: list[tuple[int, ...]] = []
     best: list[int] | None = None
     best_ranks: list[int] = []
-
-    def find(v: int) -> int:
-        while root[v] != v:
-            root[v] = root[root[v]]
-            v = root[v]
-        return v
-
-    def add(perm: tuple[int, ...]) -> None:
-        generators.append(perm)
-        for v, w in enumerate(perm):
-            if v == w:
-                continue
-            a, b = find(v), find(w)
-            if a < b:
-                root[b] = a
-            elif b < a:
-                root[a] = b
 
     def visit(colors: list[int], ncolors: int) -> None:
         nonlocal best, best_ranks
@@ -688,7 +700,7 @@ def search_reference(rows: Sequence[int]) -> Search:
                 vertex_of = [0] * n
                 for v, c in enumerate(ranks):
                     vertex_of[c] = v
-                add(tuple(vertex_of[c] for c in best_ranks))
+                generators.append(tuple(vertex_of[c] for c in best_ranks))
             return
         cells = len(set(ranks)) + 1
         tried: list[int] = []
@@ -708,7 +720,7 @@ def search_reference(rows: Sequence[int]) -> Search:
             if twin is not None:
                 perm = list(range(n))
                 perm[twin], perm[v] = v, twin
-                add(tuple(perm))
+                generators.append(tuple(perm))
                 continue
             tried.append(v)
             skip = _orbit_closure(skip | 1 << v, stabiliser)
@@ -716,7 +728,7 @@ def search_reference(rows: Sequence[int]) -> Search:
 
     degrees = [len(nb) for nb in nbrs]
     visit(degrees, len(set(degrees)))
-    return Search(tuple(best), tuple(best_ranks), tuple(find(v) for v in range(n)), generators)
+    return Search(tuple(best), tuple(best_ranks), generators)
 
 
 def search_rounds_reference(rows: Sequence[int]) -> Search:
@@ -752,7 +764,7 @@ def search_rounds_reference(rows: Sequence[int]) -> Search:
     unpruned tree is the image of a visited node under the group they
     generate, so every least leaf is the image of a visited least leaf,
     and an automorphism is fixed by the leaf it maps the first least leaf
-    to.  Orbits are read off by union-find.
+    to.
 
     Contract: the labelling keeps the order of the root ranks.  If the
     root refinement (``_refine`` from the degree colouring) ranks u below
@@ -763,28 +775,10 @@ def search_rounds_reference(rows: Sequence[int]) -> Search:
     """
     n = len(rows)
     nbrs = [list(bits(r)) for r in rows]
-    root = list(range(n))
     generators: list[tuple[int, ...]] = []
     best: list[int] | None = None
     best_ranks: list[int] = []
     best_path: tuple[int, ...] = ()
-
-    def find(v: int) -> int:
-        while root[v] != v:
-            root[v] = root[root[v]]
-            v = root[v]
-        return v
-
-    def add(perm: tuple[int, ...]) -> None:
-        generators.append(perm)
-        for v, w in enumerate(perm):
-            if v == w:
-                continue
-            a, b = find(v), find(w)
-            if a < b:
-                root[b] = a
-            elif b < a:
-                root[a] = b
 
     def visit(colors: list[int], ncolors: int, path: tuple[int, ...]) -> int:
         """Search below the node reached by individualising ``path``; return
@@ -805,7 +799,7 @@ def search_rounds_reference(rows: Sequence[int]) -> Search:
                 vertex_of = [0] * n
                 for v, c in enumerate(ranks):
                     vertex_of[c] = v
-                add(tuple(vertex_of[c] for c in best_ranks))
+                generators.append(tuple(vertex_of[c] for c in best_ranks))
                 return next(k for k, (u, w) in enumerate(zip(path, best_path)) if u != w)
             return len(path)
         cells = len(set(ranks)) + 1
@@ -826,7 +820,7 @@ def search_rounds_reference(rows: Sequence[int]) -> Search:
             if twin is not None:
                 perm = list(range(n))
                 perm[twin], perm[v] = v, twin
-                add(tuple(perm))
+                generators.append(tuple(perm))
                 continue
             tried.append(v)
             skip = _orbit_closure(skip | 1 << v, stabiliser)
@@ -837,7 +831,7 @@ def search_rounds_reference(rows: Sequence[int]) -> Search:
 
     degrees = [len(nb) for nb in nbrs]
     visit(degrees, len(set(degrees)), ())
-    return Search(tuple(best), tuple(best_ranks), tuple(find(v) for v in range(n)), generators)
+    return Search(tuple(best), tuple(best_ranks), generators)
 
 
 def least_key_children_reference(parent: Graph) -> list[tuple[int, list[int], int]]:
@@ -905,7 +899,8 @@ def extend_reference(parent: Graph) -> Iterator[Graph]:
         if ties != 1 << k:
             found = search(rows)
             first = min(bits(ties), key=found.labelling.__getitem__)
-            if found.orbits[first] != found.orbits[k]:
+            orbit = orbits_of(found)
+            if orbit[first] != orbit[k]:
                 continue
         yield Graph._trusted(rows)
 
@@ -1165,7 +1160,8 @@ def pairs_reference(g: Graph, adjacent: bool, found: Search):
     """Pairs {x, y} of ``g``, adjacent or not as asked: for each orbit
     representative x of ``found``, the least y of each orbit of the
     generators fixing x, except a representative y below x."""
-    for x, rep in enumerate(found.orbits):
+    orbit = orbits_of(found)
+    for x, rep in enumerate(orbit):
         if x != rep:
             continue
         fixing = [p for p in found.generators if p[x] == x]
@@ -1173,7 +1169,7 @@ def pairs_reference(g: Graph, adjacent: bool, found: Search):
         while ys:
             y = (ys & -ys).bit_length() - 1
             ys &= ~_orbit_closure(1 << y, fixing)
-            if y > x or found.orbits[y] != y:
+            if y > x or orbit[y] != y:
                 yield x, y
 
 

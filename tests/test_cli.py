@@ -3,10 +3,6 @@
 import hashlib
 import io
 import json
-import os
-import pathlib
-import subprocess
-import sys
 
 import pytest
 
@@ -18,7 +14,7 @@ from hadwiger2.graphs import Graph, complement
 from hadwiger2.iso import is_isomorphic
 from hadwiger2.conjectures import parse_model, is_cdm
 
-from conftest import milp_four_colourable
+from conftest import fresh_python, milp_four_colourable
 
 
 def run(capsys, *argv):
@@ -381,7 +377,7 @@ class TestEnumerate:
         assert out.splitlines()[-1] == "total=4 violations_total=2 budget_exhausted=true"
 
     def test_sequential_sweep_does_not_import_multiprocessing(self):
-        got = _fresh_python(
+        got = fresh_python(
             "import contextlib, io, sys\n"
             "from hadwiger2 import cli\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
@@ -515,7 +511,7 @@ def _codes_and_numpy(argvs, then="") -> str:
     """Run each argv through ``cli.main`` in a fresh interpreter (conftest
     imports numpy), then the statement ``then``, and return its line: the
     exit codes, then whether numpy was imported."""
-    return _fresh_python(
+    return fresh_python(
         "import contextlib, io, sys\n"
         "from hadwiger2 import cli\n"
         f"argvs = {argvs!r}\n"
@@ -524,21 +520,6 @@ def _codes_and_numpy(argvs, then="") -> str:
         f"{then}\n"
         "print(codes, 'numpy' in sys.modules)\n"
     )
-
-
-def _fresh_python(script: str) -> str:
-    """Run ``script`` in a fresh interpreter that imports hadwiger2 from
-    this checkout, and return its stdout."""
-    src = pathlib.Path(__file__).resolve().parents[1] / "src"
-    done = subprocess.run(
-        [sys.executable, "-c", script],
-        env={**os.environ, "PYTHONPATH": str(src)},
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
-    assert done.returncode == 0, done.stderr
-    return done.stdout
 
 
 def test_srg_workflows_do_not_import_numpy(steiner_system, tmp_path):
@@ -588,7 +569,7 @@ def _main_steps(steps) -> list[tuple[int, str, str]]:
     """Run each ``(argv, HADWIGER2_SEED)`` step through ``cli.main``, in
     order, in one fresh interpreter: the exit code, stdout and stderr of
     each call."""
-    got = _fresh_python(
+    got = fresh_python(
         "import contextlib, io, json, os\n"
         "from hadwiger2 import cli\n"
         "results = []\n"
@@ -634,7 +615,7 @@ def test_parser_is_built_on_the_first_call_only():
     # Importing cli builds no parser; the first main call builds the
     # top-level parser and its subparsers, and later calls, a usage error
     # and --help among them, build none.
-    got = _fresh_python(
+    got = fresh_python(
         "import argparse, contextlib, io, json\n"
         "built = []\n"
         "init = argparse.ArgumentParser.__init__\n"

@@ -62,6 +62,8 @@ from conftest import (
     search_rounds_reference,
     twin_classes_reference,
     brute_orbits,
+    fresh_python,
+    orbits_of,
     brute_diameter,
     brute_girth,
     brute_independence_number,
@@ -658,7 +660,7 @@ class TestCanonicalForm:
 class TestSearch:
     def _check(self, g, orbits=None):
         found = search(g.rows())
-        assert found.orbits == (brute_orbits(g) if orbits is None else orbits), g.edges()
+        assert orbits_of(found) == (brute_orbits(g) if orbits is None else orbits), g.edges()
         relabelled = [0] * g.n
         for v in range(g.n):
             relabelled[found.labelling[v]] = sum(1 << found.labelling[w] for w in g.neighbors(v))
@@ -683,7 +685,7 @@ class TestSearch:
         cocktail = complement(Graph(40, [(2 * i, 2 * i + 1) for i in range(20)]))
         for g in (Graph(6), k33, petersen(), clebsch(), cocktail):
             self._check(g)
-            assert set(search(g.rows()).orbits) == {0}
+            assert set(orbits_of(search(g.rows()))) == {0}
         # The Mesner graph is vertex-transitive (its group, M22:2, is
         # transitive on the 77 blocks of S(3,6,22)); brute_orbits ran for
         # ten minutes on its 60-regular complement without finishing.
@@ -700,6 +702,22 @@ class TestSearch:
                 for mask in independent_set_masks(g):
                     images = {sum(1 << p[v] for v in bits(mask)) for p in group}
                     assert graphs._set_orbit(mask, gens) == images, (g.edges(), mask)
+
+    def test_deep_trees_under_a_low_recursion_limit(self):
+        # Each vertex of a twin class beyond its first adds a level to the
+        # tree, so the first path down the empty graph or K_150 is 149
+        # levels deep; a recursive search raised RecursionError here.
+        got = fresh_python(
+            "import sys\n"
+            "from hadwiger2.constructions import complete\n"
+            "from hadwiger2.graphs import Graph\n"
+            "from hadwiger2.iso import canonical_form\n"
+            "sys.setrecursionlimit(100)\n"
+            "full = (1 << 150) - 1\n"
+            "print(canonical_form(Graph(150)) == (0,) * 150,\n"
+            "      canonical_form(complete(150)) == tuple(full & ~(1 << v) for v in range(150)))\n"
+        )
+        assert got == "True True\n"
 
     def test_found_automorphisms_prune_the_tree(self):
         # |Aut| is 120 for Petersen and 1920 for Clebsch; a search that
@@ -791,7 +809,7 @@ class TestPartitionRefinement:
         # about 8.5 s (Python 3.11, 2 cores): C_n needs about n/2 rounds.
         with deadline(5, "the search of C_1501"):
             found = search(cycle(1501).rows())
-        assert set(found.orbits) == {0}
+        assert set(orbits_of(found)) == {0}
         assert len(found.generators) == 2
 
 
@@ -809,11 +827,13 @@ class TestBackjumping:
         assert sum(len(level) for level in tf_levels_9.values()) == 2479
         for level in tf_levels_9.values():
             for g in level:
-                assert search(g.rows())[:3] == search_reference(g.rows())[:3], g.edges()
+                found, want = search(g.rows()), search_reference(g.rows())
+                assert found[:2] == want[:2] and orbits_of(found) == orbits_of(want), g.edges()
 
     def test_matches_reference_on_named_hosts(self, steiner_system):
         for g in _named_hosts_and_complements(steiner_system):
-            assert search(g.rows())[:3] == search_reference(g.rows())[:3], g.n
+            found, want = search(g.rows()), search_reference(g.rows())
+            assert found[:2] == want[:2] and orbits_of(found) == orbits_of(want), g.n
 
     def test_fewer_generators_than_vertices(self, steiner_system):
         from hadwiger2.steiner import higman_sims, mesner
@@ -832,7 +852,7 @@ class TestBackjumping:
         g = complement(higman_sims(steiner_system))
         with deadline(10, "the Higman-Sims complement search"):
             found = search(g.rows())
-        assert set(found.orbits) == {0}
+        assert set(orbits_of(found)) == {0}
 
     def test_is_isomorphic_on_a_relabelled_kneser_complement(self):
         # Comparing by backtracking embeddings did not finish here within 20 s.

@@ -121,3 +121,30 @@ def test_cli_builds_its_parser_only_in_parser():
             at_import.append(stmt)
     assert {name for name, body in bodies.items() if _calls(body, "ArgumentParser")} == {"_parser"}
     assert not _calls(at_import, "ArgumentParser") and not _calls(at_import, "_parser")
+
+
+# The functions of the package that call themselves, each with the bound on
+# its depth; any other would fail on a tree deeper than the recursion limit.
+RECURSIVE = {
+    ("generation", "independent_set_masks.rec"): "most + 1 frames, or alpha(g) + 1 without most",
+    ("iso", "induced_embeddings.search"): "the pattern's order + 1 frames",
+}
+
+
+def _functions(node, prefix: str = ""):
+    """``(qualified name, def)`` for every function under ``node``."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield prefix + child.name, child
+        named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        yield from _functions(child, prefix + child.name + "." if named else prefix)
+
+
+def test_only_depth_bounded_functions_call_themselves():
+    found = {
+        (path.stem, name)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for name, node in _functions(ast.parse(path.read_text()))
+        if _calls(node.body, node.name)
+    }
+    assert found == set(RECURSIVE)
